@@ -6,11 +6,17 @@ solutions: it parametrizes the active constraint by the fraction ``alpha`` of
 the task carried during the shared slot, recovers the powers from that split,
 and minimizes the resulting single-variable energy by golden-section search.
 Agreement with the closed forms is the certificate.
+
+The search runs over numpy arrays, one lane per (scenario, extension) pair,
+so a whole campaign or extension grid is one ``oracle_batch`` call. Its
+objective evaluates the split with numpy's ``exp``/``expm1``, a few ulp from
+the ``math``-based ``split_energy``; ``oracle_fixed_t`` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +39,17 @@ FEASIBILITY_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Numerically found minimum: powers, extension, energy, search effort."""
+    """Numerically found minimum: powers, extension, energy, search effort.
+
+    Fields are scalars from ``oracle_fixed_t`` and ``oracle_joint`` and
+    equal-length arrays, one entry per search, from ``oracle_batch``.
+    """
 
     p_n1: float
     p_n2: float
     t_n: float
     energy: float
     iterations: int
-    tolerance_met: bool
 
 
 @dataclass(frozen=True)
@@ -89,62 +98,137 @@ def split_energy(scenario: OffloadScenario, t_n: float, alpha: float) -> float:
     return schedule_energy(scenario, split_schedule(scenario, t_n, alpha))
 
 
+def _split_powers(alpha, nats, d_m, h_n_sq, t_n):
+    """Array form of ``split_schedule``'s powers, elementwise over broadcastable arrays.
+
+    Same operations in the same order as the scalar form, with numpy's
+    ``exp``/``expm1`` in place of ``math``'s, so results agree to a few ulp.
+    Raises NonPositiveParameter if any power is negative or NaN, as
+    ``PowerSchedule`` does.
+    """
+    rate_dm = nats / d_m
+    y1 = alpha * nats / d_m
+    y2 = (1.0 - alpha) * nats / t_n
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_n1 = np.where(
+            rate_dm + y1 > EXP_CUTOFF,
+            np.where(y1 > 0.0, np.inf, 0.0),
+            np.exp(rate_dm) * np.expm1(y1) / h_n_sq,
+        )
+        p_n2 = np.where(y2 > EXP_CUTOFF, np.inf, np.expm1(y2) / h_n_sq)
+    if not (np.minimum(p_n1, p_n2) >= 0.0).all():
+        raise NonPositiveParameter("split powers must be nonnegative")
+    return p_n1, p_n2
+
+
+def _split_energy(alpha, nats, d_m, h_n_sq, t_n):
+    """Array form of ``split_energy`` for extensions ``t_n > 0``."""
+    p_n1, p_n2 = _split_powers(alpha, nats, d_m, h_n_sq, t_n)
+    return d_m * p_n1 + t_n * p_n2
+
+
+def oracle_batch(
+    scenarios: Sequence[OffloadScenario],
+    t_n,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+) -> OracleResult:
+    """Minimize the constraint-split energy over ``alpha`` for many searches at once.
+
+    ``scenarios`` and ``t_n`` broadcast against each other (one scenario
+    over a grid of extensions, or one extension per scenario). Each lane runs
+    its own golden-section search: it keeps its own bracket, stops when that
+    bracket is at most ``tol`` wide, and counts its own objective
+    evaluations, so it takes exactly the steps a search of that lane alone
+    would take. The result holds one-dimensional arrays, one entry per lane.
+
+    ``tol`` is the final bracket width on alpha; ``max_iter`` caps each
+    lane's evaluations and exceeding it in any lane raises NonConvergence.
+    Every ``t_n`` must lie in ``(0, d_m]`` of its scenario, otherwise
+    TimeExtensionOutOfRange is raised. Each lane's returned point is the best
+    of its final bracket's endpoints and midpoint, so it is never worse than
+    any alpha-grid sample at resolution ``tol``.
+    """
+    params = np.array([(s.nats, s.d_m, s.h_n_sq) for s in scenarios], dtype=float)
+    nats, d_m, h_n_sq, t_n = np.broadcast_arrays(
+        *params.reshape(-1, 3).T, np.asarray(t_n, dtype=float).ravel()
+    )
+    bad = ~((0.0 < t_n) & (t_n <= d_m))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise TimeExtensionOutOfRange(
+            f"t_n must lie in (0, d_m] = (0, {float(d_m[k])}], got {float(t_n[k])!r}"
+        )
+    if not (tol > 0.0):
+        raise NonPositiveParameter(f"tol must be positive, got {tol!r}")
+
+    def objective(alpha, lanes=slice(None)):
+        return _split_energy(alpha, nats[lanes], d_m[lanes], h_n_sq[lanes], t_n[lanes])
+
+    lo, hi = np.zeros(t_n.shape), np.ones(t_n.shape)
+    inner_lo = hi - _INV_PHI * (hi - lo)
+    inner_hi = lo + _INV_PHI * (hi - lo)
+    f_lo, f_hi = objective(inner_lo), objective(inner_hi)
+    evals = np.full(t_n.shape, 2)
+    while True:
+        active = np.flatnonzero((hi - lo) > tol)
+        if active.size == 0:
+            break
+        if active.size == t_n.size:
+            # Usually every lane is still open: index with views, not copies.
+            active = slice(None)
+        if (evals[active] >= max_iter).any():
+            raise NonConvergence(
+                f"golden-section spent {int(evals[active].max())} evaluations"
+                f" without reaching width {tol}"
+            )
+        a_lo, a_hi = lo[active], hi[active]
+        a_inner_lo, a_inner_hi = inner_lo[active], inner_hi[active]
+        a_f_lo, a_f_hi = f_lo[active], f_hi[active]
+        # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right
+        # part and probe a new inner_lo. Otherwise drop the left part and
+        # probe a new inner_hi.
+        left = a_f_lo < a_f_hi
+        a_hi = np.where(left, a_inner_hi, a_hi)
+        a_lo = np.where(left, a_lo, a_inner_lo)
+        kept = np.where(left, a_inner_lo, a_inner_hi)
+        f_kept = np.where(left, a_f_lo, a_f_hi)
+        probe = np.where(left, a_hi - _INV_PHI * (a_hi - a_lo), a_lo + _INV_PHI * (a_hi - a_lo))
+        f_probe = objective(probe, active)
+        lo[active], hi[active] = a_lo, a_hi
+        inner_lo[active] = np.where(left, probe, kept)
+        inner_hi[active] = np.where(left, kept, probe)
+        f_lo[active] = np.where(left, f_probe, f_kept)
+        f_hi[active] = np.where(left, f_kept, f_probe)
+        evals[active] += 1
+
+    candidates = np.stack((lo, 0.5 * (lo + hi), hi))
+    p_n1, p_n2 = _split_powers(candidates, nats, d_m, h_n_sq, t_n)
+    energies = d_m * p_n1 + t_n * p_n2
+    best = np.argmin(energies, axis=0)[None, :]
+    return OracleResult(
+        p_n1=np.take_along_axis(p_n1, best, axis=0)[0],
+        p_n2=np.take_along_axis(p_n2, best, axis=0)[0],
+        t_n=t_n.copy(),
+        energy=np.take_along_axis(energies, best, axis=0)[0],
+        iterations=evals + 3,
+    )
+
+
 def oracle_fixed_t(
     scenario: OffloadScenario,
     t_n: float,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> OracleResult:
-    """Minimize the constraint-split energy over ``alpha`` by golden-section search.
-
-    ``tol`` is the final bracket width on alpha; ``max_iter`` caps objective
-    evaluations and exceeding it raises NonConvergence. The returned point is
-    the best of the final bracket's endpoints and midpoint, so it is never
-    worse than any alpha-grid sample at resolution ``tol``.
-    """
-    if not (0.0 < t_n <= scenario.d_m):
-        raise TimeExtensionOutOfRange(
-            f"t_n must lie in (0, d_m] = (0, {scenario.d_m}], got {t_n!r}"
-        )
-    if not (tol > 0.0):
-        raise NonPositiveParameter(f"tol must be positive, got {tol!r}")
-
-    def objective(alpha: float) -> float:
-        return split_energy(scenario, t_n, alpha)
-
-    lo, hi = 0.0, 1.0
-    evals = 0
-    inner_lo = hi - _INV_PHI * (hi - lo)
-    inner_hi = lo + _INV_PHI * (hi - lo)
-    f_lo, f_hi = objective(inner_lo), objective(inner_hi)
-    evals += 2
-    while (hi - lo) > tol:
-        if evals >= max_iter:
-            raise NonConvergence(
-                f"golden-section spent {evals} evaluations without reaching width {tol}"
-            )
-        if f_lo < f_hi:
-            hi, inner_hi, f_hi = inner_hi, inner_lo, f_lo
-            inner_lo = hi - _INV_PHI * (hi - lo)
-            f_lo = objective(inner_lo)
-        else:
-            lo, inner_lo, f_lo = inner_lo, inner_hi, f_hi
-            inner_hi = lo + _INV_PHI * (hi - lo)
-            f_hi = objective(inner_hi)
-        evals += 1
-
-    candidates = (lo, 0.5 * (lo + hi), hi)
-    energies = [objective(a) for a in candidates]
-    evals += 3
-    best = min(range(3), key=lambda k: energies[k])
-    schedule = split_schedule(scenario, t_n, candidates[best])
+    """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
+    batch = oracle_batch([scenario], t_n, tol=tol, max_iter=max_iter)
     return OracleResult(
-        p_n1=schedule.p_n1,
-        p_n2=schedule.p_n2,
+        p_n1=float(batch.p_n1[0]),
+        p_n2=float(batch.p_n2[0]),
         t_n=t_n,
-        energy=energies[best],
-        iterations=evals,
-        tolerance_met=True,
+        energy=float(batch.energy[0]),
+        iterations=int(batch.iterations[0]),
     )
 
 
@@ -153,12 +237,12 @@ def oracle_joint(
     t_steps: int = 256,
     tol: float = 1e-10,
 ) -> OracleResult:
-    """Joint search: run ``oracle_fixed_t`` on a uniform extension grid and take the argmin.
+    """Joint search: minimize over alpha on a uniform extension grid and take the argmin.
 
     The grid covers ``(0, min(d_n - d_m, d_m)]`` with ``t_steps`` points
-    including the right endpoint. With ``d_n == d_m`` the interval is empty
-    and the pure-NOMA point is returned directly. ``iterations`` aggregates
-    the evaluations of all grid searches.
+    including the right endpoint, searched as one ``oracle_batch``. With
+    ``d_n == d_m`` the interval is empty and the pure-NOMA point is returned
+    directly. ``iterations`` aggregates the evaluations of all grid searches.
     """
     if t_steps < 2:
         raise NonPositiveParameter(f"t_steps must be at least 2, got {t_steps!r}")
@@ -170,24 +254,16 @@ def oracle_joint(
             t_n=0.0,
             energy=pure_noma_energy(scenario),
             iterations=0,
-            tolerance_met=True,
         )
-    best: OracleResult | None = None
-    total_evals = 0
-    for i in range(1, t_steps + 1):
-        t_n = t_max * i / t_steps
-        result = oracle_fixed_t(scenario, t_n, tol=tol)
-        total_evals += result.iterations
-        if best is None or result.energy < best.energy:
-            best = result
-    assert best is not None
+    grid = t_max * np.arange(1, t_steps + 1) / t_steps
+    batch = oracle_batch([scenario], grid, tol=tol)
+    best = int(np.argmin(batch.energy))
     return OracleResult(
-        p_n1=best.p_n1,
-        p_n2=best.p_n2,
-        t_n=best.t_n,
-        energy=best.energy,
-        iterations=total_evals,
-        tolerance_met=True,
+        p_n1=float(batch.p_n1[best]),
+        p_n2=float(batch.p_n2[best]),
+        t_n=float(batch.t_n[best]),
+        energy=float(batch.energy[best]),
+        iterations=int(batch.iterations.sum()),
     )
 
 

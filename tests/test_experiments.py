@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from noma_mec import (
@@ -15,7 +16,8 @@ from noma_mec import (
     validate_scenario,
     verification_campaign,
 )
-from noma_mec.experiments import SWEEP_COLUMNS, SURFACE_COLUMNS
+from noma_mec.cli import run
+from noma_mec.experiments import _CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, SWEEP_COLUMNS, SURFACE_COLUMNS
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
@@ -191,6 +193,37 @@ class TestVerificationCampaign:
         # so even tol=1e-6 stays far inside the 1e-5 equivalence budget.
         summary = verification_campaign(seed=42, count=25, tol=1e-6)
         assert summary.passed
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
+    @pytest.mark.parametrize("count", [1, 200])
+    def test_vectorized_draw_matches_scalar_draws(self, seed, count):
+        rng = np.random.Generator(np.random.Philox(seed))
+        scalar = [
+            [float(rng.uniform(1.0, 40.0)), float(rng.uniform(1.0, 50.0)),
+             float(rng.uniform(1e-3, 1.0 - 1e-3)), float(rng.uniform(0.1, 10.0)),
+             float(rng.uniform(0.1, 10.0))]
+            for _ in range(count)
+        ]
+        rng = np.random.Generator(np.random.Philox(seed))
+        vectorized = rng.uniform(_CAMPAIGN_LOWS, _CAMPAIGN_HIGHS, size=(count, 5))
+        assert vectorized.tolist() == scalar
+
+    def test_nan_oracle_lane_fails_closed(self, monkeypatch, capsys):
+        import noma_mec.experiments as experiments_module
+
+        real_batch = experiments_module.oracle_batch
+
+        def nan_lane_batch(*args, **kwargs):
+            result = real_batch(*args, **kwargs)
+            result.energy[3] = math.nan
+            return result
+
+        monkeypatch.setattr(experiments_module, "oracle_batch", nan_lane_batch)
+        summary = verification_campaign(seed=42, count=10)
+        assert not summary.passed
+        assert math.isnan(summary.max_rel_err)
+        assert run(["verify", "--seed", "42", "--count", "10"]) == 2
+        assert "result=FAIL" in capsys.readouterr().out
 
     def test_summary_rendering(self):
         summary = verification_campaign(seed=42, count=10)

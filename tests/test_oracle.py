@@ -22,7 +22,8 @@ from noma_mec import (
     split_schedule,
     validate_scenario,
 )
-from noma_mec import PowerSchedule
+from noma_mec import PowerSchedule, oracle_batch
+from noma_mec.oracle import _split_energy
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
@@ -60,7 +61,6 @@ class TestSplitParametrization:
 class TestOracleFixedT:
     def test_agrees_with_closed_form_at_reference(self):
         result = oracle_fixed_t(ANCHOR, 5.0, tol=1e-10)
-        assert result.tolerance_met
         assert result.energy == pytest.approx(35.66291, abs=1e-4)
         assert result.energy == pytest.approx(hybrid_energy(ANCHOR, 5.0), rel=1e-5)
         assert result.p_n1 == pytest.approx(1.203116, abs=1e-5)
@@ -107,6 +107,64 @@ class TestOracleFixedT:
         closed = hybrid_energy(s, t_n)
         probe = oracle_fixed_t(s, t_n)
         assert abs(probe.energy - closed) / closed <= 1e-5
+
+
+def _random_lanes(count, seed):
+    """Scenarios from the campaign ranges with extensions anywhere in (0, d_n - d_m]."""
+    rng = np.random.default_rng(seed)
+    scenarios, t_n = [], []
+    for _ in range(count):
+        d_m = rng.uniform(1.0, 50.0)
+        s = validate_scenario(rng.uniform(1.0, 40.0), d_m, d_m * (1.0 + rng.uniform(1e-3, 1.0)),
+                              rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
+        scenarios.append(s)
+        t_n.append((s.d_n - s.d_m) * rng.uniform(1e-3, 1.0))
+    return scenarios, t_n
+
+
+class TestOracleBatch:
+    @pytest.mark.parametrize(
+        "scenarios, t_n, tol, evals",
+        [
+            (*_random_lanes(200, seed=3), 1e-10, {53}),
+            # Lanes whose brackets reach tol at different steps: the batch
+            # keeps searching the unfinished lane alone.
+            ([ANCHOR, ANCHOR], [20.0, 19.9], 1e-18, {91, 92}),
+        ],
+    )
+    def test_each_lane_is_its_own_search(self, scenarios, t_n, tol, evals):
+        batch = oracle_batch(scenarios, np.array(t_n), tol=tol)
+        assert set(batch.iterations.tolist()) == evals
+        for k, (s, t) in enumerate(zip(scenarios, t_n)):
+            alone = oracle_fixed_t(s, t, tol=tol)
+            assert (batch.p_n1[k], batch.p_n2[k], batch.t_n[k], batch.energy[k]) == (
+                alone.p_n1, alone.p_n2, alone.t_n, alone.energy
+            )
+            assert batch.iterations[k] == alone.iterations
+
+    def test_one_unconverged_lane_raises(self):
+        # Near alpha = 0 floats are dense enough for a 1e-17 bracket; around
+        # the interior optimum at t_n = 5 they are not.
+        oracle_batch([ANCHOR], [20.0], tol=1e-17)
+        with pytest.raises(NonConvergence):
+            oracle_batch([ANCHOR, ANCHOR], [20.0, 5.0], tol=1e-17)
+
+    @pytest.mark.parametrize("bad_t_n", [0.0, 20.5, math.nan])
+    def test_one_out_of_range_lane_raises(self, bad_t_n):
+        scenarios, t_n = _random_lanes(5, seed=4)
+        scenarios.append(ANCHOR)
+        with pytest.raises(TimeExtensionOutOfRange):
+            oracle_batch(scenarios, np.array([*t_n, bad_t_n]))
+
+    @given(s=hybrid_scenarios(), alpha=st.floats(0.0, 1.0), frac=st.floats(1e-3, 1.0))
+    def test_array_objective_matches_scalar(self, s, alpha, frac):
+        t_n = (s.d_n - s.d_m) * frac
+        scalar = split_energy(s, t_n, alpha)
+        array = _split_energy(np.array([alpha]), s.nats, s.d_m, s.h_n_sq, t_n)[0]
+        if math.isinf(scalar):
+            assert array == scalar
+        else:
+            assert array == pytest.approx(scalar, rel=1e-15, abs=0.0)
 
 
 class TestOracleJoint:
