@@ -95,36 +95,11 @@ def hybrid_schedule(scenario: OffloadScenario, t_n: float) -> PowerSchedule:
     return PowerSchedule(p_n1=p_n1, p_n2=p_n2, t_n=t_n)
 
 
-def hybrid_phase_energies(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
-    """Energies ``(d_m * p_n1, t_n * p_n2)`` of the two phases of the fixed-extension optimum.
-
-    The powers are re-derived rather than taken from ``hybrid_powers``, whose
-    ``y1 = y2 - rate_dm`` keeps the coupling exact but has no correct bits
-    near ``t_n == d_m``; the energy built from it can rise by an ulp as
-    ``t_n`` grows. Here ``y1 = rate_dm * (d_m - t_n) / (d_m + t_n)`` is
-    computed directly, ``p_n2 = p_n1 + expm1(rate_dm) / h_n_sq`` carries the
-    coupling into the power domain, and ``t_n`` is replaced by
-    ``(d_m + t_n) - d_m`` so both phases depend on ``t_n`` only through
-    ``d_m + t_n``. At ``t_n == 0`` the first phase is bit-for-bit
-    ``pure_noma_energy``; saturated powers are passed through as ``inf``.
-    """
-    p_n1, p_n2 = hybrid_powers(scenario, t_n)
-    extension = t_n
-    if not math.isinf(p_n2):
-        rate_dm = scenario.nats / scenario.d_m
-        span = scenario.d_m + t_n
-        # span lies in [d_m, 2 d_m], so both subtractions are exact (Sterbenz).
-        extension = span - scenario.d_m
-        y1 = rate_dm * ((2.0 * scenario.d_m - span) / span)
-        p_n1 = math.exp(rate_dm) * math.expm1(y1) / scenario.h_n_sq
-        p_n2 = p_n1 + math.expm1(rate_dm) / scenario.h_n_sq
-    phase2 = extension * p_n2 if extension > 0.0 else 0.0
-    return scenario.d_m * p_n1, phase2
-
-
 def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     """Energy of the fixed-extension optimum; non-increasing in ``t_n`` on [0, d_m]."""
-    phase1, phase2 = hybrid_phase_energies(scenario, t_n)
+    p_n1, p_n2 = hybrid_powers(scenario, t_n)
+    phase1 = scenario.d_m * p_n1
+    phase2 = t_n * p_n2 if t_n > 0.0 else 0.0
     return phase1 + phase2
 
 

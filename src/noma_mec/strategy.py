@@ -16,7 +16,7 @@ from enum import Enum
 from .closed_form import (
     EXP_CUTOFF,
     hybrid_energy,
-    hybrid_phase_energies,
+    hybrid_powers,
     log_hybrid_energy,
     log_oma_energy_n,
     oma_energy_n,
@@ -87,11 +87,11 @@ def select_strategy(scenario: OffloadScenario) -> ComparisonTable:
     t_star = min(scenario.d_n - scenario.d_m, scenario.d_m)
     oma_slot = scenario.d_n - scenario.d_m
 
-    phase1, phase2 = hybrid_phase_energies(scenario, t_star)
+    p_n1, p_n2 = hybrid_powers(scenario, t_star)
     hybrid = _report(
         StrategyKind.HYBRID_NOMA,
-        phase1=phase1,
-        phase2=phase2,
+        phase1=scenario.d_m * p_n1,
+        phase2=t_star * p_n2 if t_star > 0.0 else 0.0,
         feasible=True,
         h_n_sq=scenario.h_n_sq,
     )

@@ -16,7 +16,6 @@ from noma_mec import (
     derivative_kernel,
     energy_derivative,
     hybrid_energy,
-    hybrid_phase_energies,
     hybrid_powers,
     kkt_log_vars,
     log_hybrid_energy,
@@ -195,25 +194,6 @@ class TestHybridEnergy:
     def test_non_increasing(self, s, a, b):
         t_lo, t_hi = sorted((a * s.d_m, b * s.d_m))
         assert hybrid_energy(s, t_lo) >= hybrid_energy(s, t_hi) - 1e-12
-
-    def test_last_double_below_full_extension(self):
-        s = validate_scenario(10.0, 1.0, 1.5)
-        assert hybrid_energy(s, math.nextafter(1.0, 0.0)) >= hybrid_energy(s, 1.0)
-
-    @given(s=hybrid_scenarios(), k=st.integers(0, 3))
-    def test_non_increasing_across_adjacent_doubles_at_both_ends(self, s, k):
-        step = math.ulp(s.d_m)
-        for t_lo in (k * step, s.d_m - (k + 1) * step):
-            t_hi = math.nextafter(t_lo, math.inf)
-            assert hybrid_energy(s, t_lo) >= hybrid_energy(s, t_hi) - 1e-12
-
-    @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
-    def test_phases_sum_to_energy(self, s, frac):
-        phase1, phase2 = hybrid_phase_energies(s, frac * s.d_m)
-        assert phase1 + phase2 == hybrid_energy(s, frac * s.d_m)
-        p1, p2 = hybrid_powers(s, frac * s.d_m)
-        assert phase1 == pytest.approx(s.d_m * p1, rel=1e-9, abs=1e-12)
-        assert phase2 == pytest.approx(frac * s.d_m * p2, rel=1e-9, abs=1e-12)
 
 
 class TestPureNomaEnergy:
