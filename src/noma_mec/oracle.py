@@ -39,11 +39,7 @@ FEASIBILITY_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Numerically found minimum: powers, extension, energy, search effort.
-
-    Fields are scalars from ``oracle_fixed_t`` and ``oracle_joint`` and
-    equal-length arrays, one entry per search, from ``oracle_batch``.
-    """
+    """Numerically found minimum: powers, extension, energy, search effort."""
 
     p_n1: float
     p_n2: float
@@ -132,7 +128,7 @@ def oracle_batch(
     t_n,
     tol: float = 1e-10,
     max_iter: int = 200,
-) -> OracleResult:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the constraint-split energy over ``alpha`` for many searches at once.
 
     ``scenarios`` and ``t_n`` broadcast against each other (one scenario
@@ -140,7 +136,8 @@ def oracle_batch(
     its own golden-section search: it keeps its own bracket, stops when that
     bracket is at most ``tol`` wide, and counts its own objective
     evaluations, so it takes exactly the steps a search of that lane alone
-    would take. The result holds one-dimensional arrays, one entry per lane.
+    would take. Returns one-dimensional arrays ``(p_n1, p_n2, energy,
+    iterations)``, one entry per lane.
 
     ``tol`` is the final bracket width on alpha; ``max_iter`` caps each
     lane's evaluations and exceeding it in any lane raises NonConvergence.
@@ -174,9 +171,6 @@ def oracle_batch(
         active = np.flatnonzero((hi - lo) > tol)
         if active.size == 0:
             break
-        if active.size == t_n.size:
-            # Usually every lane is still open: index with views, not copies.
-            active = slice(None)
         if (evals[active] >= max_iter).any():
             raise NonConvergence(
                 f"golden-section spent {int(evals[active].max())} evaluations"
@@ -206,12 +200,11 @@ def oracle_batch(
     p_n1, p_n2 = _split_powers(candidates, nats, d_m, h_n_sq, t_n)
     energies = d_m * p_n1 + t_n * p_n2
     best = np.argmin(energies, axis=0)[None, :]
-    return OracleResult(
-        p_n1=np.take_along_axis(p_n1, best, axis=0)[0],
-        p_n2=np.take_along_axis(p_n2, best, axis=0)[0],
-        t_n=t_n.copy(),
-        energy=np.take_along_axis(energies, best, axis=0)[0],
-        iterations=evals + 3,
+    return (
+        np.take_along_axis(p_n1, best, axis=0)[0],
+        np.take_along_axis(p_n2, best, axis=0)[0],
+        np.take_along_axis(energies, best, axis=0)[0],
+        evals + 3,
     )
 
 
@@ -222,13 +215,13 @@ def oracle_fixed_t(
     max_iter: int = 200,
 ) -> OracleResult:
     """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
-    batch = oracle_batch([scenario], t_n, tol=tol, max_iter=max_iter)
+    p_n1, p_n2, energy, iterations = oracle_batch([scenario], t_n, tol=tol, max_iter=max_iter)
     return OracleResult(
-        p_n1=float(batch.p_n1[0]),
-        p_n2=float(batch.p_n2[0]),
+        p_n1=float(p_n1[0]),
+        p_n2=float(p_n2[0]),
         t_n=t_n,
-        energy=float(batch.energy[0]),
-        iterations=int(batch.iterations[0]),
+        energy=float(energy[0]),
+        iterations=int(iterations[0]),
     )
 
 
@@ -256,14 +249,14 @@ def oracle_joint(
             iterations=0,
         )
     grid = t_max * np.arange(1, t_steps + 1) / t_steps
-    batch = oracle_batch([scenario], grid, tol=tol)
-    best = int(np.argmin(batch.energy))
+    p_n1, p_n2, energy, iterations = oracle_batch([scenario], grid, tol=tol)
+    best = int(np.argmin(energy))
     return OracleResult(
-        p_n1=float(batch.p_n1[best]),
-        p_n2=float(batch.p_n2[best]),
-        t_n=float(batch.t_n[best]),
-        energy=float(batch.energy[best]),
-        iterations=int(batch.iterations.sum()),
+        p_n1=float(p_n1[best]),
+        p_n2=float(p_n2[best]),
+        t_n=float(grid[best]),
+        energy=float(energy[best]),
+        iterations=int(iterations.sum()),
     )
 
 

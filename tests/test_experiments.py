@@ -214,9 +214,9 @@ class TestVerificationCampaign:
         real_batch = experiments_module.oracle_batch
 
         def nan_lane_batch(*args, **kwargs):
-            result = real_batch(*args, **kwargs)
-            result.energy[3] = math.nan
-            return result
+            p_n1, p_n2, energy, iterations = real_batch(*args, **kwargs)
+            energy[3] = math.nan
+            return p_n1, p_n2, energy, iterations
 
         monkeypatch.setattr(experiments_module, "oracle_batch", nan_lane_batch)
         summary = verification_campaign(seed=42, count=10)

@@ -133,14 +133,13 @@ class TestOracleBatch:
         ],
     )
     def test_each_lane_is_its_own_search(self, scenarios, t_n, tol, evals):
-        batch = oracle_batch(scenarios, np.array(t_n), tol=tol)
-        assert set(batch.iterations.tolist()) == evals
+        p_n1, p_n2, energy, iterations = oracle_batch(scenarios, np.array(t_n), tol=tol)
+        assert set(iterations.tolist()) == evals
         for k, (s, t) in enumerate(zip(scenarios, t_n)):
             alone = oracle_fixed_t(s, t, tol=tol)
-            assert (batch.p_n1[k], batch.p_n2[k], batch.t_n[k], batch.energy[k]) == (
-                alone.p_n1, alone.p_n2, alone.t_n, alone.energy
+            assert (p_n1[k], p_n2[k], energy[k], iterations[k]) == (
+                alone.p_n1, alone.p_n2, alone.energy, alone.iterations
             )
-            assert batch.iterations[k] == alone.iterations
 
     def test_one_unconverged_lane_raises(self):
         # Near alpha = 0 floats are dense enough for a 1e-17 bracket; around
