@@ -7,9 +7,9 @@ the competing strategies would cost.
 """
 
 from noma_mec import (
+    PowerSchedule,
     energy_derivative,
     hybrid_powers,
-    hybrid_schedule,
     kkt_log_vars,
     offloaded_nats,
     oma_energy_n,
@@ -37,7 +37,7 @@ def main():
     print(f"  coupling y2 - y1 = {point.y2 - point.y1}  (= nats/d_m)")
     print(f"  budget d_m*y1 + t_n*y2 = {scenario.d_m * point.y1 + t_star * point.y2}  (= nats)")
 
-    schedule = hybrid_schedule(scenario, t_star)
+    schedule = PowerSchedule(p1, p2, t_n=t_star)
     print(f"\nenergy of that schedule: {schedule_energy(scenario, schedule):.6f}")
     print(f"nats it offloads:        {offloaded_nats(scenario, schedule):.12f}  (constraint active)")
 

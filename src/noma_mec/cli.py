@@ -15,9 +15,10 @@ import sys
 from dataclasses import dataclass, fields
 
 from ._version import __version__
-from .closed_form import hybrid_powers, oma_power_m
+from .closed_form import oma_power_m
 from .errors import FileUnreadable, MissingKey, NomaMecError, TypeMismatch
 from .experiments import (
+    _fmt,
     deadline_sweep,
     render_campaign_summary,
     render_surface_csv,
@@ -28,42 +29,54 @@ from .experiments import (
 from .model import validate_scenario
 from .strategy import select_strategy
 
-_SCENARIO_KEYS = ("n", "dm", "dn", "hm2", "hn2")
-_SWEEP_KEYS = ("from", "to", "steps")
-_SURFACE_KEYS = ("tn", "p1max", "p2max", "resolution")
-
 
 @dataclass
 class CliConfig:
-    """Merged scenario and subcommand options; None means 'not provided'."""
+    """Merged scenario and subcommand options, named as the flags' dests.
+
+    None means 'not provided' for the options without a fixed default.
+    """
 
     n: float | None = None
     dm: float | None = None
     dn: float | None = None
-    hm2: float | None = None
-    hn2: float | None = None
+    hm2: float = 1.0
+    hn2: float = 1.0
     sweep_from: float | None = None
     sweep_to: float | None = None
-    steps: int | None = None
+    steps: int = 81
     tn: float | None = None
     p1max: float | None = None
     p2max: float | None = None
-    resolution: int | None = None
-    tol: float | None = None
-    seed: int | None = None
-    count: int | None = None
+    resolution: int = 200
+    tol: float = 1e-10
+    seed: int = 42
+    count: int = 200
 
 
-def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeMismatch(key, f'config key "{key}" must be a number, got {value!r}')
-    return float(value)
+# Config-file keys: (block, JSON key, CliConfig field, type); block None is the top level.
+_CONFIG_KEYS = (
+    (None, "n", "n", float),
+    (None, "dm", "dm", float),
+    (None, "dn", "dn", float),
+    (None, "hm2", "hm2", float),
+    (None, "hn2", "hn2", float),
+    ("sweep", "from", "sweep_from", float),
+    ("sweep", "to", "sweep_to", float),
+    ("sweep", "steps", "steps", int),
+    ("surface", "tn", "tn", float),
+    ("surface", "p1max", "p1max", float),
+    ("surface", "p2max", "p2max", float),
+    ("surface", "resolution", "resolution", int),
+)
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeMismatch(key, f'config key "{key}" must be an integer, got {value!r}')
-    return value
+def _typed(key: str, value, kind: type):
+    """``value`` as ``kind``; JSON integers count as numbers, booleans as neither."""
+    accepted, noun = ((int, float), "a number") if kind is float else (int, "an integer")
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeMismatch(key, f'config key "{key}" must be {noun}, got {value!r}')
+    return kind(value)
 
 
 def load_scenario_file(path: str) -> CliConfig:
@@ -84,54 +97,20 @@ def load_scenario_file(path: str) -> CliConfig:
         raise FileUnreadable(path, f"config file {path!r} must hold a JSON object")
 
     config = CliConfig()
-    for key in _SCENARIO_KEYS:
-        if key in raw:
-            setattr(config, key, _as_float(key, raw[key]))
-    sweep = raw.get("sweep", {})
-    if not isinstance(sweep, dict):
-        raise TypeMismatch("sweep", '"sweep" must be an object')
-    if "from" in sweep:
-        config.sweep_from = _as_float("from", sweep["from"])
-    if "to" in sweep:
-        config.sweep_to = _as_float("to", sweep["to"])
-    if "steps" in sweep:
-        config.steps = _as_int("steps", sweep["steps"])
-    surface = raw.get("surface", {})
-    if not isinstance(surface, dict):
-        raise TypeMismatch("surface", '"surface" must be an object')
-    if "tn" in surface:
-        config.tn = _as_float("tn", surface["tn"])
-    if "p1max" in surface:
-        config.p1max = _as_float("p1max", surface["p1max"])
-    if "p2max" in surface:
-        config.p2max = _as_float("p2max", surface["p2max"])
-    if "resolution" in surface:
-        config.resolution = _as_int("resolution", surface["resolution"])
+    for block, key, field, kind in _CONFIG_KEYS:
+        section = raw if block is None else raw.get(block, {})
+        if not isinstance(section, dict):
+            raise TypeMismatch(block, f'"{block}" must be an object')
+        if key in section:
+            setattr(config, field, _typed(key, section[key], kind))
     return config
 
 
 def _merge(args: argparse.Namespace) -> CliConfig:
     """Overlay command-line flags on the config file; flags win."""
     config = load_scenario_file(args.config) if getattr(args, "config", None) else CliConfig()
-    overlay = {
-        "n": getattr(args, "n", None),
-        "dm": getattr(args, "dm", None),
-        "dn": getattr(args, "dn", None),
-        "hm2": getattr(args, "hm2", None),
-        "hn2": getattr(args, "hn2", None),
-        "sweep_from": getattr(args, "sweep_from", None),
-        "sweep_to": getattr(args, "sweep_to", None),
-        "steps": getattr(args, "steps", None),
-        "tn": getattr(args, "tn", None),
-        "p1max": getattr(args, "p1max", None),
-        "p2max": getattr(args, "p2max", None),
-        "resolution": getattr(args, "resolution", None),
-        "tol": getattr(args, "tol", None),
-        "seed": getattr(args, "seed", None),
-        "count": getattr(args, "count", None),
-    }
     for field in fields(CliConfig):
-        value = overlay.get(field.name)
+        value = getattr(args, field.name, None)
         if value is not None:
             setattr(config, field.name, value)
     return config
@@ -154,9 +133,7 @@ def _scenario(config: CliConfig, dn_default: float | None = None):
     dn = config.dn if config.dn is not None else dn_default
     if dn is None:
         raise MissingKey("dn", 'missing required parameter "dn" (pass --dn or put it in --config)')
-    hm2 = config.hm2 if config.hm2 is not None else 1.0
-    hn2 = config.hn2 if config.hn2 is not None else 1.0
-    return validate_scenario(n, dm, dn, hm2, hn2)
+    return validate_scenario(n, dm, dn, config.hm2, config.hn2)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -167,16 +144,10 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _merge(args)
     scenario = _scenario(config)
     table = select_strategy(scenario)
-    t_star = min(scenario.d_n - scenario.d_m, scenario.d_m)
-    p1_star, p2_star = hybrid_powers(scenario, t_star)
     chosen = {
         table.hybrid.strategy: table.hybrid,
         table.pure_noma.strategy: table.pure_noma,
@@ -191,9 +162,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"h_n_sq={_fmt(scenario.h_n_sq)}",
         f"regime={table.regime.value}",
         f"selected={table.selected.value}",
-        f"t_n_star={_fmt(t_star)}",
-        f"p_n1_star={_fmt(p1_star)}",
-        f"p_n2_star={_fmt(p2_star)}",
+        f"t_n_star={_fmt(table.t_star)}",
+        f"p_n1_star={_fmt(table.p_n1_star)}",
+        f"p_n2_star={_fmt(table.p_n2_star)}",
         f"energy={_fmt(chosen.energy)}",
         f"normalized_energy={_fmt(chosen.normalized_energy)}",
         f"oma_power_m={_fmt(oma_power_m(scenario))}",
@@ -202,14 +173,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     for report in (table.hybrid, table.pure_noma, table.oma):
         lines.append(
             ",".join(
-                (
-                    report.strategy.value,
-                    _fmt(report.energy),
-                    _fmt(report.normalized_energy),
-                    _fmt(report.phase1_energy),
-                    _fmt(report.phase2_energy),
-                    "true" if report.feasible else "false",
-                )
+                _fmt(v)
+                for v in (report.strategy, report.energy, report.normalized_energy,
+                          report.phase1_energy, report.phase2_energy, report.feasible)
             )
         )
     _emit("\n".join(lines) + "\n", args.out)
@@ -219,13 +185,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _merge(args)
     n, dm = _required(config, "n", "dm")
-    hm2 = config.hm2 if config.hm2 is not None else 1.0
-    hn2 = config.hn2 if config.hn2 is not None else 1.0
     d_n_from = config.sweep_from if config.sweep_from is not None else dm
     d_n_to = config.sweep_to if config.sweep_to is not None else 2.0 * dm
-    steps = config.steps if config.steps is not None else 81
-    rows = deadline_sweep(n, dm, d_n_from, d_n_to, steps, hm2, hn2)
-    _emit(render_sweep_csv(rows, n, dm, hm2, hn2), args.out)
+    rows = deadline_sweep(n, dm, d_n_from, d_n_to, config.steps, config.hm2, config.hn2)
+    _emit(render_sweep_csv(rows, n, dm, config.hm2, config.hn2), args.out)
     return 0
 
 
@@ -239,7 +202,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         tn,
         p1_max=config.p1max,
         p2_max=config.p2max,
-        resolution=config.resolution if config.resolution is not None else 200,
+        resolution=config.resolution,
     )
     _emit(render_surface_csv(records, scenario, tn), args.out)
     return 0
@@ -247,10 +210,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _merge(args)
-    seed = config.seed if config.seed is not None else 42
-    count = config.count if config.count is not None else 200
-    tol = config.tol if config.tol is not None else 1e-10
-    summary = verification_campaign(seed, count, tol=tol)
+    summary = verification_campaign(config.seed, config.count, tol=config.tol)
     _emit(render_campaign_summary(summary), args.out)
     return 0 if summary.passed else 2
 

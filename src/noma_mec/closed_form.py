@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveParameter, RegimeViolation, TimeExtensionOutOfRange
-from .model import OffloadScenario, PowerSchedule
+from .model import OffloadScenario
 
 # Exponent magnitude beyond which exp() products are at risk of overflowing a
 # double; plain-domain energies saturate to inf past this point.
@@ -89,12 +89,6 @@ def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
     return p_n1, p_n2
 
 
-def hybrid_schedule(scenario: OffloadScenario, t_n: float) -> PowerSchedule:
-    """``hybrid_powers`` packaged as a PowerSchedule."""
-    p_n1, p_n2 = hybrid_powers(scenario, t_n)
-    return PowerSchedule(p_n1=p_n1, p_n2=p_n2, t_n=t_n)
-
-
 def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     """Energy of the fixed-extension optimum; non-increasing in ``t_n`` on [0, d_m]."""
     p_n1, p_n2 = hybrid_powers(scenario, t_n)
@@ -151,7 +145,7 @@ def optimal_time_extension(scenario: OffloadScenario) -> float:
         raise RegimeViolation(
             f"optimal extension is defined for d_n < 2 d_m, got d_n={scenario.d_n}, d_m={scenario.d_m}"
         )
-    return scenario.d_n - scenario.d_m
+    return scenario.capped_extension
 
 
 def derivative_kernel(x: float) -> float:

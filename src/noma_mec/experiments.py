@@ -96,17 +96,15 @@ def deadline_sweep(
     for d_n in np.linspace(d_n_from, d_n_to, steps):
         scenario = validate_scenario(nats, d_m, float(d_n), h_m_sq, h_n_sq)
         table = select_strategy(scenario)
-        t_star = min(scenario.d_n - scenario.d_m, scenario.d_m)
-        p1_star, p2_star = hybrid_powers(scenario, t_star)
         rows.append(
             SweepRow(
                 d_n=float(d_n),
                 e_hybrid=table.hybrid.energy,
                 e_pure=table.pure_noma.energy,
                 e_oma=table.oma.energy,
-                p1_star=p1_star,
-                p2_star=p2_star,
-                t_n_star=t_star,
+                p1_star=table.p_n1_star,
+                p2_star=table.p_n2_star,
+                t_n_star=table.t_star,
                 selected=table.selected,
             )
         )
@@ -167,14 +165,13 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     # the same stream, value for value, as five scalar draws per scenario.
     draws = rng.uniform(_CAMPAIGN_LOWS, _CAMPAIGN_HIGHS, size=(count, 5))
     scenarios = []
-    energies = []
+    rows = []
     for nats, d_m, factor, h_m_sq, h_n_sq in draws.tolist():
         scenario = validate_scenario(nats, d_m, d_m * (1.0 + factor), h_m_sq, h_n_sq)
         table = select_strategy(scenario)
         scenarios.append(scenario)
-        energies.append((table.hybrid.energy, table.pure_noma.energy, table.oma.energy))
-    e_hybrid, e_pure, e_oma = np.array(energies).T
-    t_star = np.array([s.d_n - s.d_m for s in scenarios])
+        rows.append((table.hybrid.energy, table.pure_noma.energy, table.oma.energy, table.t_star))
+    e_hybrid, e_pure, e_oma, t_star = np.array(rows).T
     _, _, e_oracle, _ = oracle_batch(scenarios, t_star, tol=tol)
     # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a
     # non-finite error or excess reports FAIL instead of folding away.

@@ -33,28 +33,6 @@ def _require_nonnegative(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class TaskSpec:
-    """A computation task: size in nats and completion deadline."""
-
-    nats: float
-    deadline: float
-
-    def __post_init__(self):
-        _require_positive("nats", self.nats)
-        _require_positive("deadline", self.deadline)
-
-
-@dataclass(frozen=True)
-class UserChannel:
-    """Uplink channel of one user: squared gain normalized to unit noise power."""
-
-    gain_sq: float
-
-    def __post_init__(self):
-        _require_positive("gain_sq", self.gain_sq)
-
-
-@dataclass(frozen=True)
 class OffloadScenario:
     """One problem instance: common task size, ordered deadlines, channel gains.
 
@@ -80,20 +58,10 @@ class OffloadScenario:
             )
 
     @property
-    def task_m(self) -> TaskSpec:
-        return TaskSpec(self.nats, self.d_m)
-
-    @property
-    def task_n(self) -> TaskSpec:
-        return TaskSpec(self.nats, self.d_n)
-
-    @property
-    def channel_m(self) -> UserChannel:
-        return UserChannel(self.h_m_sq)
-
-    @property
-    def channel_n(self) -> UserChannel:
-        return UserChannel(self.h_n_sq)
+    def capped_extension(self) -> float:
+        """Solo extension of the hybrid optimum, ``min(d_n - d_m, d_m)``: the
+        deadline budget, capped at ``d_m``, where the shared-slot power is zero."""
+        return min(self.d_n - self.d_m, self.d_m)
 
 
 @dataclass(frozen=True)

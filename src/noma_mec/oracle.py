@@ -239,7 +239,7 @@ def oracle_joint(
     """
     if t_steps < 2:
         raise NonPositiveParameter(f"t_steps must be at least 2, got {t_steps!r}")
-    t_max = min(scenario.d_n - scenario.d_m, scenario.d_m)
+    t_max = scenario.capped_extension
     if t_max == 0.0:
         return OracleResult(
             p_n1=pure_noma_power(scenario),
@@ -275,7 +275,9 @@ def energy_surface(
     optimum exactly on the sample lattice, where it is also the cheapest
     feasible sample. With hand-picked ranges the optimum generally falls
     between samples and the cheapest feasible sample can sit a few cells away
-    along the constraint boundary.
+    along the constraint boundary. Both ranges must be positive and finite,
+    defaults included (a saturated closed-form power gives an infinite one);
+    otherwise NonPositiveParameter is raised.
     """
     if not (t_n > 0.0):
         raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
@@ -287,9 +289,9 @@ def energy_surface(
             p1_max = 2.0 * star1
         if p2_max is None:
             p2_max = 2.0 * star2
-    if not (p1_max > 0.0 and p2_max > 0.0):
+    if not (0.0 < p1_max < math.inf and 0.0 < p2_max < math.inf):
         raise NonPositiveParameter(
-            f"power ranges must be positive, got p1_max={p1_max!r}, p2_max={p2_max!r}"
+            f"power ranges must be positive and finite, got p1_max={p1_max!r}, p2_max={p2_max!r}"
         )
 
     p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)

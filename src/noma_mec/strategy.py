@@ -41,7 +41,9 @@ class ComparisonTable:
 
     ``selected`` minimizes energy among the feasible rows; the exact tie at
     ``d_n == 2 d_m`` resolves to OMA, every other tie (there are none in
-    exact arithmetic) would resolve to the hybrid row.
+    exact arithmetic) would resolve to the hybrid row. ``t_star``,
+    ``p_n1_star`` and ``p_n2_star`` are the extension and powers behind the
+    hybrid row.
     """
 
     hybrid: EnergyReport
@@ -49,6 +51,9 @@ class ComparisonTable:
     oma: EnergyReport
     selected: StrategyKind
     regime: Regime
+    t_star: float
+    p_n1_star: float
+    p_n2_star: float
 
 
 def classify_regime(scenario: OffloadScenario) -> Regime:
@@ -84,7 +89,7 @@ def select_strategy(scenario: OffloadScenario) -> ComparisonTable:
     raising.
     """
     regime = classify_regime(scenario)
-    t_star = min(scenario.d_n - scenario.d_m, scenario.d_m)
+    t_star = scenario.capped_extension
     oma_slot = scenario.d_n - scenario.d_m
 
     p_n1, p_n2 = hybrid_powers(scenario, t_star)
@@ -124,8 +129,8 @@ def select_strategy(scenario: OffloadScenario) -> ComparisonTable:
         selected = StrategyKind.HYBRID_NOMA
     else:
         selected = StrategyKind.OMA
-    return ComparisonTable(hybrid=hybrid, pure_noma=pure, oma=oma,
-                           selected=selected, regime=regime)
+    return ComparisonTable(hybrid=hybrid, pure_noma=pure, oma=oma, selected=selected,
+                           regime=regime, t_star=t_star, p_n1_star=p_n1, p_n2_star=p_n2)
 
 
 def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:

@@ -80,10 +80,16 @@ class TestConfigFile:
 
     def test_type_mismatch_names_key(self, tmp_path):
         config = tmp_path / "scenario.json"
-        config.write_text(json.dumps({"n": 15, "dm": 20, "dn": "soon"}))
-        with pytest.raises(TypeMismatch) as excinfo:
-            load_scenario_file(str(config))
-        assert excinfo.value.key == "dn"
+        for document, key, message in [
+            ({"n": 15, "dm": 20, "dn": "soon"}, "dn", "a number"),
+            ({"n": 15, "dm": 20, "surface": 5}, "surface", "an object"),
+            ({"n": 15, "dm": 20, "sweep": {"steps": 5.5}}, "steps", "an integer"),
+        ]:
+            config.write_text(json.dumps(document))
+            with pytest.raises(TypeMismatch) as excinfo:
+                load_scenario_file(str(config))
+            assert excinfo.value.key == key
+            assert message in str(excinfo.value)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(FileUnreadable):
@@ -97,9 +103,14 @@ class TestConfigFile:
 
     def test_sweep_block(self, tmp_path):
         config = tmp_path / "scenario.json"
-        config.write_text(json.dumps({"n": 15, "dm": 20, "sweep": {"from": 20, "to": 40, "steps": 5}}))
-        loaded = load_scenario_file(str(config))
-        assert loaded == CliConfig(n=15.0, dm=20.0, sweep_from=20.0, sweep_to=40.0, steps=5)
+        for document, expected in [
+            ({"n": 15, "dm": 20, "sweep": {"from": 20, "to": 40, "steps": 5}},
+             CliConfig(n=15.0, dm=20.0, sweep_from=20.0, sweep_to=40.0, steps=5)),
+            ({"n": 15, "dm": 20, "hn2": 2, "surface": {"tn": 5, "p1max": 3, "p2max": 4.5, "resolution": 7}},
+             CliConfig(n=15.0, dm=20.0, hn2=2.0, tn=5.0, p1max=3.0, p2max=4.5, resolution=7)),
+        ]:
+            config.write_text(json.dumps(document))
+            assert load_scenario_file(str(config)) == expected
 
     def test_boolean_is_not_a_number(self, tmp_path):
         config = tmp_path / "scenario.json"

@@ -9,9 +9,7 @@ from noma_mec import (
     NonPositiveParameter,
     OffloadScenario,
     PowerSchedule,
-    TaskSpec,
-    UserChannel,
-    hybrid_schedule,
+    hybrid_powers,
     offloaded_nats,
     schedule_energy,
     validate_scenario,
@@ -48,19 +46,11 @@ class TestValidation:
     def test_equal_deadlines_allowed(self):
         s = validate_scenario(15, 20, 20)
         assert s.d_n == s.d_m
+        assert s.capped_extension == 0.0
 
-    def test_task_and_channel_parts(self):
-        assert ANCHOR.task_m == TaskSpec(15.0, 20.0)
-        assert ANCHOR.task_n == TaskSpec(15.0, 25.0)
-        assert ANCHOR.channel_n == UserChannel(1.0)
-
-    def test_task_spec_rejects_zero_deadline(self):
-        with pytest.raises(NonPositiveParameter):
-            TaskSpec(nats=1.0, deadline=0.0)
-
-    def test_channel_rejects_zero_gain(self):
-        with pytest.raises(NonPositiveParameter):
-            UserChannel(gain_sq=0.0)
+    def test_capped_extension(self):
+        assert ANCHOR.capped_extension == 5.0
+        assert validate_scenario(15, 20, 50).capped_extension == 20.0
 
     def test_schedule_rejects_negative_power(self):
         with pytest.raises(NonPositiveParameter):
@@ -104,7 +94,7 @@ class TestOffloadedNats:
         assert offloaded_nats(ANCHOR, PowerSchedule(0.0, 0.0, 5.0)) == 0.0
 
     def test_constraint_active_at_optimum(self):
-        p = hybrid_schedule(ANCHOR, 5.0)
+        p = PowerSchedule(*hybrid_powers(ANCHOR, 5.0), t_n=5.0)
         assert offloaded_nats(ANCHOR, p) == pytest.approx(15.0, abs=1e-6)
 
     def test_oma_only_schedule(self):
@@ -128,5 +118,5 @@ class TestOffloadedNats:
     @given(s=hybrid_scenarios())
     def test_closed_form_schedules_are_feasible(self, s):
         t_n = s.d_n - s.d_m
-        p = hybrid_schedule(s, t_n)
+        p = PowerSchedule(*hybrid_powers(s, t_n), t_n=t_n)
         assert offloaded_nats(s, p) >= s.nats * (1.0 - 1e-9)

@@ -256,6 +256,9 @@ class TestEnergySurface:
             energy_surface(ANCHOR, 5.0, resolution=1)
         with pytest.raises(TimeExtensionOutOfRange):
             energy_surface(ANCHOR, 0.0)
+        for ranges in (dict(p1_max=math.inf), dict(p2_max=math.inf), dict(p1_max=math.nan)):
+            with pytest.raises(NonPositiveParameter):
+                energy_surface(ANCHOR, 5.0, resolution=3, **ranges)
 
     def test_all_infeasible_surface_has_no_argmin(self):
         grid = energy_surface(ANCHOR, 5.0, p1_max=1e-6, p2_max=1e-6, resolution=10)
