@@ -129,10 +129,9 @@ def _required(config: CliConfig, *keys: str) -> list[float]:
 
 
 def _scenario(config: CliConfig, dn_default: float | None = None):
-    n, dm = _required(config, "n", "dm")
-    dn = config.dn if config.dn is not None else dn_default
-    if dn is None:
-        raise MissingKey("dn", 'missing required parameter "dn" (pass --dn or put it in --config)')
+    if config.dn is None:
+        config.dn = dn_default
+    n, dm, dn = _required(config, "n", "dm", "dn")
     return validate_scenario(n, dm, dn, config.hm2, config.hn2)
 
 
