@@ -23,10 +23,10 @@ from .experiments import (
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
-    surface_export,
     verification_campaign,
 )
 from .model import validate_scenario
+from .oracle import energy_surface
 from .strategy import select_strategy
 
 
@@ -196,14 +196,14 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     n, dm = _required(config, "n", "dm")
     tn = config.tn if config.tn is not None else dm / 4.0
     scenario = _scenario(config, dn_default=dm + tn)
-    records = surface_export(
+    grid = energy_surface(
         scenario,
         tn,
         p1_max=config.p1max,
         p2_max=config.p2max,
         resolution=config.resolution,
     )
-    _emit(render_surface_csv(records, scenario, tn), args.out)
+    _emit(render_surface_csv(grid, scenario, tn), args.out)
     return 0
 
 
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, help="campaign seed (default: 42)")
     p_verify.add_argument("--count", type=int, help="number of random scenarios (default: 200)")
     p_verify.add_argument("--tol", type=float, help="oracle bracket tolerance (default: 1e-10)")
-    p_verify.add_argument("--config", help="JSON scenario file (unused keys are ignored)")
     p_verify.add_argument("--out", help="write the summary to this path instead of stdout")
     p_verify.set_defaults(func=_cmd_verify)
     return parser

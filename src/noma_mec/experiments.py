@@ -1,10 +1,10 @@
 """Deterministic sweep generators and the randomized verification campaign.
 
-Output is tabular: every generator returns plain records, and the ``render_*``
-helpers turn them into CSV with ``#``-prefixed metadata lines. Floats are
-serialized with ``repr`` so they round-trip exactly; infinities become the
-token ``inf``. Re-running a generator with identical inputs yields
-byte-identical output.
+Output is tabular: the generators return plain records, and the ``render_*``
+helpers turn those records, or an ``energy_surface`` grid, into CSV with
+``#``-prefixed metadata lines. Floats are serialized with ``repr`` so they
+round-trip exactly; infinities become the token ``inf``. Re-running a
+generator with identical inputs yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ._version import __version__
 from .closed_form import hybrid_energy, hybrid_powers
 from .errors import NonPositiveParameter
 from .model import OffloadScenario, StrategyKind, validate_scenario
-from .oracle import energy_surface, oracle_batch
+from .oracle import SurfaceGrid, oracle_batch
 from .strategy import select_strategy
 
 SWEEP_COLUMNS = "d_n,e_hybrid,e_pure,e_oma,p1_star,p2_star,t_n_star,selected"
@@ -40,17 +40,6 @@ class SweepRow:
     p2_star: float
     t_n_star: float
     selected: StrategyKind
-
-
-@dataclass(frozen=True)
-class SurfaceRecord:
-    """One long-form surface sample; ``kind`` is ``grid`` or ``optimum``."""
-
-    p1: float
-    p2: float
-    energy: float
-    feasible: bool
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -109,43 +98,6 @@ def deadline_sweep(
             )
         )
     return rows
-
-
-def surface_export(
-    scenario: OffloadScenario,
-    t_n: float,
-    p1_max: float | None = None,
-    p2_max: float | None = None,
-    resolution: int = 200,
-) -> list[SurfaceRecord]:
-    """Long-form records of ``energy_surface`` plus one record for the closed-form optimum.
-
-    Returns exactly ``resolution**2 + 1`` records; the final one has
-    ``kind == "optimum"``.
-    """
-    grid = energy_surface(scenario, t_n, p1_max=p1_max, p2_max=p2_max, resolution=resolution)
-    records = [
-        SurfaceRecord(
-            p1=float(grid.p1_axis[i]),
-            p2=float(grid.p2_axis[j]),
-            energy=float(grid.energy[i, j]),
-            feasible=bool(grid.feasible[i, j]),
-            kind="grid",
-        )
-        for i in range(grid.p1_axis.size)
-        for j in range(grid.p2_axis.size)
-    ]
-    star1, star2 = hybrid_powers(scenario, t_n)
-    records.append(
-        SurfaceRecord(
-            p1=star1,
-            p2=star2,
-            energy=hybrid_energy(scenario, t_n),
-            feasible=True,
-            kind="optimum",
-        )
-    )
-    return records
 
 
 def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> CampaignSummary:
@@ -229,21 +181,33 @@ def render_sweep_csv(
 
 
 def render_surface_csv(
-    records: list[SurfaceRecord],
+    grid: SurfaceGrid,
     scenario: OffloadScenario,
     t_n: float,
 ) -> str:
-    """Surface records as CSV text with the same metadata conventions as the sweep."""
+    """An ``energy_surface`` grid as CSV text with the sweep's metadata conventions.
+
+    One ``grid`` line per sample, row by row in ``p1``, then one ``optimum``
+    line with the closed-form powers and energy at ``t_n``.
+    """
     lines = _meta_lines(
         [("nats", scenario.nats), ("d_m", scenario.d_m),
          ("h_m_sq", scenario.h_m_sq), ("h_n_sq", scenario.h_n_sq),
          ("t_n", float(t_n))]
     )
     lines.append(SURFACE_COLUMNS)
-    for r in records:
-        lines.append(
-            ",".join(_fmt(v) for v in (r.p1, r.p2, r.energy, r.feasible, r.kind))
+    p2_cells = [_fmt(p2) for p2 in grid.p2_axis.tolist()]
+    rows = zip(grid.p1_axis.tolist(), grid.energy.tolist(), grid.feasible.tolist())
+    for p1, energies, feasible in rows:
+        p1_cell = _fmt(p1)
+        lines.extend(
+            f"{p1_cell},{p2_cell},{_fmt(energy)},{_fmt(ok)},grid"
+            for p2_cell, energy, ok in zip(p2_cells, energies, feasible)
         )
+    star1, star2 = hybrid_powers(scenario, t_n)
+    lines.append(
+        ",".join(_fmt(v) for v in (star1, star2, hybrid_energy(scenario, t_n), True, "optimum"))
+    )
     return "\n".join(lines) + "\n"
 
 

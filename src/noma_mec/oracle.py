@@ -5,7 +5,9 @@ binds at any optimum. The oracle therefore never touches the closed-form
 solutions: it parametrizes the active constraint by the fraction ``alpha`` of
 the task carried during the shared slot, recovers the powers from that split,
 and minimizes the resulting single-variable energy by golden-section search.
-Agreement with the closed forms is the certificate.
+Agreement with the closed forms is the certificate. The one closed form this
+module reads, ``hybrid_powers``, only sets the default ranges of
+``energy_surface``.
 
 The search runs over numpy arrays, one lane per (scenario, extension) pair,
 so a whole campaign or extension grid is one ``oracle_batch`` call. Its
@@ -21,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import (
-    EXP_CUTOFF,
-    hybrid_powers,
-    pure_noma_energy,
-    pure_noma_power,
-)
+from .closed_form import EXP_CUTOFF, hybrid_powers
 from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
 from .model import OffloadScenario, PowerSchedule, schedule_energy
 
@@ -234,18 +231,21 @@ def oracle_joint(
 
     The grid covers ``(0, min(d_n - d_m, d_m)]`` with ``t_steps`` points
     including the right endpoint, searched as one ``oracle_batch``. With
-    ``d_n == d_m`` the interval is empty and the pure-NOMA point is returned
-    directly. ``iterations`` aggregates the evaluations of all grid searches.
+    ``d_n == d_m`` the interval is empty and the split that carries the whole
+    task in the shared slot (pure NOMA) is returned directly. ``iterations``
+    aggregates the evaluations of all grid searches.
     """
     if t_steps < 2:
         raise NonPositiveParameter(f"t_steps must be at least 2, got {t_steps!r}")
     t_max = scenario.capped_extension
     if t_max == 0.0:
+        # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.
+        shared = split_schedule(scenario, scenario.d_m, 1.0)
         return OracleResult(
-            p_n1=pure_noma_power(scenario),
-            p_n2=0.0,
+            p_n1=shared.p_n1,
+            p_n2=shared.p_n2,
             t_n=0.0,
-            energy=pure_noma_energy(scenario),
+            energy=schedule_energy(scenario, shared),
             iterations=0,
         )
     grid = t_max * np.arange(1, t_steps + 1) / t_steps

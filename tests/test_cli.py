@@ -181,6 +181,15 @@ class TestVerify:
         assert code == 1
         assert "count" in err
 
+    def test_config_flag_rejected(self, capsys, tmp_path):
+        # No config key feeds verify, so it takes no --config file.
+        path = tmp_path / "campaign.json"
+        path.write_text('{"seed": 7, "count": 3}')
+        code, out, err = run_capture(capsys, ["verify", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "--config" in err
+
     def test_failure_exits_two(self, capsys, monkeypatch):
         import noma_mec.cli as cli_module
 

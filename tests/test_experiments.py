@@ -7,12 +7,12 @@ from noma_mec import (
     NonPositiveParameter,
     StrategyKind,
     deadline_sweep,
+    energy_surface,
     hybrid_energy,
     hybrid_powers,
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
-    surface_export,
     validate_scenario,
     verification_campaign,
 )
@@ -128,34 +128,44 @@ class TestSweepCsv:
         assert a == b
 
 
+def surface_csv(resolution):
+    return render_surface_csv(energy_surface(ANCHOR, 5.0, resolution=resolution), ANCHOR, 5.0)
+
+
+def surface_data_lines(resolution):
+    lines = surface_csv(resolution).splitlines()
+    return lines[lines.index(SURFACE_COLUMNS) + 1:]
+
+
 class TestSurfaceExport:
     def test_record_count_and_annotation(self):
-        records = surface_export(ANCHOR, 5.0, resolution=20)
-        assert len(records) == 20 * 20 + 1
-        annotation = records[-1]
-        assert annotation.kind == "optimum"
+        lines = surface_data_lines(20)
+        assert len(lines) == 20 * 20 + 1
         star1, star2 = hybrid_powers(ANCHOR, 5.0)
-        assert (annotation.p1, annotation.p2) == (star1, star2)
-        assert annotation.energy == hybrid_energy(ANCHOR, 5.0)
-        assert annotation.feasible
+        assert lines[-1] == f"{star1!r},{star2!r},{hybrid_energy(ANCHOR, 5.0)!r},true,optimum"
 
     def test_reference_annotation_values(self):
-        annotation = surface_export(ANCHOR, 5.0, resolution=10)[-1]
-        assert annotation.p1 == pytest.approx(1.203116, abs=1e-5)
-        assert annotation.p2 == pytest.approx(2.320117, abs=1e-5)
-        assert annotation.energy == pytest.approx(35.66291, abs=1e-4)
+        p1, p2, energy, _, _ = surface_data_lines(10)[-1].split(",")
+        assert float(p1) == pytest.approx(1.203116, abs=1e-5)
+        assert float(p2) == pytest.approx(2.320117, abs=1e-5)
+        assert float(energy) == pytest.approx(35.66291, abs=1e-4)
 
     def test_origin_record_infeasible(self):
-        records = surface_export(ANCHOR, 5.0, resolution=20)
-        origin = records[0]
-        assert (origin.p1, origin.p2) == (0.0, 0.0)
-        assert origin.kind == "grid"
-        assert not origin.feasible
+        assert surface_data_lines(20)[0] == "0.0,0.0,0.0,false,grid"
+
+    def test_rows_follow_grid_order(self):
+        grid = energy_surface(ANCHOR, 5.0, resolution=7)
+        lines = surface_data_lines(7)
+        for i in range(7):
+            for j in range(7):
+                p1, p2, energy, feasible, kind = lines[7 * i + j].split(",")
+                assert float(p1) == grid.p1_axis[i] and float(p2) == grid.p2_axis[j]
+                assert float(energy) == grid.energy[i, j]
+                assert feasible == ("true" if grid.feasible[i, j] else "false")
+                assert kind == "grid"
 
     def test_csv_layout(self):
-        records = surface_export(ANCHOR, 5.0, resolution=10)
-        text = render_surface_csv(records, ANCHOR, 5.0)
-        lines = text.splitlines()
+        lines = surface_csv(10).splitlines()
         meta = [ln for ln in lines if ln.startswith("#")]
         assert "# t_n=5.0" in meta
         assert lines[len(meta)] == SURFACE_COLUMNS
