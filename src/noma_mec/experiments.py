@@ -197,18 +197,18 @@ def render_surface_csv(
     )
     lines.append(SURFACE_COLUMNS)
     p2_cells = [_fmt(p2) for p2 in grid.p2_axis.tolist()]
-    rows = zip(grid.p1_axis.tolist(), grid.energy.tolist(), grid.feasible.tolist())
-    for p1, energies, feasible in rows:
+    # Convert and join one p1 row at a time: no per-sample object outlives its row.
+    for p1, energies, feasible in zip(grid.p1_axis.tolist(), grid.energy, grid.feasible):
         p1_cell = _fmt(p1)
-        lines.extend(
+        lines.append("\n".join([
             f"{p1_cell},{p2_cell},{_fmt(energy)},{_fmt(ok)},grid"
-            for p2_cell, energy, ok in zip(p2_cells, energies, feasible)
-        )
+            for p2_cell, energy, ok in zip(p2_cells, energies.tolist(), feasible.tolist())
+        ]))
     star1, star2 = hybrid_powers(scenario, t_n)
-    lines.append(
-        ",".join(_fmt(v) for v in (star1, star2, hybrid_energy(scenario, t_n), True, "optimum"))
-    )
-    return "\n".join(lines) + "\n"
+    optimum = (star1, star2, hybrid_energy(scenario, t_n), True, "optimum")
+    # The final newline rides on the last line, so the whole text is built once.
+    lines.append(",".join(_fmt(v) for v in optimum) + "\n")
+    return "\n".join(lines)
 
 
 def render_campaign_summary(summary: CampaignSummary) -> str:
