@@ -21,8 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonPositiveParameter, RegimeViolation, TimeExtensionOutOfRange
-from .model import OffloadScenario
+from .model import OffloadScenario, _phase_energies, _where
 
 # Exponent magnitude beyond which exp() products are at risk of overflowing a
 # double; plain-domain energies saturate to inf past this point.
@@ -56,15 +58,69 @@ def _check_extension(scenario: OffloadScenario, t_n: float) -> None:
         )
 
 
+def _log_rates(nats, d_m, t_n):
+    """(y1, y2) of the fixed-extension optimum, elementwise over floats or arrays."""
+    rate_dm = nats / d_m
+    y2 = 2.0 * nats / (d_m + t_n)
+    # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
+    # y2 - y1 == rate_dm then holds bit-for-bit, and y1 == 0.0 exactly at t_n == d_m.
+    return y2 - rate_dm, y2
+
+
 def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> KktPoint:
     """Optimal log-domain rates (y1, y2) for a fixed extension ``t_n`` in [0, d_m]."""
     _check_extension(scenario, t_n)
-    rate_dm = scenario.nats / scenario.d_m
-    y2 = 2.0 * scenario.nats / (scenario.d_m + t_n)
-    # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
-    # y2 - y1 == rate_dm then holds bit-for-bit, and y1 == 0.0 exactly at t_n == d_m.
-    y1 = y2 - rate_dm
+    y1, y2 = _log_rates(scenario.nats, scenario.d_m, t_n)
     return KktPoint(y1=y1, y2=y2)
+
+
+def _math_map(fn, x):
+    """The ``math`` function ``fn`` on each element of ``x``, capped at EXP_CUTOFF.
+
+    ``math`` is the reference: numpy's ``exp``/``expm1`` can differ in the
+    last ulp. Callers replace every result whose exponent passes the cutoff,
+    so the cap only keeps ``fn`` from raising OverflowError there.
+    """
+    if not isinstance(x, np.ndarray):
+        return fn(min(x, EXP_CUTOFF))
+    x = np.minimum(x, EXP_CUTOFF)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _hybrid_powers(nats, d_m, h_n_sq, t_n):
+    """``hybrid_powers`` elementwise over scalars or broadcastable arrays of valid fields.
+
+    Raises NonPositiveParameter, as ``KktPoint`` does, where a log-domain rate
+    is negative or NaN (an overflowing ``nats``).
+    """
+    y1, y2 = _log_rates(nats, d_m, t_n)
+    ok = np.logical_and(y1 >= 0.0, y2 >= 0.0)
+    if not ok.all():
+        y1, y2 = (float(np.broadcast_to(y, ok.shape).flat[np.argmin(ok)]) for y in (y1, y2))
+        KktPoint(y1=y1, y2=y2)  # raises for the first failing element
+    rate_dm = nats / d_m
+    p_n1 = _where(
+        y1 == 0.0,
+        0.0,
+        _where(rate_dm + y1 > EXP_CUTOFF, math.inf,
+               _math_map(math.exp, rate_dm) * _math_map(math.expm1, y1) / h_n_sq),
+    )
+    p_n2 = _where(y2 > EXP_CUTOFF, math.inf, _math_map(math.expm1, y2) / h_n_sq)
+    return p_n1, p_n2
+
+
+def _pure_noma_power(nats, d_m, h_n_sq):
+    """``pure_noma_power`` elementwise."""
+    rate_dm = nats / d_m
+    return _where(2.0 * rate_dm > EXP_CUTOFF, math.inf,
+                  _math_map(math.exp, rate_dm) * _math_map(math.expm1, rate_dm) / h_n_sq)
+
+
+def _oma_energy(nats, h_n_sq, slot):
+    """``oma_energy_n`` elementwise. ``np.divide`` gives an empty slot the rate inf; callers
+    hold ``np.errstate`` for its divide and overflow warnings, also over floats."""
+    rate = np.divide(nats, slot)
+    return _where(rate > EXP_CUTOFF, math.inf, slot * _math_map(math.expm1, rate) / h_n_sq)
 
 
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
@@ -74,35 +130,20 @@ def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
     ``t_n == 0`` the first power coincides bit-for-bit with
     ``pure_noma_power``; at ``t_n == d_m`` it is exactly 0.
     """
-    point = kkt_log_vars(scenario, t_n)
-    rate_dm = scenario.nats / scenario.d_m
-    if point.y1 == 0.0:
-        p_n1 = 0.0
-    elif rate_dm + point.y1 > EXP_CUTOFF:
-        p_n1 = math.inf
-    else:
-        p_n1 = math.exp(rate_dm) * math.expm1(point.y1) / scenario.h_n_sq
-    if point.y2 > EXP_CUTOFF:
-        p_n2 = math.inf
-    else:
-        p_n2 = math.expm1(point.y2) / scenario.h_n_sq
-    return p_n1, p_n2
+    _check_extension(scenario, t_n)
+    p_n1, p_n2 = _hybrid_powers(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
+    return float(p_n1), float(p_n2)
 
 
 def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     """Energy of the fixed-extension optimum; non-increasing in ``t_n`` on [0, d_m]."""
-    p_n1, p_n2 = hybrid_powers(scenario, t_n)
-    phase1 = scenario.d_m * p_n1
-    phase2 = t_n * p_n2 if t_n > 0.0 else 0.0
-    return phase1 + phase2
+    phase1, phase2 = _phase_energies(scenario.d_m, t_n, *hybrid_powers(scenario, t_n))
+    return float(phase1 + phase2)
 
 
 def pure_noma_power(scenario: OffloadScenario) -> float:
     """Shared-slot power when the whole task is offloaded during ``d_m``."""
-    rate_dm = scenario.nats / scenario.d_m
-    if 2.0 * rate_dm > EXP_CUTOFF:
-        return math.inf
-    return math.exp(rate_dm) * math.expm1(rate_dm) / scenario.h_n_sq
+    return float(_pure_noma_power(scenario.nats, scenario.d_m, scenario.h_n_sq))
 
 
 def pure_noma_energy(scenario: OffloadScenario) -> float:
@@ -118,6 +159,7 @@ def oma_power_m(scenario: OffloadScenario) -> float:
     return math.expm1(rate_dm) / scenario.h_m_sq
 
 
+@np.errstate(divide="ignore", over="ignore")
 def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """User n's energy when it offloads everything in a dedicated slot of length ``slot``.
 
@@ -127,12 +169,7 @@ def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """
     if slot < 0.0:
         raise TimeExtensionOutOfRange(f"slot length must be nonnegative, got {slot!r}")
-    if slot == 0.0:
-        return math.inf
-    rate = scenario.nats / slot
-    if rate > EXP_CUTOFF:
-        return math.inf
-    return slot * math.expm1(rate) / scenario.h_n_sq
+    return float(_oma_energy(scenario.nats, scenario.h_n_sq, slot))
 
 
 def optimal_time_extension(scenario: OffloadScenario) -> float:

@@ -9,6 +9,7 @@ generator with identical inputs yields byte-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .closed_form import hybrid_energy, hybrid_powers
 from .errors import NonPositiveParameter
 from .model import OffloadScenario, StrategyKind, validate_scenario
 from .oracle import SurfaceGrid, oracle_batch
-from .strategy import select_strategy
+from .strategy import _strategy_columns
 
 SWEEP_COLUMNS = "d_n,e_hybrid,e_pure,e_oma,p1_star,p2_star,t_n_star,selected"
 SURFACE_COLUMNS = "p1,p2,energy,feasible,kind"
@@ -81,23 +82,14 @@ def deadline_sweep(
         raise NonPositiveParameter(
             f"need d_m <= d_n_from < d_n_to, got d_m={d_m}, from={d_n_from}, to={d_n_to}"
         )
-    rows = []
-    for d_n in np.linspace(d_n_from, d_n_to, steps):
-        scenario = validate_scenario(nats, d_m, float(d_n), h_m_sq, h_n_sq)
-        table = select_strategy(scenario)
-        rows.append(
-            SweepRow(
-                d_n=float(d_n),
-                e_hybrid=table.hybrid.energy,
-                e_pure=table.pure_noma.energy,
-                e_oma=table.oma.energy,
-                p1_star=table.p_n1_star,
-                p2_star=table.p_n2_star,
-                t_n_star=table.t_star,
-                selected=table.selected,
-            )
-        )
-    return rows
+    # Every row lies in [d_n_from, d_n_to]: one scenario at d_n_from validates them all.
+    scenario = validate_scenario(nats, d_m, d_n_from, h_m_sq, h_n_sq)
+    if not math.isfinite(d_n_to):
+        raise NonPositiveParameter(f"d_n_to must be finite, got {d_n_to!r}")
+    d_n = np.linspace(d_n_from, d_n_to, steps)
+    c = _strategy_columns(scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
+    columns = (d_n, c.e_hybrid, c.e_pure, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)
+    return [SweepRow(*row) for row in zip(*(np.broadcast_to(col, d_n.shape).tolist() for col in columns))]
 
 
 def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> CampaignSummary:
@@ -116,15 +108,12 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     # One draw per row in the order nats, d_m, d_n factor, h_m_sq, h_n_sq:
     # the same stream, value for value, as five scalar draws per scenario.
     draws = rng.uniform(_CAMPAIGN_LOWS, _CAMPAIGN_HIGHS, size=(count, 5))
-    scenarios = []
-    rows = []
-    for nats, d_m, factor, h_m_sq, h_n_sq in draws.tolist():
-        scenario = validate_scenario(nats, d_m, d_m * (1.0 + factor), h_m_sq, h_n_sq)
-        table = select_strategy(scenario)
-        scenarios.append(scenario)
-        rows.append((table.hybrid.energy, table.pure_noma.energy, table.oma.energy, table.t_star))
-    e_hybrid, e_pure, e_oma, t_star = np.array(rows).T
-    _, _, e_oracle, _ = oracle_batch(scenarios, t_star, tol=tol)
+    draws[:, 2] = draws[:, 1] * (1.0 + draws[:, 2])   # the d_n factor becomes d_n
+    scenarios = [OffloadScenario(*row) for row in draws.tolist()]
+    nats, d_m, d_n, _, h_n_sq = draws.T
+    c = _strategy_columns(nats, d_m, d_n, h_n_sq)
+    e_hybrid, e_pure, e_oma = c.e_hybrid, c.e_pure, c.e_oma
+    _, _, e_oracle, _ = oracle_batch(scenarios, c.t_star, tol=tol)
     # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a
     # non-finite error or excess reports FAIL instead of folding away.
     max_rel_err = float(np.max(np.abs(e_oracle - e_hybrid) / e_hybrid))

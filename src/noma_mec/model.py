@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DeadlineOrderViolation, NonPositiveParameter
 
 
@@ -30,6 +32,27 @@ def _require_positive(name: str, value: float) -> None:
 def _require_nonnegative(name: str, value: float) -> None:
     if not (value >= 0.0):
         raise NonPositiveParameter(f"{name} must be nonnegative, got {value!r}")
+
+
+def _where(cond, yes, no):
+    """``np.where`` over arrays, a plain branch over scalars.
+
+    The private elementwise rules (``_*`` here, in ``closed_form`` and in
+    ``strategy``) use it to run on either: scalar callers stay free of
+    numpy's per-call cost; array callers silence warnings with ``np.errstate``.
+    """
+    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else (yes if cond else no)
+
+
+def _capped_extension(d_m, d_n):
+    """``min(d_n - d_m, d_m)`` elementwise, ties to ``d_n - d_m`` as ``min`` does."""
+    slot = d_n - d_m
+    return _where(d_m < slot, d_m, slot)
+
+
+def _phase_energies(d_m, t_n, p_n1, p_n2):
+    """``(d_m * p_n1, t_n * p_n2)`` elementwise; a zero-length phase costs 0, not 0 * inf = NaN."""
+    return d_m * p_n1, _where(t_n > 0.0, t_n * p_n2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +84,7 @@ class OffloadScenario:
     def capped_extension(self) -> float:
         """Solo extension of the hybrid optimum, ``min(d_n - d_m, d_m)``: the
         deadline budget, capped at ``d_m``, where the shared-slot power is zero."""
-        return min(self.d_n - self.d_m, self.d_m)
+        return _capped_extension(self.d_m, self.d_n)
 
 
 @dataclass(frozen=True)
@@ -142,9 +165,7 @@ def schedule_energy(scenario: OffloadScenario, schedule: PowerSchedule) -> float
     This is the raw objective value; it does not care whether the schedule
     offloads enough nats.
     """
-    phase1 = scenario.d_m * schedule.p_n1
-    # 0 * inf would be NaN; a zero-length phase consumes nothing.
-    phase2 = schedule.t_n * schedule.p_n2 if schedule.t_n > 0.0 else 0.0
+    phase1, phase2 = _phase_energies(scenario.d_m, schedule.t_n, schedule.p_n1, schedule.p_n2)
     return phase1 + phase2
 
 

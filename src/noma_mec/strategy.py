@@ -10,20 +10,25 @@ on the exact tie at ``d_n == 2 d_m`` it prefers OMA.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .closed_form import (
     EXP_CUTOFF,
+    _hybrid_powers,
+    _oma_energy,
+    _pure_noma_power,
     hybrid_energy,
-    hybrid_powers,
     log_hybrid_energy,
     log_oma_energy_n,
     oma_energy_n,
-    pure_noma_power,
 )
 from .errors import TimeExtensionOutOfRange
-from .model import EnergyReport, OffloadScenario, StrategyKind
+from .model import (EnergyReport, OffloadScenario, StrategyKind, _capped_extension,
+                    _phase_energies, _where)
 
 
 class Regime(Enum):
@@ -56,27 +61,51 @@ class ComparisonTable:
     p_n2_star: float
 
 
+_REGIMES = tuple(Regime)
+
+
+def _regimes(d_m, d_n):
+    """Index into ``_REGIMES`` of each scenario, elementwise."""
+    return _where(d_n == d_m, 0, _where(d_n < 2.0 * d_m, 1, _where(d_n == 2.0 * d_m, 2, 3)))
+
+
 def classify_regime(scenario: OffloadScenario) -> Regime:
-    if scenario.d_n == scenario.d_m:
-        return Regime.DEGENERATE
-    if scenario.d_n < 2.0 * scenario.d_m:
-        return Regime.HYBRID
-    if scenario.d_n == 2.0 * scenario.d_m:
-        return Regime.BOUNDARY
-    return Regime.OMA_FAVORED
+    return _REGIMES[_regimes(scenario.d_m, scenario.d_n)]
 
 
-def _report(strategy: StrategyKind, phase1: float, phase2: float,
-            feasible: bool, h_n_sq: float) -> EnergyReport:
-    energy = phase1 + phase2
-    return EnergyReport(
-        strategy=strategy,
-        energy=energy,
-        phase1_energy=phase1,
-        phase2_energy=phase2,
-        normalized_energy=h_n_sq * energy,
-        feasible=feasible,
+# select_strategy's numbers, one scalar or array per field; regime indexes _REGIMES.
+_Columns = namedtuple("_Columns", "t_star p_n1 p_n2 hybrid_phase1 hybrid_phase2 e_hybrid"
+                                  " e_pure e_oma oma_feasible regime selected")
+
+
+@np.errstate(all="ignore")
+def _strategy_columns(nats, d_m, d_n, h_n_sq) -> _Columns:
+    """The three strategies and the selection, over scalars or broadcastable arrays.
+
+    The fields must be those of valid scenarios. Arithmetic and comparisons
+    run in the scalar order, in numpy for arrays, and the exponentials
+    through ``math``, so every element equals its one-scenario value bit for
+    bit. A column that depends on no array argument stays a scalar.
+    """
+    t_star = _capped_extension(d_m, d_n)
+    p_n1, p_n2 = _hybrid_powers(nats, d_m, h_n_sq, t_star)
+    phase1, phase2 = _phase_energies(d_m, t_star, p_n1, p_n2)
+    oma_slot = d_n - d_m
+    oma_feasible = oma_slot > 0.0
+    regime = _regimes(d_m, d_n)
+    return _Columns(
+        t_star, p_n1, p_n2, phase1, phase2, phase1 + phase2,
+        d_m * _pure_noma_power(nats, d_m, h_n_sq),
+        _where(oma_feasible, _oma_energy(nats, h_n_sq, oma_slot), math.inf),
+        oma_feasible, regime,
+        # Hybrid up to the hybrid regime; from the boundary tie on, OMA.
+        _where(regime <= 1, StrategyKind.HYBRID_NOMA, StrategyKind.OMA),
     )
+
+
+def _report(strategy: StrategyKind, energy: float, phase1: float, phase2: float,
+            feasible: bool, h_n_sq: float) -> EnergyReport:
+    return EnergyReport(strategy, energy, phase1, phase2, h_n_sq * energy, feasible)
 
 
 def select_strategy(scenario: OffloadScenario) -> ComparisonTable:
@@ -88,49 +117,19 @@ def select_strategy(scenario: OffloadScenario) -> ComparisonTable:
     empty the row is reported infeasible with infinite energy rather than
     raising.
     """
-    regime = classify_regime(scenario)
-    t_star = scenario.capped_extension
-    oma_slot = scenario.d_n - scenario.d_m
-
-    p_n1, p_n2 = hybrid_powers(scenario, t_star)
-    hybrid = _report(
-        StrategyKind.HYBRID_NOMA,
-        phase1=scenario.d_m * p_n1,
-        phase2=t_star * p_n2 if t_star > 0.0 else 0.0,
-        feasible=True,
-        h_n_sq=scenario.h_n_sq,
+    c = _strategy_columns(scenario.nats, scenario.d_m, scenario.d_n, scenario.h_n_sq)
+    h_n_sq, feasible = scenario.h_n_sq, c.oma_feasible
+    return ComparisonTable(
+        hybrid=_report(StrategyKind.HYBRID_NOMA, c.e_hybrid, c.hybrid_phase1, c.hybrid_phase2,
+                       True, h_n_sq),
+        pure_noma=_report(StrategyKind.PURE_NOMA, c.e_pure, c.e_pure, 0.0, True, h_n_sq),
+        oma=_report(StrategyKind.OMA, c.e_oma, 0.0, c.e_oma if feasible else 0.0, feasible, h_n_sq),
+        selected=c.selected,
+        regime=_REGIMES[c.regime],
+        t_star=c.t_star,
+        p_n1_star=c.p_n1,
+        p_n2_star=c.p_n2,
     )
-    pure = _report(
-        StrategyKind.PURE_NOMA,
-        phase1=scenario.d_m * pure_noma_power(scenario),
-        phase2=0.0,
-        feasible=True,
-        h_n_sq=scenario.h_n_sq,
-    )
-    if oma_slot > 0.0:
-        oma = _report(
-            StrategyKind.OMA,
-            phase1=0.0,
-            phase2=oma_energy_n(scenario, oma_slot),
-            feasible=True,
-            h_n_sq=scenario.h_n_sq,
-        )
-    else:
-        oma = EnergyReport(
-            strategy=StrategyKind.OMA,
-            energy=math.inf,
-            phase1_energy=0.0,
-            phase2_energy=0.0,
-            normalized_energy=math.inf,
-            feasible=False,
-        )
-
-    if regime in (Regime.DEGENERATE, Regime.HYBRID):
-        selected = StrategyKind.HYBRID_NOMA
-    else:
-        selected = StrategyKind.OMA
-    return ComparisonTable(hybrid=hybrid, pure_noma=pure, oma=oma, selected=selected,
-                           regime=regime, t_star=t_star, p_n1_star=p_n1, p_n2_star=p_n2)
 
 
 def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:
@@ -186,7 +185,4 @@ def hybrid_lower_bound(scenario: OffloadScenario) -> float:
     Attained at the capped extension ``t_n == d_m``, where the shared-slot
     power vanishes; equals ``oma_energy_n(scenario, d_m)`` bit-for-bit.
     """
-    rate_dm = scenario.nats / scenario.d_m
-    if rate_dm > EXP_CUTOFF:
-        return math.inf
-    return scenario.d_m * math.expm1(rate_dm) / scenario.h_n_sq
+    return oma_energy_n(scenario, scenario.d_m)

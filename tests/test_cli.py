@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -142,6 +143,14 @@ class TestSweepAndSurface:
         data = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert data[0].startswith("20.0,")
         assert data[-1].startswith("40.0,")
+
+    def test_sweep_infinite_bound_exits_one_without_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_capture(capsys, ["sweep", "--n", "15", "--dm", "20", "--to", "inf"])
+        assert code == 1 and out == ""
+        assert err == "error: d_n_to must be finite, got inf\n"
+        assert caught == []
 
     def test_surface_smoke(self, capsys):
         code, out, _ = run_capture(

@@ -41,6 +41,10 @@ CASES = [
      {"n": 15, "dm": 20, "dn": 25, "surface": {"tn": 5, "p1max": 3, "p2max": 5, "resolution": 3}}),
     (["verify", "--count", "25"], None),
     (["verify", "--seed", "7", "--count", "10"], None),
+    (["sweep", "--n", "400", "--dm", "1", "--from", "1", "--to", "3", "--steps", "9",
+      "--hm2", "0.5", "--hn2", "2.5"], None),
+    (["sweep", "--n", "12", "--dm", "8", "--from", "8", "--to", "20", "--steps", "7",
+      "--hm2", "0.25", "--hn2", "4"], None),
     (["solve", "--n", "15", "--dm", "20", "--dn", "10"], None),
     (["solve", "--n", "-15", "--dm", "20", "--dn", "25"], None),
     (["solve", "--n", "15", "--dn", "25"], None),

@@ -1,7 +1,10 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noma_mec import (
     NonPositiveParameter,
@@ -10,9 +13,13 @@ from noma_mec import (
     energy_surface,
     hybrid_energy,
     hybrid_powers,
+    oma_energy_n,
+    pure_noma_energy,
+    pure_noma_power,
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
+    select_strategy,
     validate_scenario,
     verification_campaign,
 )
@@ -20,6 +27,7 @@ from noma_mec.cli import run
 from noma_mec.experiments import _CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, SWEEP_COLUMNS, SURFACE_COLUMNS
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
+NUMPY_EXP_FINGERPRINT = "c65323f58be31cb3"
 
 
 def reference_sweep():
@@ -92,6 +100,79 @@ class TestDeadlineSweep:
             deadline_sweep(15.0, 20.0, 19.0, 40.0, 5)
         with pytest.raises(NonPositiveParameter):
             deadline_sweep(15.0, 20.0, 30.0, 30.0, 5)
+
+    def test_infinite_upper_bound_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveParameter, match="d_n_to must be finite, got inf"):
+                deadline_sweep(15.0, 20.0, 20.0, math.inf, 5)
+
+
+def reference_powers(s, t_n):
+    """Straight-line scalar transcription of the hybrid power closed form."""
+    rate_dm = s.nats / s.d_m
+    y2 = 2.0 * s.nats / (s.d_m + t_n)
+    y1 = y2 - rate_dm
+    if y1 == 0.0:
+        p_n1 = 0.0
+    elif rate_dm + y1 > 700.0:
+        p_n1 = math.inf
+    else:
+        p_n1 = math.exp(rate_dm) * math.expm1(y1) / s.h_n_sq
+    p_n2 = math.inf if y2 > 700.0 else math.expm1(y2) / s.h_n_sq
+    return p_n1, p_n2
+
+
+def reference_oma_energy(s, slot):
+    rate = s.nats / slot
+    return math.inf if rate > 700.0 else slot * math.expm1(rate) / s.h_n_sq
+
+
+# Rates nats / d_m both moderate and in (350, 700], where the pure-NOMA
+# exponent 2 nats / d_m saturates while the hybrid and OMA ones need not.
+rates = st.one_of(st.floats(0.05, 5.0), st.floats(350.0, 700.0, exclude_min=True))
+sweep_ends = st.one_of(st.just(2.0), st.floats(1.001, 4.0))   # d_n_to / d_m
+
+
+class TestViewsAgree:
+    """The sweep (arrays), ``select_strategy`` and the scalar closed forms give the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=rates, d_m=st.floats(0.5, 50.0), end=sweep_ends,
+           steps=st.integers(2, 40), h_m_sq=st.floats(0.1, 10.0), h_n_sq=st.floats(0.1, 10.0))
+    def test_sweep_rows_equal_scalar_views(self, rate, d_m, end, steps, h_m_sq, h_n_sq):
+        nats = rate * d_m
+        rows = deadline_sweep(nats, d_m, d_m, end * d_m, steps, h_m_sq, h_n_sq)
+        assert rows[0].d_n == d_m                          # d_n == d_m
+        if end == 2.0:
+            assert rows[-1].d_n == 2.0 * d_m               # d_n == 2 d_m
+        for row in rows:
+            s = validate_scenario(nats, d_m, row.d_n, h_m_sq, h_n_sq)
+            table = select_strategy(s)
+            values = (row.e_hybrid, row.e_pure, row.e_oma, row.p1_star, row.p2_star, row.t_n_star)
+            assert values == (table.hybrid.energy, table.pure_noma.energy, table.oma.energy,
+                              table.p_n1_star, table.p_n2_star, table.t_star)
+            assert row.selected == table.selected
+            assert all(type(v) is float for v in (row.d_n,) + values)
+            t_n = row.t_n_star
+            assert hybrid_powers(s, t_n) == reference_powers(s, t_n) == (row.p1_star, row.p2_star)
+            assert hybrid_energy(s, t_n) == row.e_hybrid
+            assert pure_noma_energy(s) == row.e_pure
+            assert pure_noma_power(s) == reference_powers(s, 0.0)[0]
+            slot = row.d_n - d_m
+            expected_oma = reference_oma_energy(s, slot) if slot > 0.0 else math.inf
+            assert oma_energy_n(s, slot) == expected_oma == row.e_oma
+
+    def test_overflowing_rates_fail_closed_in_every_view(self):
+        # 2 * nats overflows and nats / d_m is inf, so y1 = inf - inf is NaN.
+        s = validate_scenario(1e308, 1e-10, 1.5e-10)
+        views = (lambda: select_strategy(s), lambda: hybrid_powers(s, 0.5e-10),
+                 lambda: deadline_sweep(1e308, 1e-10, 1e-10, 3e-10, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for view in views:
+                with pytest.raises(NonPositiveParameter, match=r"got \(nan, inf\)"):
+                    view()
 
 
 class TestSweepCsv:
@@ -234,6 +315,28 @@ class TestVerificationCampaign:
         assert math.isnan(summary.max_rel_err)
         assert run(["verify", "--seed", "42", "--count", "10"]) == 2
         assert "result=FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed,count,max_rel_err", [
+        (0, 1, "0.0"),
+        (0, 200, "1.5585598911986403e-15"),
+        (42, 1, "0.0"),
+        (42, 200, "1.482412645510839e-15"),
+        (2**32 - 1, 1, "2.433605359658634e-16"),
+        (2**32 - 1, 200, "9.99216788342013e-16"),
+    ])
+    def test_pinned_summaries(self, seed, count, max_rel_err):
+        summary = verification_campaign(seed, count)
+        assert summary.passed
+        assert repr(summary.max_dominance_violation) == "0.0"
+        # The oracle's side of max_rel_err uses numpy's exp/expm1, whose last
+        # bits depend on the SIMD code numpy picks for the CPU; the pinned
+        # reprs hold where those functions give the pinning host's bits.
+        grid = np.linspace(-5.0, 60.0, 4001)
+        fingerprint = hashlib.sha256(np.exp(grid).tobytes() + np.expm1(grid).tobytes())
+        if fingerprint.hexdigest()[:16] == NUMPY_EXP_FINGERPRINT:
+            assert repr(summary.max_rel_err) == max_rel_err
+        else:
+            assert summary.max_rel_err <= 1e-12
 
     def test_summary_rendering(self):
         summary = verification_campaign(seed=42, count=10)
