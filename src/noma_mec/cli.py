@@ -10,7 +10,6 @@ from flags or from a JSON config file (flags win). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -266,16 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process: building it costs more than a whole ``solve``."""
-    return build_parser()
-
-
 def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code instead of exiting."""
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for bad flags; bad input is 1 here.
         return 0 if exc.code == 0 else 1
