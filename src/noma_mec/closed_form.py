@@ -94,9 +94,9 @@ def _hybrid_powers(nats, d_m, h_n_sq, t_n):
     is negative or NaN (an overflowing ``nats``).
     """
     y1, y2 = _log_rates(nats, d_m, t_n)
-    ok = np.logical_and(y1 >= 0.0, y2 >= 0.0)
-    if not ok.all():
-        y1, y2 = (float(np.broadcast_to(y, ok.shape).flat[np.argmin(ok)]) for y in (y1, y2))
+    ok = (y1 >= 0.0) & (y2 >= 0.0)   # a bool over floats: the check touches no numpy
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        y1, y2 = (float(np.broadcast_to(y, np.shape(ok)).flat[np.argmin(ok)]) for y in (y1, y2))
         KktPoint(y1=y1, y2=y2)  # raises for the first failing element
     rate_dm = nats / d_m
     p_n1 = _where(
@@ -117,9 +117,9 @@ def _pure_noma_power(nats, d_m, h_n_sq):
 
 
 def _oma_energy(nats, h_n_sq, slot):
-    """``oma_energy_n`` elementwise. ``np.divide`` gives an empty slot the rate inf; callers
-    hold ``np.errstate`` for its divide and overflow warnings, also over floats."""
-    rate = np.divide(nats, slot)
+    """``oma_energy_n`` elementwise; an empty slot gets the rate inf, over arrays from numpy's
+    division (callers hold ``np.errstate``), over floats from a branch."""
+    rate = nats / slot if isinstance(slot, np.ndarray) or slot > 0.0 else math.inf
     return _where(rate > EXP_CUTOFF, math.inf, slot * _math_map(math.expm1, rate) / h_n_sq)
 
 
@@ -159,7 +159,6 @@ def oma_power_m(scenario: OffloadScenario) -> float:
     return math.expm1(rate_dm) / scenario.h_m_sq
 
 
-@np.errstate(divide="ignore", over="ignore")
 def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """User n's energy when it offloads everything in a dedicated slot of length ``slot``.
 

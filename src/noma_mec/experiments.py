@@ -1,7 +1,7 @@
 """Deterministic sweep generators and the randomized verification campaign.
 
-Output is tabular: the generators return plain records, and the ``render_*``
-helpers turn those records, or an ``energy_surface`` grid, into CSV with
+Output is tabular: the generators return columns or a summary, and the
+``render_*`` helpers turn those, or an ``energy_surface`` grid, into CSV with
 ``#``-prefixed metadata lines. Floats are serialized with ``repr`` so they
 round-trip exactly; infinities become the token ``inf``. Re-running a
 generator with identical inputs yields byte-identical output.
@@ -10,7 +10,9 @@ generator with identical inputs yields byte-identical output.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,18 +31,33 @@ _CAMPAIGN_LOWS = (1.0, 1.0, 1e-3, 0.1, 0.1)
 _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One deadline sample: the three strategy energies and the hybrid optimum behind them."""
+# One deadline sample: the three strategy energies and the hybrid optimum behind them.
+_SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS)
+_columns = attrgetter(*_SweepRow._fields)
 
-    d_n: float
-    e_hybrid: float
-    e_pure: float
-    e_oma: float
-    p1_star: float
-    p2_star: float
-    t_n_star: float
-    selected: StrategyKind
+
+@dataclass(frozen=True)
+class DeadlineSweep:
+    """A deadline sweep as one list per CSV column, in ascending ``d_n``. ``len``,
+    indexing and iteration give rows, namedtuples with the column names as fields."""
+
+    d_n: list[float]
+    e_hybrid: list[float]
+    e_pure: list[float]
+    e_oma: list[float]
+    p1_star: list[float]
+    p2_star: list[float]
+    t_n_star: list[float]
+    selected: list[StrategyKind]
+
+    def __len__(self) -> int:
+        return len(self.d_n)
+
+    def __getitem__(self, i: int | slice) -> _SweepRow | DeadlineSweep:
+        # A slice gives the sub-sweep. Also serves iteration, which stops at
+        # the IndexError past the last row.
+        cut = [column[i] for column in _columns(self)]
+        return DeadlineSweep(*cut) if isinstance(i, slice) else _SweepRow._make(cut)
 
 
 @dataclass(frozen=True)
@@ -68,28 +85,29 @@ def deadline_sweep(
     steps: int,
     h_m_sq: float = 1.0,
     h_n_sq: float = 1.0,
-) -> list[SweepRow]:
+) -> DeadlineSweep:
     """Sweep user n's deadline over ``steps`` uniform samples of [d_n_from, d_n_to].
 
-    Rows come out in ascending deadline order, all quantities from the closed
+    Columns run in ascending deadline order, all quantities from the closed
     forms: the hybrid optimum at the capped extension ``min(d_n - d_m, d_m)``,
     pure NOMA, and OMA over the dedicated slot ``d_n - d_m`` (``inf`` when
     that slot is empty).
     """
     if steps < 2:
         raise NonPositiveParameter(f"steps must be at least 2, got {steps!r}")
+    # The fields first, so that a bad d_m is named; the order and finiteness checks then cover d_n.
+    scenario = validate_scenario(nats, d_m, d_m, h_m_sq, h_n_sq)
     if not (d_m <= d_n_from < d_n_to):
         raise NonPositiveParameter(
             f"need d_m <= d_n_from < d_n_to, got d_m={d_m}, from={d_n_from}, to={d_n_to}"
         )
-    # Every row lies in [d_n_from, d_n_to]: one scenario at d_n_from validates them all.
-    scenario = validate_scenario(nats, d_m, d_n_from, h_m_sq, h_n_sq)
     if not math.isfinite(d_n_to):
         raise NonPositiveParameter(f"d_n_to must be finite, got {d_n_to!r}")
     d_n = np.linspace(d_n_from, d_n_to, steps)
-    c = _strategy_columns(scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
+    with np.errstate(all="ignore"):
+        c = _strategy_columns(scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
     columns = (d_n, c.e_hybrid, c.e_pure, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)
-    return [SweepRow(*row) for row in zip(*(np.broadcast_to(col, d_n.shape).tolist() for col in columns))]
+    return DeadlineSweep(*(np.broadcast_to(col, d_n.shape).tolist() for col in columns))
 
 
 def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> CampaignSummary:
@@ -111,7 +129,8 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     draws[:, 2] = draws[:, 1] * (1.0 + draws[:, 2])   # the d_n factor becomes d_n
     scenarios = [OffloadScenario(*row) for row in draws.tolist()]
     nats, d_m, d_n, _, h_n_sq = draws.T
-    c = _strategy_columns(nats, d_m, d_n, h_n_sq)
+    with np.errstate(all="ignore"):
+        c = _strategy_columns(nats, d_m, d_n, h_n_sq)
     e_hybrid, e_pure, e_oma = c.e_hybrid, c.e_pure, c.e_oma
     _, _, e_oracle, _ = oracle_batch(scenarios, c.t_star, tol=tol)
     # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a
@@ -146,26 +165,22 @@ def _meta_lines(pairs: list[tuple[str, object]]) -> list[str]:
 
 
 def render_sweep_csv(
-    rows: list[SweepRow],
+    rows: DeadlineSweep,
     nats: float,
     d_m: float,
     h_m_sq: float = 1.0,
     h_n_sq: float = 1.0,
 ) -> str:
-    """Sweep rows as CSV text: metadata lines, header, one line per deadline."""
+    """A deadline sweep as CSV text: metadata lines, header, one line per deadline."""
     lines = _meta_lines(
         [("nats", float(nats)), ("d_m", float(d_m)),
          ("h_m_sq", float(h_m_sq)), ("h_n_sq", float(h_n_sq))]
     )
     lines.append(SWEEP_COLUMNS)
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.d_n, r.e_hybrid, r.e_pure, r.e_oma,
-                          r.p1_star, r.p2_star, r.t_n_star, r.selected)
-            )
-        )
+    lines += [
+        f"{d_n!r},{e_hybrid!r},{e_pure!r},{e_oma!r},{p1!r},{p2!r},{t_n!r},{selected.value}"
+        for d_n, e_hybrid, e_pure, e_oma, p1, p2, t_n, selected in zip(*_columns(rows))
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -168,6 +168,8 @@ def oracle_batch(
         active = np.flatnonzero((hi - lo) > tol)
         if active.size == 0:
             break
+        if active.size == lo.size:
+            active = slice(None)   # every lane: gathers are views, scatters slice assignments
         if (evals[active] >= max_iter).any():
             raise NonConvergence(
                 f"golden-section spent {int(evals[active].max())} evaluations"

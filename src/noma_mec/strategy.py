@@ -14,8 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .closed_form import (
     EXP_CUTOFF,
     _hybrid_powers,
@@ -78,14 +76,15 @@ _Columns = namedtuple("_Columns", "t_star p_n1 p_n2 hybrid_phase1 hybrid_phase2 
                                   " e_pure e_oma oma_feasible regime selected")
 
 
-@np.errstate(all="ignore")
 def _strategy_columns(nats, d_m, d_n, h_n_sq) -> _Columns:
-    """The three strategies and the selection, over scalars or broadcastable arrays.
+    """The three strategies and the selection, over floats or broadcastable arrays.
 
     The fields must be those of valid scenarios. Arithmetic and comparisons
     run in the scalar order, in numpy for arrays, and the exponentials
     through ``math``, so every element equals its one-scenario value bit for
-    bit. A column that depends on no array argument stays a scalar.
+    bit. A column that depends on no array argument stays a scalar. Floats
+    touch no numpy; array callers hold ``np.errstate(all="ignore")``, because
+    saturated and empty-slot elements are computed before they are masked.
     """
     t_star = _capped_extension(d_m, d_n)
     p_n1, p_n2 = _hybrid_powers(nats, d_m, h_n_sq, t_star)
@@ -96,7 +95,7 @@ def _strategy_columns(nats, d_m, d_n, h_n_sq) -> _Columns:
     return _Columns(
         t_star, p_n1, p_n2, phase1, phase2, phase1 + phase2,
         d_m * _pure_noma_power(nats, d_m, h_n_sq),
-        _where(oma_feasible, _oma_energy(nats, h_n_sq, oma_slot), math.inf),
+        _oma_energy(nats, h_n_sq, oma_slot),   # inf where the slot is empty
         oma_feasible, regime,
         # Hybrid up to the hybrid regime; from the boundary tie on, OMA.
         _where(regime <= 1, StrategyKind.HYBRID_NOMA, StrategyKind.OMA),

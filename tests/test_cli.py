@@ -152,6 +152,13 @@ class TestSweepAndSurface:
         assert err == "error: d_n_to must be finite, got inf\n"
         assert caught == []
 
+    @pytest.mark.parametrize("dm", ["0", "inf", "nan"])
+    def test_sweep_bad_dm_is_named(self, capsys, dm):
+        code, out, err = run_capture(capsys, ["sweep", "--n", "15", "--dm", dm])
+        assert code == 1
+        assert out == ""
+        assert "d_m must be a positive finite number" in err
+
     def test_surface_smoke(self, capsys):
         code, out, _ = run_capture(
             capsys, ["surface", "--n", "15", "--dm", "20", "--resolution", "20"]

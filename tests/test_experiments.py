@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -22,6 +23,7 @@ from noma_mec import (
     select_strategy,
     validate_scenario,
     verification_campaign,
+    __version__,
 )
 from noma_mec.cli import run
 from noma_mec.experiments import _CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, SWEEP_COLUMNS, SURFACE_COLUMNS
@@ -101,6 +103,12 @@ class TestDeadlineSweep:
         with pytest.raises(NonPositiveParameter):
             deadline_sweep(15.0, 20.0, 30.0, 30.0, 5)
 
+    @pytest.mark.parametrize("d_m", [0.0, math.inf, math.nan])
+    def test_bad_d_m_is_named_before_the_order_check(self, d_m):
+        # The CLI's default range is [d_m, 2 d_m], which a bad d_m also breaks.
+        with pytest.raises(NonPositiveParameter, match="d_m must be a positive finite number"):
+            deadline_sweep(15.0, d_m, d_m, 2.0 * d_m, 5)
+
     def test_infinite_upper_bound_rejected_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -134,6 +142,38 @@ rates = st.one_of(st.floats(0.05, 5.0), st.floats(350.0, 700.0, exclude_min=True
 sweep_ends = st.one_of(st.just(2.0), st.floats(1.001, 4.0))   # d_n_to / d_m
 
 
+class TestSweepColumns:
+    """``deadline_sweep`` returns columns; ``len``, indexing and iteration give namedtuple rows."""
+
+    def test_row_access(self):
+        rows = reference_sweep()
+        assert len(rows) == 21 == len(rows.e_hybrid)
+        listed = list(rows)
+        assert rows[0] == listed[0] and rows[-1] == listed[-1] == rows[20]
+        for row in [rows[0], rows[-1], *rows]:
+            assert row._fields == tuple(SWEEP_COLUMNS.split(","))
+            assert all(type(v) is float for v in row[:7])
+            assert type(row.selected) is StrategyKind
+        assert [row.e_oma for row in rows] == rows.e_oma
+        assert list(rows[1:3]) == listed[1:3] and list(rows[::-1]) == listed[::-1]
+
+    def test_columns_are_frozen(self):
+        rows = reference_sweep()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows.e_hybrid = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=rates, d_m=st.floats(0.5, 50.0), end=sweep_ends,
+           steps=st.integers(2, 40), h_m_sq=st.floats(0.1, 10.0), h_n_sq=st.floats(0.1, 10.0))
+    def test_csv_equals_reference_rendering(self, rate, d_m, end, steps, h_m_sq, h_n_sq):
+        nats = rate * d_m
+        rows = deadline_sweep(nats, d_m, d_m, end * d_m, steps, h_m_sq, h_n_sq)
+        lines = [f"# nats={nats!r}", f"# d_m={d_m!r}", f"# h_m_sq={h_m_sq!r}",
+                 f"# h_n_sq={h_n_sq!r}", f"# tool=noma-mec {__version__}", SWEEP_COLUMNS]
+        lines += [",".join(map(repr, row[:7])) + "," + row.selected.value for row in rows]
+        assert render_sweep_csv(rows, nats, d_m, h_m_sq, h_n_sq) == "\n".join(lines) + "\n"
+
+
 class TestViewsAgree:
     """The sweep (arrays), ``select_strategy`` and the scalar closed forms give the same bits."""
 
@@ -162,6 +202,23 @@ class TestViewsAgree:
             slot = row.d_n - d_m
             expected_oma = reference_oma_energy(s, slot) if slot > 0.0 else math.inf
             assert oma_energy_n(s, slot) == expected_oma == row.e_oma
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=rates, d_m=st.floats(0.5, 50.0), ratio=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+           frac=st.floats(0.0, 1.0), h_m_sq=st.floats(0.1, 10.0), h_n_sq=st.floats(0.1, 10.0))
+    def test_scalar_views_return_floats_without_warnings(self, rate, d_m, ratio, frac, h_m_sq, h_n_sq):
+        s = validate_scenario(rate * d_m, d_m, ratio * d_m, h_m_sq, h_n_sq)
+        t_n = frac * d_m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = select_strategy(s)
+            values = [table.t_star, table.p_n1_star, table.p_n2_star]
+            for report in (table.hybrid, table.pure_noma, table.oma):
+                values += [report.energy, report.phase1_energy, report.phase2_energy,
+                           report.normalized_energy]
+            values += [*hybrid_powers(s, t_n), hybrid_energy(s, t_n), pure_noma_power(s),
+                       oma_energy_n(s, s.d_n - s.d_m), oma_energy_n(s, t_n)]
+        assert all(type(v) is float for v in values)
 
     def test_overflowing_rates_fail_closed_in_every_view(self):
         # 2 * nats overflows and nats / d_m is inf, so y1 = inf - inf is NaN.
