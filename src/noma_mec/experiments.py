@@ -32,8 +32,8 @@ _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
 
 
 # One deadline sample: the three strategy energies and the hybrid optimum behind them.
-_SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS)
-_columns = attrgetter(*_SweepRow._fields)
+SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS)
+_columns = attrgetter(*SweepRow._fields)
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ class DeadlineSweep:
     def __len__(self) -> int:
         return len(self.d_n)
 
-    def __getitem__(self, i: int | slice) -> _SweepRow | DeadlineSweep:
+    def __getitem__(self, i: int | slice) -> SweepRow | DeadlineSweep:
         # A slice gives the sub-sweep. Also serves iteration, which stops at
         # the IndexError past the last row.
         cut = [column[i] for column in _columns(self)]
-        return DeadlineSweep(*cut) if isinstance(i, slice) else _SweepRow._make(cut)
+        return DeadlineSweep(*cut) if isinstance(i, slice) else SweepRow._make(cut)
 
 
 @dataclass(frozen=True)

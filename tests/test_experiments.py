@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -156,6 +157,8 @@ class TestSweepColumns:
             assert type(row.selected) is StrategyKind
         assert [row.e_oma for row in rows] == rows.e_oma
         assert list(rows[1:3]) == listed[1:3] and list(rows[::-1]) == listed[::-1]
+        assert pickle.loads(pickle.dumps(rows)) == rows
+        assert pickle.loads(pickle.dumps(rows[5])) == rows[5]
 
     def test_columns_are_frozen(self):
         rows = reference_sweep()
