@@ -7,11 +7,11 @@ strategies, and certifies every closed form against an independent numerical
 oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .closed_form import (
     EXP_CUTOFF,
-    KktPoint,
-    derivative_kernel,
     energy_derivative,
     hybrid_energy,
     hybrid_powers,
@@ -61,7 +61,6 @@ from .oracle import (
     oracle_batch,
     oracle_fixed_t,
     oracle_joint,
-    split_energy,
     split_schedule,
 )
 from .strategy import (
@@ -70,63 +69,10 @@ from .strategy import (
     classify_regime,
     hybrid_lower_bound,
     noma_oma_gap,
-    normalized_gap,
     select_strategy,
 )
 
-__all__ = [
-    "__version__",
-    "CampaignSummary",
-    "ComparisonTable",
-    "ConfigError",
-    "DeadlineOrderViolation",
-    "EXP_CUTOFF",
-    "EnergyReport",
-    "FileUnreadable",
-    "KktPoint",
-    "MissingKey",
-    "NomaMecError",
-    "NonConvergence",
-    "NonPositiveParameter",
-    "OffloadScenario",
-    "OracleResult",
-    "PowerSchedule",
-    "Regime",
-    "RegimeViolation",
-    "StrategyKind",
-    "SurfaceGrid",
-    "TimeExtensionOutOfRange",
-    "TypeMismatch",
-    "classify_regime",
-    "deadline_sweep",
-    "derivative_kernel",
-    "energy_derivative",
-    "energy_surface",
-    "hybrid_energy",
-    "hybrid_lower_bound",
-    "hybrid_powers",
-    "kkt_log_vars",
-    "log_hybrid_energy",
-    "log_oma_energy_n",
-    "log_pure_noma_energy",
-    "noma_oma_gap",
-    "normalized_gap",
-    "offloaded_nats",
-    "oma_energy_n",
-    "oma_power_m",
-    "optimal_time_extension",
-    "oracle_batch",
-    "oracle_fixed_t",
-    "oracle_joint",
-    "pure_noma_energy",
-    "pure_noma_power",
-    "render_campaign_summary",
-    "render_surface_csv",
-    "render_sweep_csv",
-    "schedule_energy",
-    "select_strategy",
-    "split_energy",
-    "split_schedule",
-    "validate_scenario",
-    "verification_campaign",
-]
+# Every name imported above is public, written once: __all__ is read off the namespace.
+__all__ = ["__version__", *sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType))]

@@ -19,7 +19,7 @@ companions stay finite and should be used for comparisons in that range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,26 +31,6 @@ from .model import OffloadScenario, _phase_energies, _where
 EXP_CUTOFF = 700.0
 
 
-@dataclass(frozen=True)
-class KktPoint:
-    """Log-domain rate variables of the fixed-extension optimum.
-
-    For hybrid points the coupling ``y2 - y1 == nats / d_m`` holds exactly in
-    floating point (the subtraction producing ``y1`` is exact by Sterbenz'
-    lemma) and the active constraint ``d_m * y1 + t_n * y2 == nats`` holds to
-    a few ulp.
-    """
-
-    y1: float
-    y2: float
-
-    def __post_init__(self):
-        if not (self.y1 >= 0.0 and self.y2 >= 0.0):
-            raise NonPositiveParameter(
-                f"log-domain rates must be nonnegative, got ({self.y1!r}, {self.y2!r})"
-            )
-
-
 def _check_extension(scenario: OffloadScenario, t_n: float) -> None:
     if not (0.0 <= t_n <= scenario.d_m):
         raise TimeExtensionOutOfRange(
@@ -59,19 +39,28 @@ def _check_extension(scenario: OffloadScenario, t_n: float) -> None:
 
 
 def _log_rates(nats, d_m, t_n):
-    """(y1, y2) of the fixed-extension optimum, elementwise over floats or arrays."""
+    """(y1, y2) of the fixed-extension optimum, elementwise over floats or arrays; raises
+    NonPositiveParameter, naming the first bad element, where one is negative or NaN."""
     rate_dm = nats / d_m
     y2 = 2.0 * nats / (d_m + t_n)
     # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
     # y2 - y1 == rate_dm then holds bit-for-bit, and y1 == 0.0 exactly at t_n == d_m.
-    return y2 - rate_dm, y2
+    y1 = y2 - rate_dm
+    ok = (y1 >= 0.0) & (y2 >= 0.0)   # a bool over floats: the check touches no numpy
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        y1, y2 = (float(np.broadcast_to(y, np.shape(ok)).flat[np.argmin(ok)]) for y in (y1, y2))
+        raise NonPositiveParameter(f"log-domain rates must be nonnegative, got ({y1!r}, {y2!r})")
+    return y1, y2
 
 
-def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> KktPoint:
-    """Optimal log-domain rates (y1, y2) for a fixed extension ``t_n`` in [0, d_m]."""
+LogRates = namedtuple("LogRates", "y1 y2")
+
+
+def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> LogRates:
+    """Optimal log-domain rates (y1, y2) for a fixed extension ``t_n`` in [0, d_m]: the coupling
+    ``y2 - y1 == nats / d_m`` holds bit for bit, ``d_m * y1 + t_n * y2 == nats`` to a few ulp."""
     _check_extension(scenario, t_n)
-    y1, y2 = _log_rates(scenario.nats, scenario.d_m, t_n)
-    return KktPoint(y1=y1, y2=y2)
+    return LogRates(*_log_rates(scenario.nats, scenario.d_m, t_n))
 
 
 def _math_map(fn, x):
@@ -88,16 +77,9 @@ def _math_map(fn, x):
 
 
 def _hybrid_powers(nats, d_m, h_n_sq, t_n):
-    """``hybrid_powers`` elementwise over scalars or broadcastable arrays of valid fields.
-
-    Raises NonPositiveParameter, as ``KktPoint`` does, where a log-domain rate
-    is negative or NaN (an overflowing ``nats``).
-    """
+    """``hybrid_powers`` elementwise over scalars or broadcastable arrays of valid fields;
+    raises as ``_log_rates`` does."""
     y1, y2 = _log_rates(nats, d_m, t_n)
-    ok = (y1 >= 0.0) & (y2 >= 0.0)   # a bool over floats: the check touches no numpy
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        y1, y2 = (float(np.broadcast_to(y, np.shape(ok)).flat[np.argmin(ok)]) for y in (y1, y2))
-        KktPoint(y1=y1, y2=y2)  # raises for the first failing element
     rate_dm = nats / d_m
     p_n1 = _where(
         y1 == 0.0,
@@ -184,18 +166,13 @@ def optimal_time_extension(scenario: OffloadScenario) -> float:
     return scenario.capped_extension
 
 
-def derivative_kernel(x: float) -> float:
-    """Slope of the normalized energy expressed through the solo-phase rate x:
-    ``exp(x) * (1 - x) - 1``. Zero at x = 0 and strictly negative for x > 0."""
-    if x > EXP_CUTOFF:
-        return -math.inf
-    return math.exp(x) * (1.0 - x) - 1.0
-
-
 def energy_derivative(scenario: OffloadScenario, t_n: float) -> float:
-    """d/dt of the normalized energy ``h_n_sq * hybrid_energy`` at ``t_n``; always <= 0."""
-    point = kkt_log_vars(scenario, t_n)
-    return derivative_kernel(point.y2)
+    """d/dt of the normalized energy ``h_n_sq * hybrid_energy`` at ``t_n``: in the solo-phase
+    rate y2, ``exp(y2) * (1 - y2) - 1``, zero at y2 = 0 and negative for y2 > 0."""
+    y2 = kkt_log_vars(scenario, t_n).y2
+    if y2 > EXP_CUTOFF:
+        return -math.inf
+    return math.exp(y2) * (1.0 - y2) - 1.0
 
 
 def _log_expm1(x: float) -> float:
@@ -220,10 +197,10 @@ def _log_add(a: float, b: float) -> float:
 
 def log_hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     """ln of ``hybrid_energy``, finite even when the plain value saturates to inf."""
-    point = kkt_log_vars(scenario, t_n)
+    y1, y2 = kkt_log_vars(scenario, t_n)
     rate_dm = scenario.nats / scenario.d_m
-    term1 = math.log(scenario.d_m) + rate_dm + _log_expm1(point.y1)
-    term2 = math.log(t_n) + _log_expm1(point.y2) if t_n > 0.0 else -math.inf
+    term1 = math.log(scenario.d_m) + rate_dm + _log_expm1(y1)
+    term2 = math.log(t_n) + _log_expm1(y2) if t_n > 0.0 else -math.inf
     return _log_add(term1, term2) - math.log(scenario.h_n_sq)
 
 

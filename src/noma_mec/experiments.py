@@ -217,8 +217,7 @@ def render_surface_csv(
 
 def render_campaign_summary(summary: CampaignSummary) -> str:
     """Campaign summary as stable key=value text."""
-    lines = [
-        f"# tool=noma-mec {__version__}",
+    lines = _meta_lines([]) + [
         f"seed={summary.seed}",
         f"count={summary.count}",
         f"max_rel_err={_fmt(summary.max_rel_err)}",

@@ -9,10 +9,11 @@ Agreement with the closed forms is the certificate. The one closed form this
 module reads, ``hybrid_powers``, only sets the default ranges of
 ``energy_surface``.
 
-The search runs over numpy arrays, one lane per (scenario, extension) pair,
-so a whole campaign or extension grid is one ``oracle_batch`` call. Its
-objective evaluates the split with numpy's ``exp``/``expm1``, a few ulp from
-the ``math``-based ``split_energy``; ``oracle_fixed_t`` is a batch of one.
+The split rule is written once, elementwise: ``split_schedule`` evaluates it
+on floats with ``math``'s ``exp``/``expm1``, and the search on numpy arrays
+with numpy's, a few ulp apart. The search runs one lane per (scenario,
+extension) pair, so a whole campaign or extension grid is one
+``oracle_batch`` call; ``oracle_fixed_t`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .closed_form import EXP_CUTOFF, hybrid_powers
 from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
-from .model import OffloadScenario, PowerSchedule, schedule_energy
+from .model import OffloadScenario, PowerSchedule, _where, schedule_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -68,6 +69,29 @@ class SurfaceGrid:
         return int(i), int(j)
 
 
+def _numpy_or_math(name, x):
+    """numpy's ``name`` over arrays, ``math``'s over floats capped at EXP_CUTOFF (callers mask)."""
+    if isinstance(x, np.ndarray):
+        return getattr(np, name)(x)
+    return getattr(math, name)(min(x, EXP_CUTOFF))
+
+
+def _split_powers(alpha, nats, d_m, h_n_sq, t_n):
+    """``split_schedule``'s powers, elementwise over floats or broadcastable arrays: the same
+    operations in the same order on either, so the two differ only where numpy's
+    ``exp``/``expm1`` differ from ``math``'s. Array callers hold ``np.errstate``."""
+    rate_dm = nats / d_m
+    y1 = alpha * nats / d_m
+    y2 = (1.0 - alpha) * nats / t_n
+    p_n1 = _where(
+        rate_dm + y1 > EXP_CUTOFF,
+        _where(y1 > 0.0, math.inf, 0.0),
+        _numpy_or_math("exp", rate_dm) * _numpy_or_math("expm1", y1) / h_n_sq,
+    )
+    p_n2 = _where(y2 > EXP_CUTOFF, math.inf, _numpy_or_math("expm1", y2) / h_n_sq)
+    return p_n1, p_n2
+
+
 def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> PowerSchedule:
     """Schedule that puts ``alpha`` of the task in the shared slot, the rest in ``t_n``,
     with the rate constraint met with equality in both phases."""
@@ -75,49 +99,8 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
         raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
     if not (0.0 <= alpha <= 1.0):
         raise NonPositiveParameter(f"alpha must lie in [0, 1], got {alpha!r}")
-    rate_dm = scenario.nats / scenario.d_m
-    y1 = alpha * scenario.nats / scenario.d_m
-    y2 = (1.0 - alpha) * scenario.nats / t_n
-    if rate_dm + y1 > EXP_CUTOFF:
-        p_n1 = math.inf if y1 > 0.0 else 0.0
-    else:
-        p_n1 = math.exp(rate_dm) * math.expm1(y1) / scenario.h_n_sq
-    p_n2 = math.inf if y2 > EXP_CUTOFF else math.expm1(y2) / scenario.h_n_sq
+    p_n1, p_n2 = _split_powers(alpha, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return PowerSchedule(p_n1=p_n1, p_n2=p_n2, t_n=t_n)
-
-
-def split_energy(scenario: OffloadScenario, t_n: float, alpha: float) -> float:
-    """Energy of ``split_schedule``; strictly convex in ``alpha``."""
-    return schedule_energy(scenario, split_schedule(scenario, t_n, alpha))
-
-
-def _split_powers(alpha, nats, d_m, h_n_sq, t_n):
-    """Array form of ``split_schedule``'s powers, elementwise over broadcastable arrays.
-
-    Same operations in the same order as the scalar form, with numpy's
-    ``exp``/``expm1`` in place of ``math``'s, so results agree to a few ulp.
-    Raises NonPositiveParameter if any power is negative or NaN, as
-    ``PowerSchedule`` does.
-    """
-    rate_dm = nats / d_m
-    y1 = alpha * nats / d_m
-    y2 = (1.0 - alpha) * nats / t_n
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_n1 = np.where(
-            rate_dm + y1 > EXP_CUTOFF,
-            np.where(y1 > 0.0, np.inf, 0.0),
-            np.exp(rate_dm) * np.expm1(y1) / h_n_sq,
-        )
-        p_n2 = np.where(y2 > EXP_CUTOFF, np.inf, np.expm1(y2) / h_n_sq)
-    if not (np.minimum(p_n1, p_n2) >= 0.0).all():
-        raise NonPositiveParameter("split powers must be nonnegative")
-    return p_n1, p_n2
-
-
-def _split_energy(alpha, nats, d_m, h_n_sq, t_n):
-    """Array form of ``split_energy`` for extensions ``t_n > 0``."""
-    p_n1, p_n2 = _split_powers(alpha, nats, d_m, h_n_sq, t_n)
-    return d_m * p_n1 + t_n * p_n2
 
 
 def oracle_batch(
@@ -157,12 +140,18 @@ def oracle_batch(
         raise NonPositiveParameter(f"tol must be positive, got {tol!r}")
 
     def objective(alpha, lanes=slice(None)):
-        return _split_energy(alpha, nats[lanes], d_m[lanes], h_n_sq[lanes], t_n[lanes])
+        """(energy, p_n1, p_n2) of the splits ``alpha`` in ``lanes``."""
+        with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
+            p_n1, p_n2 = _split_powers(alpha, nats[lanes], d_m[lanes], h_n_sq[lanes], t_n[lanes])
+            energy = d_m[lanes] * p_n1 + t_n[lanes] * p_n2
+        if not (np.minimum(p_n1, p_n2) >= 0.0).all():   # as PowerSchedule checks a schedule
+            raise NonPositiveParameter("split powers must be nonnegative")
+        return energy, p_n1, p_n2
 
     lo, hi = np.zeros(t_n.shape), np.ones(t_n.shape)
     inner_lo = hi - _INV_PHI * (hi - lo)
     inner_hi = lo + _INV_PHI * (hi - lo)
-    f_lo, f_hi = objective(inner_lo), objective(inner_hi)
+    f_lo, f_hi = objective(inner_lo)[0], objective(inner_hi)[0]
     evals = np.full(t_n.shape, 2)
     while True:
         active = np.flatnonzero((hi - lo) > tol)
@@ -187,7 +176,7 @@ def oracle_batch(
         kept = np.where(left, a_inner_lo, a_inner_hi)
         f_kept = np.where(left, a_f_lo, a_f_hi)
         probe = np.where(left, a_hi - _INV_PHI * (a_hi - a_lo), a_lo + _INV_PHI * (a_hi - a_lo))
-        f_probe = objective(probe, active)
+        f_probe = objective(probe, active)[0]
         lo[active], hi[active] = a_lo, a_hi
         inner_lo[active] = np.where(left, probe, kept)
         inner_hi[active] = np.where(left, kept, probe)
@@ -196,8 +185,7 @@ def oracle_batch(
         evals[active] += 1
 
     candidates = np.stack((lo, 0.5 * (lo + hi), hi))
-    p_n1, p_n2 = _split_powers(candidates, nats, d_m, h_n_sq, t_n)
-    energies = d_m * p_n1 + t_n * p_n2
+    energies, p_n1, p_n2 = objective(candidates)
     best = np.argmin(energies, axis=0)[None, :]
     return (
         np.take_along_axis(p_n1, best, axis=0)[0],

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .closed_form import (
-    EXP_CUTOFF,
     _hybrid_powers,
     _oma_energy,
     _pure_noma_power,
@@ -134,8 +133,9 @@ def select_strategy(scenario: OffloadScenario) -> ComparisonTable:
 def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:
     """Hybrid energy minus OMA energy over the same interval length; <= 0 on (0, d_m].
 
-    When both sides saturate to inf the sign is decided in the log domain
-    (0.0 on an exact tie).
+    Times ``h_n_sq`` it is ``(d_m + t) e^(2 nats/(d_m + t)) - d_m e^(nats/d_m) - t e^(nats/t)``
+    at ``t = t_n``, non-decreasing in ``t_n`` and zero at ``t_n == d_m``. When both sides
+    saturate to inf the sign is decided in the log domain (0.0 on an exact tie).
     """
     if not (0.0 < t_n <= scenario.d_m):
         raise TimeExtensionOutOfRange(
@@ -149,33 +149,6 @@ def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:
             return 0.0
         return -math.inf if log_gap < 0.0 else math.inf
     return e_hybrid - e_oma
-
-
-def normalized_gap(scenario: OffloadScenario, x: float) -> float:
-    """Gain-normalized energy gap between the hybrid split and OMA, as a
-    function of a candidate interval length ``x > 0``:
-
-        (d_m + x) * exp(2 nats / (d_m + x)) - d_m * exp(nats / d_m) - x * exp(nats / x)
-
-    Non-decreasing for ``x < d_m``, exactly 0 at ``x == d_m``. As ``x -> 0``
-    the OMA term dominates and the value diverges to -inf; overflow in that
-    term is reported as -inf.
-    """
-    if not (x > 0.0):
-        raise TimeExtensionOutOfRange(f"x must be positive, got {x!r}")
-    nats, d_m = scenario.nats, scenario.d_m
-    e_joint = 2.0 * nats / (d_m + x)
-    e_shared = nats / d_m
-    e_solo = nats / x
-    if max(e_joint, e_shared, e_solo) > EXP_CUTOFF:
-        # The largest exponent decides the sign: for x != d_m a negative term
-        # dominates (e_solo for x < d_m, e_shared for x > d_m).
-        return 0.0 if x == d_m else -math.inf
-    return (
-        (d_m + x) * math.exp(e_joint)
-        - d_m * math.exp(e_shared)
-        - x * math.exp(e_solo)
-    )
 
 
 def hybrid_lower_bound(scenario: OffloadScenario) -> float:

@@ -9,11 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import hybrid_scenarios
 from noma_mec import (
-    KktPoint,
-    NonPositiveParameter,
     RegimeViolation,
     TimeExtensionOutOfRange,
-    derivative_kernel,
     energy_derivative,
     hybrid_energy,
     hybrid_powers,
@@ -165,10 +162,6 @@ class TestKktLogVars:
         assert point.y1 == 0.75
         assert point.y2 == 1.5
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(NonPositiveParameter):
-            KktPoint(y1=-0.1, y2=0.5)
-
     @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
     def test_coupling_exact_and_constraint_active(self, s, frac):
         t_n = frac * s.d_m
@@ -227,9 +220,10 @@ class TestOptimalTimeExtension:
 
 class TestEnergyDerivative:
     def test_kernel_values(self):
-        assert derivative_kernel(0.0) == 0.0
-        assert derivative_kernel(1.0) == -1.0
-        assert derivative_kernel(1.2) == pytest.approx(-1.664023, abs=1e-5)
+        # exp(y2) * (1 - y2) - 1 in the solo-phase rate y2 = 2 nats / (d_m + t_n).
+        assert energy_derivative(validate_scenario(1e-300, 1.0, 2.0), 1.0) == 0.0
+        assert energy_derivative(validate_scenario(10.0, 10.0, 20.0), 10.0) == -1.0
+        assert energy_derivative(ANCHOR, 5.0) == pytest.approx(-1.664023, abs=1e-5)
 
     def test_reference_point(self):
         assert energy_derivative(ANCHOR, 5.0) == pytest.approx(-1.6640233845, abs=1e-9)

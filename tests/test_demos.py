@@ -1,11 +1,16 @@
-"""Every README demo runs to completion against the current public API."""
+"""Every README demo and the README quickstart run to completion against the current public API."""
 
 import pathlib
+import re
 import runpy
+import types
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+import noma_mec
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
@@ -18,3 +23,20 @@ def test_demo_runs(path, tmp_path, capsys):
     main()
     assert capsys.readouterr().out
     assert (tmp_path / "out.csv").exists() == exports
+
+
+def test_readme_quickstart_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "hybrid-noma"
+
+
+def test_public_names_are_the_packages_own():
+    assert len(set(noma_mec.__all__)) == len(noma_mec.__all__)
+    assert "ModuleType" not in noma_mec.__all__
+    for name in noma_mec.__all__:
+        value = getattr(noma_mec, name)
+        assert not isinstance(value, types.ModuleType), name
+        # Classes and functions come from the package, not from a helper import.
+        assert getattr(value, "__module__", "noma_mec").startswith("noma_mec"), name

@@ -12,9 +12,12 @@ from noma_mec import (
     NonPositiveParameter,
     StrategyKind,
     deadline_sweep,
+    energy_derivative,
     energy_surface,
     hybrid_energy,
     hybrid_powers,
+    kkt_log_vars,
+    log_hybrid_energy,
     oma_energy_n,
     pure_noma_energy,
     pure_noma_power,
@@ -227,7 +230,9 @@ class TestViewsAgree:
         # 2 * nats overflows and nats / d_m is inf, so y1 = inf - inf is NaN.
         s = validate_scenario(1e308, 1e-10, 1.5e-10)
         views = (lambda: select_strategy(s), lambda: hybrid_powers(s, 0.5e-10),
-                 lambda: deadline_sweep(1e308, 1e-10, 1e-10, 3e-10, 5))
+                 lambda: deadline_sweep(1e308, 1e-10, 1e-10, 3e-10, 5),
+                 lambda: kkt_log_vars(s, 0.5e-10), lambda: energy_derivative(s, 0.5e-10),
+                 lambda: log_hybrid_energy(s, 0.5e-10))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for view in views:

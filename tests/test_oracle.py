@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,25 +19,25 @@ from noma_mec import (
     oracle_joint,
     pure_noma_energy,
     pure_noma_power,
-    split_energy,
+    schedule_energy,
     split_schedule,
     validate_scenario,
 )
 from noma_mec import PowerSchedule, oracle_batch
-from noma_mec.oracle import _split_energy
+from noma_mec.oracle import _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
 
 class TestSplitParametrization:
     def test_all_nats_in_shared_slot_is_pure_noma(self):
-        assert split_energy(ANCHOR, 5.0, 1.0) == pure_noma_energy(ANCHOR)
         schedule = split_schedule(ANCHOR, 5.0, 1.0)
+        assert schedule_energy(ANCHOR, schedule) == pure_noma_energy(ANCHOR)
         assert schedule.p_n1 == pure_noma_power(ANCHOR)
         assert schedule.p_n2 == 0.0
 
     def test_all_nats_in_solo_slot_is_oma(self):
-        assert split_energy(ANCHOR, 5.0, 0.0) == pytest.approx(
+        assert schedule_energy(ANCHOR, split_schedule(ANCHOR, 5.0, 0.0)) == pytest.approx(
             oma_energy_n(ANCHOR, 5.0), rel=1e-12
         )
         assert split_schedule(ANCHOR, 5.0, 0.0).p_n1 == 0.0
@@ -77,7 +78,8 @@ class TestOracleFixedT:
         result = oracle_fixed_t(ANCHOR, 5.0, tol=1e-10)
         spacing = 1e-4
         grid_best = min(
-            split_energy(ANCHOR, 5.0, k * spacing) for k in range(int(1.0 / spacing) + 1)
+            schedule_energy(ANCHOR, split_schedule(ANCHOR, 5.0, k * spacing))
+            for k in range(int(1.0 / spacing) + 1)
         )
         assert result.energy <= grid_best * (1.0 + 1e-12)
 
@@ -158,12 +160,26 @@ class TestOracleBatch:
     @given(s=hybrid_scenarios(), alpha=st.floats(0.0, 1.0), frac=st.floats(1e-3, 1.0))
     def test_array_objective_matches_scalar(self, s, alpha, frac):
         t_n = (s.d_n - s.d_m) * frac
-        scalar = split_energy(s, t_n, alpha)
-        array = _split_energy(np.array([alpha]), s.nats, s.d_m, s.h_n_sq, t_n)[0]
+        scalar = schedule_energy(s, split_schedule(s, t_n, alpha))
+        # One lane, every argument an array, as oracle_batch evaluates the rule.
+        lane = [np.array([v]) for v in (alpha, s.nats, s.d_m, s.h_n_sq, t_n)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_n1, p_n2 = _split_powers(*lane)
+        array = (s.d_m * p_n1 + t_n * p_n2)[0]
         if math.isinf(scalar):
             assert array == scalar
         else:
             assert array == pytest.approx(scalar, rel=1e-15, abs=0.0)
+
+
+class TestSaturatedSearch:
+    def test_overflowing_rates_raise_no_numpy_warning(self):
+        # nats / d_m overflows to inf, so every split saturates; the search still runs silently.
+        s = validate_scenario(1e308, 1e-10, 1.5e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle_fixed_t(s, 5e-11).energy == math.inf
+            assert oracle_joint(s).energy == math.inf
 
 
 class TestOracleJoint:

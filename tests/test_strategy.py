@@ -12,7 +12,6 @@ from noma_mec import (
     hybrid_energy,
     hybrid_lower_bound,
     noma_oma_gap,
-    normalized_gap,
     oma_energy_n,
     pure_noma_energy,
     select_strategy,
@@ -20,6 +19,12 @@ from noma_mec import (
 )
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
+
+
+def paper_normalized_gap(s, x):
+    """The paper's gain-free NOMA/OMA gap over an interval of length x, evaluated directly."""
+    return ((s.d_m + x) * math.exp(2.0 * s.nats / (s.d_m + x))
+            - s.d_m * math.exp(s.nats / s.d_m) - x * math.exp(s.nats / x))
 
 
 class TestRegime:
@@ -130,7 +135,7 @@ class TestGap:
         s = validate_scenario(15.0, 20.0, 25.0, h_n_sq=3.0)
         for x in (2.0, 10.0, 19.0):
             assert noma_oma_gap(s, x) == pytest.approx(
-                normalized_gap(s, x) / s.h_n_sq, rel=1e-9
+                paper_normalized_gap(s, x) / s.h_n_sq, rel=1e-9
             )
 
     def test_midpoint_value(self):
@@ -152,26 +157,32 @@ class TestGap:
 
 
 class TestNormalizedGap:
+    """The gain-free gap ``h_n_sq * noma_oma_gap``."""
+
+    def normalized_gap(self, s, x):
+        return s.h_n_sq * noma_oma_gap(s, x)
+
     def test_zero_at_shared_slot_length(self):
-        assert normalized_gap(ANCHOR, 20.0) == 0.0
+        assert self.normalized_gap(ANCHOR, 20.0) == 0.0
 
     def test_reference_point(self):
         # 30 e - 20 e^0.75 - 10 e^1.5, evaluated directly.
         expected = 30.0 * math.e - 20.0 * math.exp(0.75) - 10.0 * math.exp(1.5)
-        assert normalized_gap(ANCHOR, 10.0) == pytest.approx(expected, rel=1e-12)
-        assert normalized_gap(ANCHOR, 10.0) == pytest.approx(-5.608436, abs=1e-5)
-        assert normalized_gap(ANCHOR, 10.0) < 0.0
+        assert self.normalized_gap(ANCHOR, 10.0) == pytest.approx(expected, rel=1e-12)
+        assert self.normalized_gap(ANCHOR, 10.0) == pytest.approx(-5.608436, abs=1e-5)
+        assert self.normalized_gap(ANCHOR, 10.0) < 0.0
 
     def test_monotone_non_decreasing_below_d_m(self):
-        values = [normalized_gap(ANCHOR, x) for x in (5.0, 10.0, 15.0)]
+        values = [self.normalized_gap(ANCHOR, x) for x in (5.0, 10.0, 15.0)]
         assert values[0] <= values[1] <= values[2] <= 0.0
 
     def test_diverges_to_minus_inf(self):
-        assert normalized_gap(ANCHOR, 1e-4) == -math.inf
+        assert self.normalized_gap(ANCHOR, 1e-4) == -math.inf
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(TimeExtensionOutOfRange):
-            normalized_gap(ANCHOR, 0.0)
+        for x in (0.0, -1.0):
+            with pytest.raises(TimeExtensionOutOfRange):
+                self.normalized_gap(ANCHOR, x)
 
 
 class TestHybridLowerBound:
@@ -203,8 +214,10 @@ class TestSaturatedScenarios:
         assert noma_oma_gap(self.HUGE, 10.0) == 0.0
 
     def test_normalized_gap_saturates(self):
-        assert normalized_gap(self.HUGE, 5.0) == -math.inf
-        assert normalized_gap(self.HUGE, 10.0) == 0.0
+        # A non-unit gain shifts both log energies alike and cannot flip the sign.
+        s = validate_scenario(self.HUGE.nats, self.HUGE.d_m, self.HUGE.d_n, h_n_sq=4.0)
+        assert s.h_n_sq * noma_oma_gap(s, 5.0) == -math.inf
+        assert s.h_n_sq * noma_oma_gap(s, 10.0) == 0.0
 
     def test_selection_still_regime_driven(self):
         table = select_strategy(self.HUGE)
