@@ -4,11 +4,13 @@ optimum, and centered finite differences for the energy derivative."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import hybrid_scenarios
 from noma_mec import (
+    NonPositiveParameter,
     RegimeViolation,
     TimeExtensionOutOfRange,
     energy_derivative,
@@ -25,6 +27,7 @@ from noma_mec import (
     pure_noma_power,
     validate_scenario,
 )
+from noma_mec.closed_form import _log_rates
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
@@ -161,6 +164,13 @@ class TestKktLogVars:
         point = kkt_log_vars(ANCHOR, 0.0)
         assert point.y1 == 0.75
         assert point.y2 == 1.5
+
+    def test_negative_rate_rejected(self):
+        # A negative task gives y2 = -0.08 and y1 = -0.03; the array path names that element.
+        with pytest.raises(NonPositiveParameter, match=r"got \(-0\.03.*, -0\.08.*\)"):
+            _log_rates(-1.0, 20.0, 5.0)
+        with pytest.raises(NonPositiveParameter, match=r"got \(-0\.03.*, -0\.08.*\)"):
+            _log_rates(np.array([15.0, -1.0]), 20.0, 5.0)
 
     @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
     def test_coupling_exact_and_constraint_active(self, s, frac):
