@@ -11,15 +11,15 @@ module reads, ``hybrid_powers``, only sets the default ranges of
 
 The split rule is written once, elementwise: ``split_schedule`` evaluates it
 on floats with ``math``'s ``exp``/``expm1``, and the search on numpy arrays
-with numpy's, a few ulp apart. The search runs one lane per (scenario,
-extension) pair, so a whole campaign or extension grid is one
-``oracle_batch`` call; ``oracle_fixed_t`` is a batch of one.
+with numpy's, a few ulp apart. The search takes lane arrays, one lane per
+(scenario, extension) pair, so a campaign's draws or an extension grid is one
+``oracle_batch`` call and ``oracle_fixed_t`` is a batch of one; a finished
+lane leaves the search, so each step costs only the lanes still open.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,95 +104,88 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
 
 
 def oracle_batch(
-    scenarios: Sequence[OffloadScenario],
-    t_n,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    nats, d_m, h_n_sq, t_n, tol: float = 1e-10, max_iter: int = 200
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the constraint-split energy over ``alpha`` for many searches at once.
 
-    ``scenarios`` and ``t_n`` broadcast against each other (one scenario
-    over a grid of extensions, or one extension per scenario). Each lane runs
-    its own golden-section search: it keeps its own bracket, stops when that
-    bracket is at most ``tol`` wide, and counts its own objective
-    evaluations, so it takes exactly the steps a search of that lane alone
-    would take. Returns one-dimensional arrays ``(p_n1, p_n2, energy,
-    iterations)``, one entry per lane.
+    The lane arrays (or floats) ``nats``, ``d_m``, ``h_n_sq`` and ``t_n``
+    broadcast against each other in one dimension: one scenario over a grid
+    of extensions, or one extension per scenario. Each lane runs its own
+    golden-section search: it keeps its own bracket, stops when that bracket
+    is at most ``tol`` wide, and counts its own objective evaluations, so it
+    takes exactly the steps a search of that lane alone would take; a
+    finished lane leaves the search's dense arrays. Returns one-dimensional
+    arrays ``(p_n1, p_n2, energy, iterations)``, one entry per lane.
 
-    ``tol`` is the final bracket width on alpha; ``max_iter`` caps each
-    lane's evaluations and exceeding it in any lane raises NonConvergence.
-    Every ``t_n`` must lie in ``(0, d_m]`` of its scenario, otherwise
-    TimeExtensionOutOfRange is raised. Each lane's returned point is the best
-    of its final bracket's endpoints and midpoint, so it is never worse than
-    any alpha-grid sample at resolution ``tol``.
+    ``nats``, ``d_m`` and ``h_n_sq`` must be positive and finite
+    (NonPositiveParameter) and ``t_n`` must lie in ``(0, d_m]``
+    (TimeExtensionOutOfRange); the error names the first bad lane. ``tol``
+    is the final bracket width on alpha; ``max_iter`` caps each lane's
+    evaluations and exceeding it in any lane raises NonConvergence. Each
+    lane's returned point is the best of its final bracket's endpoints and
+    midpoint, never worse than any alpha-grid sample at resolution ``tol``.
     """
-    params = np.array([(s.nats, s.d_m, s.h_n_sq) for s in scenarios], dtype=float)
-    nats, d_m, h_n_sq, t_n = np.broadcast_arrays(
-        *params.reshape(-1, 3).T, np.asarray(t_n, dtype=float).ravel()
+    nats, d_m, h_n_sq, t_n = lanes = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float).ravel() for x in (nats, d_m, h_n_sq, t_n))
     )
+    fields = np.stack(lanes[:3])
+    bad = ~((0.0 < fields) & (fields < math.inf))
+    if bad.any():
+        i, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise NonPositiveParameter(f"{('nats', 'd_m', 'h_n_sq')[i]} must be a positive finite"
+                                   f" number, got {float(fields[i, k])!r} in lane {k}")
     bad = ~((0.0 < t_n) & (t_n <= d_m))
     if bad.any():
         k = int(np.argmax(bad))
         raise TimeExtensionOutOfRange(
-            f"t_n must lie in (0, d_m] = (0, {float(d_m[k])}], got {float(t_n[k])!r}"
+            f"t_n must lie in (0, d_m] = (0, {float(d_m[k])}], got {float(t_n[k])!r} in lane {k}"
         )
     if not (tol > 0.0):
         raise NonPositiveParameter(f"tol must be positive, got {tol!r}")
 
-    def objective(alpha, lanes=slice(None)):
-        """(energy, p_n1, p_n2) of the splits ``alpha`` in ``lanes``."""
+    def objective(alpha, nats, d_m, h_n_sq, t_n):
+        """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
         with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
-            p_n1, p_n2 = _split_powers(alpha, nats[lanes], d_m[lanes], h_n_sq[lanes], t_n[lanes])
-            energy = d_m[lanes] * p_n1 + t_n[lanes] * p_n2
+            p_n1, p_n2 = _split_powers(alpha, nats, d_m, h_n_sq, t_n)
+            energy = d_m * p_n1 + t_n * p_n2
         if not (np.minimum(p_n1, p_n2) >= 0.0).all():   # as PowerSchedule checks a schedule
             raise NonPositiveParameter("split powers must be nonnegative")
         return energy, p_n1, p_n2
 
-    lo, hi = np.zeros(t_n.shape), np.ones(t_n.shape)
-    inner_lo = hi - _INV_PHI * (hi - lo)
-    inner_hi = lo + _INV_PHI * (hi - lo)
-    f_lo, f_hi = objective(inner_lo)[0], objective(inner_hi)[0]
-    evals = np.full(t_n.shape, 2)
-    while True:
-        active = np.flatnonzero((hi - lo) > tol)
-        if active.size == 0:
-            break
-        if active.size == lo.size:
-            active = slice(None)   # every lane: gathers are views, scatters slice assignments
-        if (evals[active] >= max_iter).any():
-            raise NonConvergence(
-                f"golden-section spent {int(evals[active].max())} evaluations"
-                f" without reaching width {tol}"
-            )
-        a_lo, a_hi = lo[active], hi[active]
-        a_inner_lo, a_inner_hi = inner_lo[active], inner_hi[active]
-        a_f_lo, a_f_hi = f_lo[active], f_hi[active]
-        # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right
-        # part and probe a new inner_lo. Otherwise drop the left part and
-        # probe a new inner_hi.
-        left = a_f_lo < a_f_hi
-        a_hi = np.where(left, a_inner_hi, a_hi)
-        a_lo = np.where(left, a_lo, a_inner_lo)
-        kept = np.where(left, a_inner_lo, a_inner_hi)
-        f_kept = np.where(left, a_f_lo, a_f_hi)
-        probe = np.where(left, a_hi - _INV_PHI * (a_hi - a_lo), a_lo + _INV_PHI * (a_hi - a_lo))
-        f_probe = objective(probe, active)[0]
-        lo[active], hi[active] = a_lo, a_hi
-        inner_lo[active] = np.where(left, probe, kept)
-        inner_hi[active] = np.where(left, kept, probe)
-        f_lo[active] = np.where(left, f_probe, f_kept)
-        f_hi[active] = np.where(left, f_kept, f_probe)
-        evals[active] += 1
+    # Only open lanes are searched; ``index`` maps them to their output slots.
+    index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
+    final_lo, final_hi = np.empty((2, t_n.size))
+    lo, hi, width = np.zeros(t_n.size), np.ones(t_n.size), np.ones(t_n.size)
+    inner_lo, inner_hi = hi - _INV_PHI * width, lo + _INV_PHI * width
+    f_lo, f_hi = objective(inner_lo, *lanes)[0], objective(inner_hi, *lanes)[0]
+    evals = 2   # every open lane has taken every step
+    while index.size:
+        done = width <= tol
+        if done.any():
+            slots, keep = index[done], ~done
+            final_lo[slots], final_hi[slots], iterations[slots] = lo[done], hi[done], evals
+            index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params = (
+                a[keep] for a in (index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params))
+            continue
+        if evals >= max_iter:
+            raise NonConvergence(f"golden-section spent {evals} evaluations"
+                                 f" without reaching width {tol}")
+        # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right part,
+        # inner_lo becomes inner_hi and a new inner_lo is probed. Otherwise drop
+        # the left part, inner_hi becomes inner_lo and a new inner_hi is probed.
+        left = f_lo < f_hi
+        lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
+        width = hi - lo
+        probe = np.where(left, hi - _INV_PHI * width, lo + _INV_PHI * width)
+        f_probe = objective(probe, *params)[0]
+        inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
+        f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
+        evals += 1
 
-    candidates = np.stack((lo, 0.5 * (lo + hi), hi))
-    energies, p_n1, p_n2 = objective(candidates)
-    best = np.argmin(energies, axis=0)[None, :]
-    return (
-        np.take_along_axis(p_n1, best, axis=0)[0],
-        np.take_along_axis(p_n2, best, axis=0)[0],
-        np.take_along_axis(energies, best, axis=0)[0],
-        evals + 3,
-    )
+    candidates = np.stack((final_lo, 0.5 * (final_lo + final_hi), final_hi))
+    energies, p_n1, p_n2 = objective(candidates, *lanes)
+    best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
+    return p_n1[best, lane], p_n2[best, lane], energies[best, lane], iterations + 3
 
 
 def oracle_fixed_t(
@@ -202,7 +195,9 @@ def oracle_fixed_t(
     max_iter: int = 200,
 ) -> OracleResult:
     """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
-    p_n1, p_n2, energy, iterations = oracle_batch([scenario], t_n, tol=tol, max_iter=max_iter)
+    p_n1, p_n2, energy, iterations = oracle_batch(
+        scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, tol=tol, max_iter=max_iter
+    )
     return OracleResult(
         p_n1=float(p_n1[0]),
         p_n2=float(p_n2[0]),
@@ -239,7 +234,9 @@ def oracle_joint(
             iterations=0,
         )
     grid = t_max * np.arange(1, t_steps + 1) / t_steps
-    p_n1, p_n2, energy, iterations = oracle_batch([scenario], grid, tol=tol)
+    p_n1, p_n2, energy, iterations = oracle_batch(
+        scenario.nats, scenario.d_m, scenario.h_n_sq, grid, tol=tol
+    )
     best = int(np.argmin(energy))
     return OracleResult(
         p_n1=float(p_n1[best]),

@@ -197,6 +197,12 @@ class TestVerify:
         assert code == 1
         assert "count" in err
 
+    def test_negative_seed_is_invalid_input(self, capsys):
+        code, out, err = run_capture(capsys, ["verify", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
+
     def test_config_flag_rejected(self, capsys, tmp_path):
         # No config key feeds verify, so it takes no --config file.
         path = tmp_path / "campaign.json"

@@ -52,6 +52,7 @@ CASES = [
     (["sweep", "--n", "15", "--dm", "20", "--steps", "1"], None),
     (["surface", "--n", "15", "--dm", "20", "--resolution", "1"], None),
     (["verify", "--count", "0"], None),
+    (["verify", "--seed", "-1"], None),
 ]
 
 

@@ -124,6 +124,14 @@ def _random_lanes(count, seed):
     return scenarios, t_n
 
 
+def _lane_arrays(scenarios):
+    """The ``(nats, d_m, h_n_sq)`` lane arrays ``oracle_batch`` takes."""
+    return [np.array([getattr(s, name) for s in scenarios]) for name in ("nats", "d_m", "h_n_sq")]
+
+
+OTHER = validate_scenario(3.0, 10.0, 19.0, 1.0, 4.0)
+
+
 class TestOracleBatch:
     @pytest.mark.parametrize(
         "scenarios, t_n, tol, evals",
@@ -132,10 +140,16 @@ class TestOracleBatch:
             # Lanes whose brackets reach tol at different steps: the batch
             # keeps searching the unfinished lane alone.
             ([ANCHOR, ANCHOR], [20.0, 19.9], 1e-18, {91, 92}),
+            # Three finishing steps in scrambled order: each lane leaves the
+            # search at its own step, and its result lands in its own slot.
+            ([ANCHOR, OTHER, ANCHOR, ANCHOR, OTHER, ANCHOR, ANCHOR],
+             [12.0, 9.0, 0.25, 20.0, 10.0, 15.0, 19.9], 2e-16, {80, 81, 82}),
         ],
     )
     def test_each_lane_is_its_own_search(self, scenarios, t_n, tol, evals):
-        p_n1, p_n2, energy, iterations = oracle_batch(scenarios, np.array(t_n), tol=tol)
+        p_n1, p_n2, energy, iterations = oracle_batch(
+            *_lane_arrays(scenarios), np.array(t_n), tol=tol
+        )
         assert set(iterations.tolist()) == evals
         for k, (s, t) in enumerate(zip(scenarios, t_n)):
             alone = oracle_fixed_t(s, t, tol=tol)
@@ -146,16 +160,33 @@ class TestOracleBatch:
     def test_one_unconverged_lane_raises(self):
         # Near alpha = 0 floats are dense enough for a 1e-17 bracket; around
         # the interior optimum at t_n = 5 they are not.
-        oracle_batch([ANCHOR], [20.0], tol=1e-17)
+        oracle_batch(*_lane_arrays([ANCHOR]), [20.0], tol=1e-17)
         with pytest.raises(NonConvergence):
-            oracle_batch([ANCHOR, ANCHOR], [20.0, 5.0], tol=1e-17)
+            oracle_batch(*_lane_arrays([ANCHOR, ANCHOR]), [20.0, 5.0], tol=1e-17)
+
+    def test_open_lane_raises_after_others_retire(self):
+        # The t_n = 20 lanes finish within 92 evaluations and leave the
+        # search; the t_n = 5 lane is still open when the cap of 100 is hit.
+        assert oracle_fixed_t(ANCHOR, 20.0, tol=1e-18, max_iter=92).iterations == 92
+        with pytest.raises(NonConvergence, match="spent 100 evaluations"):
+            oracle_batch(15.0, 20.0, 1.0, [20.0, 5.0, 20.0], tol=1e-18, max_iter=100)
 
     @pytest.mark.parametrize("bad_t_n", [0.0, 20.5, math.nan])
     def test_one_out_of_range_lane_raises(self, bad_t_n):
         scenarios, t_n = _random_lanes(5, seed=4)
         scenarios.append(ANCHOR)
         with pytest.raises(TimeExtensionOutOfRange):
-            oracle_batch(scenarios, np.array([*t_n, bad_t_n]))
+            oracle_batch(*_lane_arrays(scenarios), np.array([*t_n, bad_t_n]))
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_lane_field_fails_closed(self, field, bad):
+        scenarios, t_n = _random_lanes(5, seed=5)
+        lanes = _lane_arrays(scenarios)
+        lanes[field][2] = bad
+        name = ("nats", "d_m", "h_n_sq")[field]
+        with pytest.raises(NonPositiveParameter, match=f"^{name} must .* in lane 2$"):
+            oracle_batch(*lanes, np.array(t_n))
 
     @given(s=hybrid_scenarios(), alpha=st.floats(0.0, 1.0), frac=st.floats(1e-3, 1.0))
     def test_array_objective_matches_scalar(self, s, alpha, frac):
