@@ -2,9 +2,13 @@
 
 Subcommands: ``solve`` (one scenario, three-way comparison), ``sweep``
 (deadline sweep to CSV), ``surface`` (power-plane sampling to CSV) and
-``verify`` (randomized certification campaign). Scenario parameters may come
-from flags or from a JSON config file (flags win). Exit codes: 0 success,
-1 invalid input, 2 verification failure.
+``verify`` (randomized certification campaign). Each option is described
+once, in ``_OPTIONS``; ``_COMMANDS`` says which options each subcommand
+takes. Scenario options may also come from a JSON config file, whose keys are
+the flag names: ``n, dm, dn, hm2, hn2`` at the top level, the ``sweep`` and
+``surface`` options in a block of that name. A command's options are its
+fixed defaults, overlaid by the file's values, overlaid by the flags given
+(flags win). Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 
 from ._version import __version__
 from .closed_form import oma_power_m
@@ -29,46 +32,33 @@ from .model import validate_scenario
 from .oracle import energy_surface
 from .strategy import select_strategy
 
-
-@dataclass
-class CliConfig:
-    """Merged scenario and subcommand options, named as the flags' dests.
-
-    None means 'not provided' for the options without a fixed default.
-    """
-
-    n: float | None = None
-    dm: float | None = None
-    dn: float | None = None
-    hm2: float = 1.0
-    hn2: float = 1.0
-    sweep_from: float | None = None
-    sweep_to: float | None = None
-    steps: int = 81
-    tn: float | None = None
-    p1max: float | None = None
-    p2max: float | None = None
-    resolution: int = 200
-    tol: float = 1e-10
-    seed: int = 42
-    count: int = 200
-
-
-# Config-file keys: (block, JSON key, CliConfig field, type); block None is the top level.
-_CONFIG_KEYS = (
-    (None, "n", "n", float),
-    (None, "dm", "dm", float),
-    (None, "dn", "dn", float),
-    (None, "hm2", "hm2", float),
-    (None, "hn2", "hn2", float),
-    ("sweep", "from", "sweep_from", float),
-    ("sweep", "to", "sweep_to", float),
-    ("sweep", "steps", "steps", int),
-    ("surface", "tn", "tn", float),
-    ("surface", "p1max", "p1max", float),
-    ("surface", "p2max", "p2max", float),
-    ("surface", "resolution", "resolution", int),
+# One row per option: (flag, block, type, fixed default, help). The flag is also the
+# config-file key. Block "scenario" keys sit at the file's top level, "sweep" and
+# "surface" keys in a block of that name; block None options are never read from a
+# file. A default of None leaves the option out unless given: it is required, or its
+# handler derives it from other options.
+_OPTIONS = (
+    ("n", "scenario", float, None, "task size in nats"),
+    ("dm", "scenario", float, None, "user m's deadline (normalized time units)"),
+    ("dn", "scenario", float, None, "user n's deadline (normalized time units)"),
+    ("hm2", "scenario", float, 1.0, "user m's squared channel gain over noise"),
+    ("hn2", "scenario", float, 1.0, "user n's squared channel gain over noise"),
+    ("from", "sweep", float, None,
+     "first deadline d_n of the sweep (normalized time units, default: dm)"),
+    ("to", "sweep", float, None,
+     "last deadline d_n of the sweep (normalized time units, default: 2*dm)"),
+    ("steps", "sweep", int, 81, "number of sweep samples"),
+    ("tn", "surface", float, None, "solo-extension length (normalized time units, default: dm/4)"),
+    ("p1max", "surface", float, None,
+     "upper edge of the shared-slot power axis (normalized power, default: twice the optimum)"),
+    ("p2max", "surface", float, None,
+     "upper edge of the solo-phase power axis (normalized power, default: twice the optimum)"),
+    ("resolution", "surface", int, 200, "samples per axis"),
+    ("seed", None, int, 42, "campaign seed"),
+    ("count", None, int, 200, "number of random scenarios"),
+    ("tol", None, float, 1e-10, "oracle bracket tolerance, in (0, 1)"),
 )
+_DEFAULTS = {flag: default for flag, _, _, default, _ in _OPTIONS if default is not None}
 
 
 def _typed(key: str, value, kind: type):
@@ -79,12 +69,12 @@ def _typed(key: str, value, kind: type):
     return kind(value)
 
 
-def load_scenario_file(path: str) -> CliConfig:
-    """Read a JSON scenario document.
+def load_scenario_file(path: str) -> dict:
+    """The options a JSON scenario document sets, keyed by flag name.
 
     Flat keys ``n, dm, dn, hm2, hn2`` describe the scenario; optional
     ``sweep`` (``from, to, steps``) and ``surface`` (``tn, p1max, p2max,
-    resolution``) objects carry subcommand options.
+    resolution``) objects carry subcommand options. Other keys are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -96,43 +86,30 @@ def load_scenario_file(path: str) -> CliConfig:
     if not isinstance(raw, dict):
         raise FileUnreadable(path, f"config file {path!r} must hold a JSON object")
 
-    config = CliConfig()
-    for block, key, field, kind in _CONFIG_KEYS:
-        section = raw if block is None else raw.get(block, {})
+    values = {}
+    for flag, block, kind, _, _ in _OPTIONS:
+        if block is None:
+            continue
+        section = raw if block == "scenario" else raw.get(block, {})
         if not isinstance(section, dict):
             raise TypeMismatch(block, f'"{block}" must be an object')
-        if key in section:
-            setattr(config, field, _typed(key, section[key], kind))
-    return config
-
-
-def _merge(args: argparse.Namespace) -> CliConfig:
-    """Overlay command-line flags on the config file; flags win."""
-    config = load_scenario_file(args.config) if getattr(args, "config", None) else CliConfig()
-    for field in fields(CliConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(config, field.name, value)
-    return config
-
-
-def _required(config: CliConfig, *keys: str) -> list[float]:
-    values = []
-    for key in keys:
-        value = getattr(config, key)
-        if value is None:
-            raise MissingKey(
-                key, f'missing required parameter "{key}" (pass --{key} or put it in --config)'
-            )
-        values.append(value)
+        if flag in section:
+            values[flag] = _typed(flag, section[flag], kind)
     return values
 
 
-def _scenario(config: CliConfig, dn_default: float | None = None):
-    if config.dn is None:
-        config.dn = dn_default
-    n, dm, dn = _required(config, "n", "dm", "dn")
-    return validate_scenario(n, dm, dn, config.hm2, config.hn2)
+def _required(options: dict, *keys: str) -> list[float]:
+    for key in keys:
+        if key not in options:
+            raise MissingKey(
+                key, f'missing required parameter "{key}" (pass --{key} or put it in --config)'
+            )
+    return [options[key] for key in keys]
+
+
+def _scenario(options: dict):
+    n, dm, dn = _required(options, "n", "dm", "dn")
+    return validate_scenario(n, dm, dn, options["hm2"], options["hn2"])
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -143,9 +120,8 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _merge(args)
-    scenario = _scenario(config)
+def _cmd_solve(options: dict) -> int:
+    scenario = _scenario(options)
     table = select_strategy(scenario)
     chosen = {
         table.hybrid.strategy: table.hybrid,
@@ -177,51 +153,49 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                           report.phase1_energy, report.phase2_energy, report.feasible)
             )
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", options.get("out"))
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _merge(args)
-    n, dm = _required(config, "n", "dm")
-    d_n_from = config.sweep_from if config.sweep_from is not None else dm
-    d_n_to = config.sweep_to if config.sweep_to is not None else 2.0 * dm
-    rows = deadline_sweep(n, dm, d_n_from, d_n_to, config.steps, config.hm2, config.hn2)
-    _emit(render_sweep_csv(rows, n, dm, config.hm2, config.hn2), args.out)
+def _cmd_sweep(options: dict) -> int:
+    n, dm = _required(options, "n", "dm")
+    d_n_from, d_n_to = options.get("from", dm), options.get("to", 2.0 * dm)
+    hm2, hn2 = options["hm2"], options["hn2"]
+    rows = deadline_sweep(n, dm, d_n_from, d_n_to, options["steps"], hm2, hn2)
+    _emit(render_sweep_csv(rows, n, dm, hm2, hn2), options.get("out"))
     return 0
 
 
-def _cmd_surface(args: argparse.Namespace) -> int:
-    config = _merge(args)
-    n, dm = _required(config, "n", "dm")
-    tn = config.tn if config.tn is not None else dm / 4.0
-    scenario = _scenario(config, dn_default=dm + tn)
+def _cmd_surface(options: dict) -> int:
+    _, dm = _required(options, "n", "dm")
+    tn = options.get("tn", dm / 4.0)
+    scenario = _scenario({"dn": dm + tn, **options})
     grid = energy_surface(
         scenario,
         tn,
-        p1_max=config.p1max,
-        p2_max=config.p2max,
-        resolution=config.resolution,
+        p1_max=options.get("p1max"),
+        p2_max=options.get("p2max"),
+        resolution=options["resolution"],
     )
-    _emit(render_surface_csv(grid, scenario, tn), args.out)
+    _emit(render_surface_csv(grid, scenario, tn), options.get("out"))
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _merge(args)
-    summary = verification_campaign(config.seed, config.count, tol=config.tol)
-    _emit(render_campaign_summary(summary), args.out)
+def _cmd_verify(options: dict) -> int:
+    summary = verification_campaign(options["seed"], options["count"], tol=options["tol"])
+    _emit(render_campaign_summary(summary), options.get("out"))
     return 0 if summary.passed else 2
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=float, help="task size in nats")
-    parser.add_argument("--dm", type=float, help="user m's deadline (normalized time units)")
-    parser.add_argument("--dn", type=float, help="user n's deadline (normalized time units)")
-    parser.add_argument("--hm2", type=float, help="user m's squared channel gain over noise (default 1)")
-    parser.add_argument("--hn2", type=float, help="user n's squared channel gain over noise (default 1)")
-    parser.add_argument("--config", help="JSON scenario file; flags override its values")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
+# One row per subcommand: (name, help, option blocks it takes, handler). A command
+# that takes the scenario options also takes --config; every command takes --out.
+_COMMANDS = (
+    ("solve", "solve one scenario and print the strategy comparison", ("scenario",), _cmd_solve),
+    ("sweep", "sweep user n's deadline and emit CSV", ("scenario", "sweep"), _cmd_sweep),
+    ("surface", "sample the power-plane energy surface and emit CSV",
+     ("scenario", "surface"), _cmd_surface),
+    ("verify", "run the randomized certification campaign", (None,), _cmd_verify),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,37 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"noma-mec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve one scenario and print the strategy comparison")
-    _add_scenario_flags(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_sweep = sub.add_parser("sweep", help="sweep user n's deadline and emit CSV")
-    _add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--from", dest="sweep_from", type=float,
-                         help="first deadline d_n of the sweep (normalized time units, default: dm)")
-    p_sweep.add_argument("--to", dest="sweep_to", type=float,
-                         help="last deadline d_n of the sweep (normalized time units, default: 2*dm)")
-    p_sweep.add_argument("--steps", type=int, help="number of sweep samples (default: 81)")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_surface = sub.add_parser("surface", help="sample the power-plane energy surface and emit CSV")
-    _add_scenario_flags(p_surface)
-    p_surface.add_argument("--tn", type=float,
-                           help="solo-extension length (normalized time units, default: dm/4)")
-    p_surface.add_argument("--p1max", type=float,
-                           help="upper edge of the shared-slot power axis (normalized power, default: twice the optimum)")
-    p_surface.add_argument("--p2max", type=float,
-                           help="upper edge of the solo-phase power axis (normalized power, default: twice the optimum)")
-    p_surface.add_argument("--resolution", type=int, help="samples per axis (default: 200)")
-    p_surface.set_defaults(func=_cmd_surface)
-
-    p_verify = sub.add_parser("verify", help="run the randomized certification campaign")
-    p_verify.add_argument("--seed", type=int, help="campaign seed (default: 42)")
-    p_verify.add_argument("--count", type=int, help="number of random scenarios (default: 200)")
-    p_verify.add_argument("--tol", type=float, help="oracle bracket tolerance (default: 1e-10)")
-    p_verify.add_argument("--out", help="write the summary to this path instead of stdout")
-    p_verify.set_defaults(func=_cmd_verify)
+    for name, help_text, blocks, handler in _COMMANDS:
+        # An option that is not given stays out of the namespace.
+        command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag, block, kind, default, text in _OPTIONS:
+            if block in blocks:
+                if default is not None:
+                    text = f"{text} (default: {default})"
+                command.add_argument(f"--{flag}", type=kind, help=text)
+        if "scenario" in blocks:
+            command.add_argument("--config", help="JSON scenario file; flags override its values")
+        command.add_argument("--out", help="write output to this path instead of stdout")
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -269,12 +224,14 @@ def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code instead of exiting."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        given = vars(parser.parse_args(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for bad flags; bad input is 1 here.
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        config = given.pop("config", None)
+        file_values = load_scenario_file(config) if config else {}
+        return given.pop("handler")({**_DEFAULTS, **file_values, **given})
     except NomaMecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

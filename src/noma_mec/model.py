@@ -50,6 +50,15 @@ def _capped_extension(d_m, d_n):
     return _where(d_m < slot, d_m, slot)
 
 
+def _offloaded(nats, d_m, h_n_sq, t_n, p_n1, p_n2):
+    """``offloaded_nats`` elementwise over floats or broadcastable power arrays: ``math.log1p``
+    on floats, numpy's on arrays; a zero-length phase carries 0 nats."""
+    log1p = np.log1p if isinstance(p_n1, np.ndarray) or isinstance(p_n2, np.ndarray) else math.log1p
+    discount = math.exp(-nats / d_m)
+    phase1 = d_m * log1p(discount * h_n_sq * p_n1)
+    return phase1 + _where(t_n > 0.0, t_n * log1p(h_n_sq * p_n2), 0.0)
+
+
 def _phase_energies(d_m, t_n, p_n1, p_n2):
     """``(d_m * p_n1, t_n * p_n2)`` elementwise; a zero-length phase costs 0, not 0 * inf = NaN."""
     return d_m * p_n1, _where(t_n > 0.0, t_n * p_n2, 0.0)
@@ -177,11 +186,5 @@ def offloaded_nats(scenario: OffloadScenario, schedule: PowerSchedule) -> float:
     ``exp(-nats / d_m)``. The schedule is rate-feasible for the scenario iff
     the result is at least ``scenario.nats``.
     """
-    discount = math.exp(-scenario.nats / scenario.d_m)
-    phase1 = scenario.d_m * math.log1p(discount * scenario.h_n_sq * schedule.p_n1)
-    phase2 = (
-        schedule.t_n * math.log1p(scenario.h_n_sq * schedule.p_n2)
-        if schedule.t_n > 0.0
-        else 0.0
-    )
-    return phase1 + phase2
+    return _offloaded(scenario.nats, scenario.d_m, scenario.h_n_sq,
+                      schedule.t_n, schedule.p_n1, schedule.p_n2)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .closed_form import EXP_CUTOFF, hybrid_powers
 from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
-from .model import OffloadScenario, PowerSchedule, _where, schedule_energy
+from .model import OffloadScenario, PowerSchedule, _offloaded, _where, schedule_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -119,8 +119,9 @@ def oracle_batch(
 
     ``nats``, ``d_m`` and ``h_n_sq`` must be positive and finite
     (NonPositiveParameter) and ``t_n`` must lie in ``(0, d_m]``
-    (TimeExtensionOutOfRange); the error names the first bad lane. ``tol``
-    is the final bracket width on alpha; ``max_iter`` caps each lane's
+    (TimeExtensionOutOfRange); the error names the first bad lane. ``tol``,
+    the final bracket width on alpha, must lie in ``(0, 1)``
+    (NonPositiveParameter); ``max_iter`` caps each lane's
     evaluations and exceeding it in any lane raises NonConvergence. Each
     lane's returned point is the best of its final bracket's endpoints and
     midpoint, never worse than any alpha-grid sample at resolution ``tol``.
@@ -140,8 +141,9 @@ def oracle_batch(
         raise TimeExtensionOutOfRange(
             f"t_n must lie in (0, d_m] = (0, {float(d_m[k])}], got {float(t_n[k])!r} in lane {k}"
         )
-    if not (tol > 0.0):
-        raise NonPositiveParameter(f"tol must be positive, got {tol!r}")
+    # A bracket of width 1 or more is finished before the search starts.
+    if not (0.0 < tol < 1.0):
+        raise NonPositiveParameter(f"tol must lie in (0, 1), got {tol!r}")
 
     def objective(alpha, nats, d_m, h_n_sq, t_n):
         """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
@@ -284,10 +286,7 @@ def energy_surface(
     p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)
     p2_axis = np.linspace(0.0, p2_max, resolution, endpoint=False)
     energy = scenario.d_m * p1_axis[:, None] + t_n * p2_axis[None, :]
-    discount = math.exp(-scenario.nats / scenario.d_m)
-    offloaded = (
-        scenario.d_m * np.log1p(discount * scenario.h_n_sq * p1_axis)[:, None]
-        + t_n * np.log1p(scenario.h_n_sq * p2_axis)[None, :]
-    )
+    offloaded = _offloaded(scenario.nats, scenario.d_m, scenario.h_n_sq,
+                           t_n, p1_axis[:, None], p2_axis[None, :])
     feasible = offloaded >= scenario.nats * (1.0 - FEASIBILITY_SLACK)
     return SurfaceGrid(p1_axis=p1_axis, p2_axis=p2_axis, energy=energy, feasible=feasible)

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from noma_mec import FileUnreadable, TypeMismatch
-from noma_mec.cli import CliConfig, load_scenario_file, run
+from noma_mec.cli import load_scenario_file, run
 from noma_mec.experiments import CampaignSummary
 
 
@@ -65,6 +65,39 @@ class TestConfigFile:
         assert code_flags == code_file == 0
         assert out_flags == out_file
 
+    @pytest.mark.parametrize(
+        "flags,document",
+        [
+            (["solve", "--n", "15", "--dm", "20", "--dn", "30", "--hm2", "0.5", "--hn2", "2"],
+             {"n": 15, "dm": 20, "dn": 30, "hm2": 0.5, "hn2": 2}),
+            (["sweep", "--n", "15", "--dm", "20", "--hm2", "0.5", "--hn2", "2",
+              "--from", "22", "--to", "50", "--steps", "6"],
+             {"n": 15, "dm": 20, "hm2": 0.5, "hn2": 2,
+              "sweep": {"from": 22, "to": 50, "steps": 6}}),
+            (["surface", "--n", "15", "--dm", "20", "--dn", "30", "--hm2", "0.5", "--hn2", "2",
+              "--tn", "4", "--p1max", "3", "--p2max", "5", "--resolution", "4"],
+             {"n": 15, "dm": 20, "dn": 30, "hm2": 0.5, "hn2": 2,
+              "surface": {"tn": 4, "p1max": 3, "p2max": 5, "resolution": 4}}),
+        ],
+        ids=["solve", "sweep", "surface"],
+    )
+    def test_every_file_key_matches_its_flag(self, capsys, tmp_path, flags, document):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(document))
+        code_flags, out_flags, _ = run_capture(capsys, flags)
+        code_file, out_file, _ = run_capture(capsys, [flags[0], "--config", str(config)])
+        assert code_flags == code_file == 0
+        assert out_flags == out_file
+
+    def test_flag_equal_to_default_overrides_file(self, capsys, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"hn2": 2}))
+        code_flags, out_flags, _ = run_capture(capsys, SOLVE_ARGS)
+        code_both, out_both, _ = run_capture(capsys, SOLVE_ARGS + ["--config", str(config)])
+        assert code_flags == code_both == 0
+        assert out_flags == out_both
+        assert "h_n_sq=1.0" in out_both
+
     def test_flag_overrides_file(self, capsys, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"n": 15, "dm": 20, "dn": 25}))
@@ -106,9 +139,10 @@ class TestConfigFile:
         config = tmp_path / "scenario.json"
         for document, expected in [
             ({"n": 15, "dm": 20, "sweep": {"from": 20, "to": 40, "steps": 5}},
-             CliConfig(n=15.0, dm=20.0, sweep_from=20.0, sweep_to=40.0, steps=5)),
+             {"n": 15.0, "dm": 20.0, "from": 20.0, "to": 40.0, "steps": 5}),
             ({"n": 15, "dm": 20, "hn2": 2, "surface": {"tn": 5, "p1max": 3, "p2max": 4.5, "resolution": 7}},
-             CliConfig(n=15.0, dm=20.0, hn2=2.0, tn=5.0, p1max=3.0, p2max=4.5, resolution=7)),
+             {"n": 15.0, "dm": 20.0, "hn2": 2.0, "tn": 5.0, "p1max": 3.0, "p2max": 4.5,
+              "resolution": 7}),
         ]:
             config.write_text(json.dumps(document))
             assert load_scenario_file(str(config)) == expected
@@ -123,7 +157,7 @@ class TestConfigFile:
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"n": 15, "dm": 20, "dn": 25, "comment": "hi"}))
         loaded = load_scenario_file(str(config))
-        assert loaded.n == 15.0 and loaded.dn == 25.0
+        assert loaded == {"n": 15.0, "dm": 20.0, "dn": 25.0}
 
 
 class TestSweepAndSurface:
@@ -202,6 +236,12 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+    def test_tol_outside_unit_interval_is_invalid_input(self, capsys):
+        code, out, err = run_capture(capsys, ["verify", "--count", "5", "--tol", "inf"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: tol must lie in (0, 1), got inf\n"
 
     def test_config_flag_rejected(self, capsys, tmp_path):
         # No config key feeds verify, so it takes no --config file.

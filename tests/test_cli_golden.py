@@ -53,6 +53,7 @@ CASES = [
     (["surface", "--n", "15", "--dm", "20", "--resolution", "1"], None),
     (["verify", "--count", "0"], None),
     (["verify", "--seed", "-1"], None),
+    (["verify", "--tol", "inf"], None),
 ]
 
 

@@ -188,6 +188,12 @@ class TestOracleBatch:
         with pytest.raises(NonPositiveParameter, match=f"^{name} must .* in lane 2$"):
             oracle_batch(*lanes, np.array(t_n))
 
+    @pytest.mark.parametrize("tol", [math.inf, 1.0, 2.0, math.nan, 0.0, -1.0])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # A bracket of width 1 or more would end the search before its first step.
+        with pytest.raises(NonPositiveParameter, match=r"^tol must lie in \(0, 1\), got "):
+            oracle_batch(15.0, 20.0, 1.0, 5.0, tol=tol)
+
     @given(s=hybrid_scenarios(), alpha=st.floats(0.0, 1.0), frac=st.floats(1e-3, 1.0))
     def test_array_objective_matches_scalar(self, s, alpha, frac):
         t_n = (s.d_n - s.d_m) * frac
