@@ -76,9 +76,15 @@ def _math_map(fn, x):
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _solo_power(y, h_sq):
+    """Power that carries log-rate ``y`` alone, ``expm1(y) / h_sq``, elementwise; inf past the
+    cutoff. The solo phase of the hybrid schedule and both OMA users run on it."""
+    return _where(y > EXP_CUTOFF, math.inf, _math_map(math.expm1, y) / h_sq)
+
+
 def _hybrid_powers(nats, d_m, h_n_sq, t_n):
     """``hybrid_powers`` elementwise over scalars or broadcastable arrays of valid fields;
-    raises as ``_log_rates`` does."""
+    raises as ``_log_rates`` does. Pure NOMA is the case ``t_n == 0``."""
     y1, y2 = _log_rates(nats, d_m, t_n)
     rate_dm = nats / d_m
     p_n1 = _where(
@@ -87,31 +93,19 @@ def _hybrid_powers(nats, d_m, h_n_sq, t_n):
         _where(rate_dm + y1 > EXP_CUTOFF, math.inf,
                _math_map(math.exp, rate_dm) * _math_map(math.expm1, y1) / h_n_sq),
     )
-    p_n2 = _where(y2 > EXP_CUTOFF, math.inf, _math_map(math.expm1, y2) / h_n_sq)
-    return p_n1, p_n2
-
-
-def _pure_noma_power(nats, d_m, h_n_sq):
-    """``pure_noma_power`` elementwise."""
-    rate_dm = nats / d_m
-    return _where(2.0 * rate_dm > EXP_CUTOFF, math.inf,
-                  _math_map(math.exp, rate_dm) * _math_map(math.expm1, rate_dm) / h_n_sq)
+    return p_n1, _solo_power(y2, h_n_sq)
 
 
 def _oma_energy(nats, h_n_sq, slot):
-    """``oma_energy_n`` elementwise; an empty slot gets the rate inf, over arrays from numpy's
-    division (callers hold ``np.errstate``), over floats from a branch."""
+    """``oma_energy_n`` elementwise: the slot times its solo power, multiplied as
+    ``_phase_energies`` multiplies; an empty slot costs inf. Array callers hold ``np.errstate``."""
     rate = nats / slot if isinstance(slot, np.ndarray) or slot > 0.0 else math.inf
-    return _where(rate > EXP_CUTOFF, math.inf, slot * _math_map(math.expm1, rate) / h_n_sq)
+    return _where(slot > 0.0, slot * _solo_power(rate, h_n_sq), math.inf)
 
 
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
-    """Optimal powers (p_n1, p_n2) for a fixed extension ``t_n`` in [0, d_m].
-
-    The resulting schedule meets the rate constraint with equality. At
-    ``t_n == 0`` the first power coincides bit-for-bit with
-    ``pure_noma_power``; at ``t_n == d_m`` it is exactly 0.
-    """
+    """Optimal powers (p_n1, p_n2) for a fixed extension ``t_n`` in [0, d_m], meeting the rate
+    constraint with equality; ``p_n1`` is the pure-NOMA power at 0 and exactly 0 at ``d_m``."""
     _check_extension(scenario, t_n)
     p_n1, p_n2 = _hybrid_powers(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return float(p_n1), float(p_n2)
@@ -124,8 +118,9 @@ def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
 
 
 def pure_noma_power(scenario: OffloadScenario) -> float:
-    """Shared-slot power when the whole task is offloaded during ``d_m``."""
-    return float(_pure_noma_power(scenario.nats, scenario.d_m, scenario.h_n_sq))
+    """Shared-slot power when the whole task is offloaded during ``d_m``: the hybrid
+    ``p_n1`` at ``t_n == 0``."""
+    return hybrid_powers(scenario, 0.0)[0]
 
 
 def pure_noma_energy(scenario: OffloadScenario) -> float:
@@ -135,10 +130,7 @@ def pure_noma_energy(scenario: OffloadScenario) -> float:
 
 def oma_power_m(scenario: OffloadScenario) -> float:
     """User m's power in plain OMA, solving ``d_m * ln(1 + p * h_m_sq) == nats``."""
-    rate_dm = scenario.nats / scenario.d_m
-    if rate_dm > EXP_CUTOFF:
-        return math.inf
-    return math.expm1(rate_dm) / scenario.h_m_sq
+    return _solo_power(scenario.nats / scenario.d_m, scenario.h_m_sq)
 
 
 def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
@@ -205,9 +197,8 @@ def log_hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
 
 
 def log_pure_noma_energy(scenario: OffloadScenario) -> float:
-    """ln of ``pure_noma_energy``."""
-    rate_dm = scenario.nats / scenario.d_m
-    return math.log(scenario.d_m) + rate_dm + _log_expm1(rate_dm) - math.log(scenario.h_n_sq)
+    """ln of ``pure_noma_energy``: ``log_hybrid_energy`` at ``t_n == 0``."""
+    return log_hybrid_energy(scenario, 0.0)
 
 
 def log_oma_energy_n(scenario: OffloadScenario, slot: float) -> float:

@@ -29,6 +29,8 @@ SURFACE_COLUMNS = "p1,p2,energy,feasible,kind"
 # Campaign draw ranges: task size, shared slot, d_n / d_m - 1, both gains.
 _CAMPAIGN_LOWS = (1.0, 1.0, 1e-3, 0.1, 0.1)
 _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
+# The largest campaign; one of 400k scenarios peaks at about 190 MB of resident memory.
+_CAMPAIGN_MAX_COUNT = 1_000_000
 
 
 # One deadline sample: the three strategy energies and the hybrid optimum behind them.
@@ -117,11 +119,11 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     (identical seed, identical summary): task size in [1, 40], shared slot in
     [1, 50], user n's deadline strictly inside (d_m, 2 d_m), gains in
     [0.1, 10]. ``tol`` is forwarded to the oracle, which searches all
-    scenarios in one batch. Failures, including a non-finite error or
-    excess, are reported in the summary, never raised.
+    scenarios in one batch. ``count`` must lie in [1, 1,000,000]. Failures,
+    including a non-finite error or excess, are reported in the summary, never raised.
     """
-    if count < 1:
-        raise NonPositiveParameter(f"count must be at least 1, got {count!r}")
+    if not (1 <= count <= _CAMPAIGN_MAX_COUNT):
+        raise NonPositiveParameter(f"count must lie in [1, {_CAMPAIGN_MAX_COUNT}], got {count!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise NonPositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))

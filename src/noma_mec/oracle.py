@@ -103,6 +103,13 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
     return PowerSchedule(p_n1=p_n1, p_n2=p_n2, t_n=t_n)
 
 
+def _check_tol(tol: float) -> None:
+    """The final bracket width must lie in (0, 1): a bracket of width 1 or more is finished
+    before the search starts."""
+    if not (0.0 < tol < 1.0):
+        raise NonPositiveParameter(f"tol must lie in (0, 1), got {tol!r}")
+
+
 def oracle_batch(
     nats, d_m, h_n_sq, t_n, tol: float = 1e-10, max_iter: int = 200
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -141,9 +148,7 @@ def oracle_batch(
         raise TimeExtensionOutOfRange(
             f"t_n must lie in (0, d_m] = (0, {float(d_m[k])}], got {float(t_n[k])!r} in lane {k}"
         )
-    # A bracket of width 1 or more is finished before the search starts.
-    if not (0.0 < tol < 1.0):
-        raise NonPositiveParameter(f"tol must lie in (0, 1), got {tol!r}")
+    _check_tol(tol)
 
     def objective(alpha, nats, d_m, h_n_sq, t_n):
         """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
@@ -224,6 +229,7 @@ def oracle_joint(
     """
     if t_steps < 2:
         raise NonPositiveParameter(f"t_steps must be at least 2, got {t_steps!r}")
+    _check_tol(tol)   # also where the degenerate case below runs no search
     t_max = scenario.capped_extension
     if t_max == 0.0:
         # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.

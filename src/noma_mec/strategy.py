@@ -17,7 +17,6 @@ from enum import Enum
 from .closed_form import (
     _hybrid_powers,
     _oma_energy,
-    _pure_noma_power,
     hybrid_energy,
     log_hybrid_energy,
     log_oma_energy_n,
@@ -93,7 +92,7 @@ def _strategy_columns(nats, d_m, d_n, h_n_sq) -> _Columns:
     regime = _regimes(d_m, d_n)
     return _Columns(
         t_star, p_n1, p_n2, phase1, phase2, phase1 + phase2,
-        d_m * _pure_noma_power(nats, d_m, h_n_sq),
+        d_m * _hybrid_powers(nats, d_m, h_n_sq, 0.0)[0],   # pure NOMA: hybrid at t_n == 0
         _oma_energy(nats, h_n_sq, oma_slot),   # inf where the slot is empty
         oma_feasible, regime,
         # Hybrid up to the hybrid regime; from the boundary tie on, OMA.

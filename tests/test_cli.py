@@ -231,6 +231,13 @@ class TestVerify:
         assert code == 1
         assert "count" in err
 
+    def test_oversized_count_is_invalid_input(self, capsys):
+        # Rejected before the campaign allocates its draws.
+        code, out, err = run_capture(capsys, ["verify", "--count", "100000000000"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: count must lie in [1, 1000000], got 100000000000\n"
+
     def test_negative_seed_is_invalid_input(self, capsys):
         code, out, err = run_capture(capsys, ["verify", "--seed", "-1"])
         assert code == 1

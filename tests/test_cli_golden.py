@@ -54,6 +54,7 @@ CASES = [
     (["verify", "--count", "0"], None),
     (["verify", "--seed", "-1"], None),
     (["verify", "--tol", "inf"], None),
+    (["verify", "--count", "1000001"], None),
 ]
 
 

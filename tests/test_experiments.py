@@ -30,7 +30,8 @@ from noma_mec import (
     __version__,
 )
 from noma_mec.cli import run
-from noma_mec.experiments import _CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, SWEEP_COLUMNS, SURFACE_COLUMNS
+from noma_mec.experiments import (_CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, _CAMPAIGN_MAX_COUNT,
+                                  SWEEP_COLUMNS, SURFACE_COLUMNS)
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 NUMPY_EXP_FINGERPRINT = "c65323f58be31cb3"
@@ -137,7 +138,7 @@ def reference_powers(s, t_n):
 
 def reference_oma_energy(s, slot):
     rate = s.nats / slot
-    return math.inf if rate > 700.0 else slot * math.expm1(rate) / s.h_n_sq
+    return math.inf if rate > 700.0 else slot * (math.expm1(rate) / s.h_n_sq)
 
 
 # Rates nats / d_m both moderate and in (350, 700], where the pure-NOMA
@@ -343,6 +344,14 @@ class TestVerificationCampaign:
     def test_zero_count_rejected(self):
         with pytest.raises(NonPositiveParameter):
             verification_campaign(seed=42, count=0)
+
+    def test_count_above_limit_rejected_before_drawing(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew scenarios for an oversized campaign")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(NonPositiveParameter, match=r"^count must lie in \[1, 1000000\]"):
+            verification_campaign(seed=42, count=_CAMPAIGN_MAX_COUNT + 1)
 
     def test_coarser_oracle_tolerance_still_passes(self):
         # GSS excess over the true minimum is quadratic in the bracket width,

@@ -242,6 +242,12 @@ class TestOracleJoint:
         with pytest.raises(NonPositiveParameter):
             oracle_joint(ANCHOR, t_steps=1)
 
+    @pytest.mark.parametrize("d_n", [20.0, 25.0])
+    def test_tol_checked_with_and_without_a_search(self, d_n):
+        # At d_n == d_m no search runs, and the same tol rule still applies.
+        with pytest.raises(NonPositiveParameter, match=r"^tol must lie in \(0, 1\), got inf$"):
+            oracle_joint(validate_scenario(15.0, 20.0, d_n), tol=math.inf)
+
     @settings(max_examples=25, deadline=None)
     @given(s=hybrid_scenarios())
     def test_boundary_optimum(self, s):

@@ -84,7 +84,7 @@ class TestSelectStrategy:
         table = select_strategy(s)
         assert table.regime == Regime.BOUNDARY
         assert table.selected == StrategyKind.OMA
-        assert table.oma.energy == pytest.approx(table.hybrid.energy, rel=1e-9)
+        assert table.oma.energy == table.hybrid.energy
 
     def test_normalized_energy_is_gain_free(self):
         lo = select_strategy(validate_scenario(15.0, 20.0, 25.0, h_n_sq=0.5))
@@ -200,6 +200,28 @@ class TestHybridLowerBound:
     @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
     def test_bounds_hybrid_energy(self, s, frac):
         assert hybrid_energy(s, frac * s.d_m) >= hybrid_lower_bound(s) - 1e-12
+
+
+class TestExactTieAtSharedSlotLength:
+    """Hybrid at ``t_n == d_m`` is OMA over ``d_m``: both are ``d_m`` times the same solo
+    power, so the paper's switching point ``d_n == 2 d_m`` is a tie bit for bit."""
+
+    @settings(max_examples=200)
+    @given(s=any_scenarios())
+    def test_hybrid_oma_and_bound_coincide(self, s):
+        assert hybrid_energy(s, s.d_m) == oma_energy_n(s, s.d_m) == hybrid_lower_bound(s)
+
+    @settings(max_examples=200)
+    @given(s=any_scenarios())
+    def test_gap_is_zero(self, s):
+        assert noma_oma_gap(s, s.d_m) == 0.0
+
+    @settings(max_examples=200)
+    @given(s=any_scenarios())
+    def test_boundary_table_ties(self, s):
+        table = select_strategy(validate_scenario(s.nats, s.d_m, 2.0 * s.d_m, s.h_m_sq, s.h_n_sq))
+        assert table.selected == StrategyKind.OMA
+        assert table.oma.energy == table.hybrid.energy
 
 
 class TestSaturatedScenarios:
