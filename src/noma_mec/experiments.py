@@ -203,12 +203,14 @@ def render_surface_csv(
          ("t_n", float(t_n))]
     )
     lines.append(SURFACE_COLUMNS)
-    p2_cells = [_fmt(p2) for p2 in grid.p2_axis.tolist()]
+    # Cells are floats and bools from ``tolist``: ``repr`` and a flag table give ``_fmt``'s text.
+    p2_cells = [repr(p2) for p2 in grid.p2_axis.tolist()]
+    flags = (_fmt(False), _fmt(True))
     # Convert and join one p1 row at a time: no per-sample object outlives its row.
     for p1, energies, feasible in zip(grid.p1_axis.tolist(), grid.energy, grid.feasible):
-        p1_cell = _fmt(p1)
+        p1_cell = repr(p1)
         lines.append("\n".join([
-            f"{p1_cell},{p2_cell},{_fmt(energy)},{_fmt(ok)},grid"
+            f"{p1_cell},{p2_cell},{energy!r},{flags[ok]},grid"
             for p2_cell, energy, ok in zip(p2_cells, energies.tolist(), feasible.tolist())
         ]))
     star1, star2 = hybrid_powers(scenario, t_n)

@@ -11,10 +11,10 @@ module reads, ``hybrid_powers``, only sets the default ranges of
 
 The split rule is written once, elementwise: ``split_schedule`` evaluates it
 on floats with ``math``'s ``exp``/``expm1``, and the search on numpy arrays
-with numpy's, a few ulp apart. The search takes lane arrays, one lane per
-(scenario, extension) pair, so a campaign's draws or an extension grid is one
-``oracle_batch`` call and ``oracle_fixed_t`` is a batch of one; a finished
-lane leaves the search, so each step costs only the lanes still open.
+with numpy's, a few ulp apart. The search takes one lane per (scenario,
+extension) pair. A step pays only for the open lanes and what depends on
+alpha: a lane's ``nats/d_m`` and its ``exp`` are computed once, and
+saturation is patched only where it occurs.
 """
 
 from __future__ import annotations
@@ -76,19 +76,29 @@ def _numpy_or_math(name, x):
     return getattr(math, name)(min(x, EXP_CUTOFF))
 
 
-def _split_powers(alpha, nats, d_m, h_n_sq, t_n):
-    """``split_schedule``'s powers, elementwise over floats or broadcastable arrays: the same
-    operations in the same order on either, so the two differ only where numpy's
-    ``exp``/``expm1`` differ from ``math``'s. Array callers hold ``np.errstate``."""
+def _any(cond):
+    """Whether ``cond`` holds anywhere: ``cond.any()`` over arrays, ``cond`` over scalars."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _split_lanes(nats, d_m, h_n_sq, t_n):
+    """``_split_powers``'s arguments after alpha: the lane fields, ``nats/d_m`` and its ``exp``."""
     rate_dm = nats / d_m
+    return nats, d_m, h_n_sq, t_n, rate_dm, _numpy_or_math("exp", rate_dm)
+
+
+def _split_powers(alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm):
+    """``split_schedule``'s powers, elementwise over floats or broadcastable arrays: the same
+    operations in the same order on either, so the two differ only where numpy's ``exp``/``expm1``
+    differ from ``math``'s. Saturation is patched where it occurs; arrays need ``np.errstate``."""
     y1 = alpha * nats / d_m
     y2 = (1.0 - alpha) * nats / t_n
-    p_n1 = _where(
-        rate_dm + y1 > EXP_CUTOFF,
-        _where(y1 > 0.0, math.inf, 0.0),
-        _numpy_or_math("exp", rate_dm) * _numpy_or_math("expm1", y1) / h_n_sq,
-    )
-    p_n2 = _where(y2 > EXP_CUTOFF, math.inf, _numpy_or_math("expm1", y2) / h_n_sq)
+    p_n1 = exp_rate_dm * _numpy_or_math("expm1", y1) / h_n_sq
+    p_n2 = _numpy_or_math("expm1", y2) / h_n_sq
+    if _any(saturated := rate_dm + y1 > EXP_CUTOFF):
+        p_n1 = _where(saturated, _where(y1 > 0.0, math.inf, 0.0), p_n1)
+    if _any(saturated := y2 > EXP_CUTOFF):
+        p_n2 = _where(saturated, math.inf, p_n2)
     return p_n1, p_n2
 
 
@@ -99,8 +109,8 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
         raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
     if not (0.0 <= alpha <= 1.0):
         raise NonPositiveParameter(f"alpha must lie in [0, 1], got {alpha!r}")
-    p_n1, p_n2 = _split_powers(alpha, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
-    return PowerSchedule(p_n1=p_n1, p_n2=p_n2, t_n=t_n)
+    lane = _split_lanes(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
+    return PowerSchedule(*_split_powers(alpha, *lane), t_n=t_n)
 
 
 def _check_tol(tol: float) -> None:
@@ -150,49 +160,49 @@ def oracle_batch(
         )
     _check_tol(tol)
 
-    def objective(alpha, nats, d_m, h_n_sq, t_n):
+    def objective(alpha, nats, d_m, h_n_sq, t_n, *constants):
         """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
-        with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
-            p_n1, p_n2 = _split_powers(alpha, nats, d_m, h_n_sq, t_n)
-            energy = d_m * p_n1 + t_n * p_n2
+        p_n1, p_n2 = _split_powers(alpha, nats, d_m, h_n_sq, t_n, *constants)
         if not (np.minimum(p_n1, p_n2) >= 0.0).all():   # as PowerSchedule checks a schedule
             raise NonPositiveParameter("split powers must be nonnegative")
-        return energy, p_n1, p_n2
+        return d_m * p_n1 + t_n * p_n2, p_n1, p_n2
 
-    # Only open lanes are searched; ``index`` maps them to their output slots.
-    index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
-    final_lo, final_hi = np.empty((2, t_n.size))
-    lo, hi, width = np.zeros(t_n.size), np.ones(t_n.size), np.ones(t_n.size)
-    inner_lo, inner_hi = hi - _INV_PHI * width, lo + _INV_PHI * width
-    f_lo, f_hi = objective(inner_lo, *lanes)[0], objective(inner_hi, *lanes)[0]
-    evals = 2   # every open lane has taken every step
-    while index.size:
-        done = width <= tol
-        if done.any():
-            slots, keep = index[done], ~done
-            final_lo[slots], final_hi[slots], iterations[slots] = lo[done], hi[done], evals
-            index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params = (
-                a[keep] for a in (index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params))
-            continue
-        if evals >= max_iter:
-            raise NonConvergence(f"golden-section spent {evals} evaluations"
-                                 f" without reaching width {tol}")
-        # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right part,
-        # inner_lo becomes inner_hi and a new inner_lo is probed. Otherwise drop
-        # the left part, inner_hi becomes inner_lo and a new inner_hi is probed.
-        left = f_lo < f_hi
-        lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
-        width = hi - lo
-        probe = np.where(left, hi - _INV_PHI * width, lo + _INV_PHI * width)
-        f_probe = objective(probe, *params)[0]
-        inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
-        f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
-        evals += 1
+    with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
+        lanes = _split_lanes(*lanes)   # the constants ride in ``params``, retiring with their lane
+        # Only open lanes are searched; ``index`` maps them to their output slots.
+        index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
+        final_lo, final_hi = np.empty((2, t_n.size))
+        lo, hi, width = np.zeros(t_n.size), np.ones(t_n.size), np.ones(t_n.size)
+        inner_lo, inner_hi = hi - _INV_PHI * width, lo + _INV_PHI * width
+        f_lo, f_hi = objective(inner_lo, *lanes)[0], objective(inner_hi, *lanes)[0]
+        evals = 2   # every open lane has taken every step
+        while index.size:
+            done = width <= tol
+            if done.any():
+                slots, keep = index[done], ~done
+                final_lo[slots], final_hi[slots], iterations[slots] = lo[done], hi[done], evals
+                index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params = (
+                    a[keep] for a in (index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params))
+                continue
+            if evals >= max_iter:
+                raise NonConvergence(f"golden-section spent {evals} evaluations"
+                                     f" without reaching width {tol}")
+            # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right part,
+            # inner_lo becomes inner_hi and a new inner_lo is probed. Otherwise drop
+            # the left part, inner_hi becomes inner_lo and a new inner_hi is probed.
+            left = f_lo < f_hi
+            lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
+            width = hi - lo
+            probe = np.where(left, hi - _INV_PHI * width, lo + _INV_PHI * width)
+            f_probe = objective(probe, *params)[0]
+            inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
+            f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
+            evals += 1
 
-    candidates = np.stack((final_lo, 0.5 * (final_lo + final_hi), final_hi))
-    energies, p_n1, p_n2 = objective(candidates, *lanes)
-    best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
-    return p_n1[best, lane], p_n2[best, lane], energies[best, lane], iterations + 3
+        candidates = np.stack((final_lo, 0.5 * (final_lo + final_hi), final_hi))
+        energies, p_n1, p_n2 = objective(candidates, *lanes)
+        best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
+        return p_n1[best, lane], p_n2[best, lane], energies[best, lane], iterations + 3
 
 
 def oracle_fixed_t(

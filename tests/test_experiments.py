@@ -284,7 +284,42 @@ def surface_data_lines(resolution):
     return lines[lines.index(SURFACE_COLUMNS) + 1:]
 
 
+def reference_surface_csv(grid, s, t_n):
+    """The surface CSV written out sample by sample, each cell formatted on its own."""
+    def cell(value):
+        return ("true" if value else "false") if isinstance(value, bool) else repr(float(value))
+
+    lines = [f"# {key}={value!r}" for key, value in
+             (("nats", s.nats), ("d_m", s.d_m), ("h_m_sq", s.h_m_sq), ("h_n_sq", s.h_n_sq),
+              ("t_n", t_n))]
+    lines += [f"# tool=noma-mec {__version__}", SURFACE_COLUMNS]
+    for i, p1 in enumerate(grid.p1_axis):
+        for j, p2 in enumerate(grid.p2_axis):
+            lines.append(",".join([cell(p1), cell(p2), cell(grid.energy[i, j]),
+                                   cell(bool(grid.feasible[i, j])), "grid"]))
+    optimum = (*hybrid_powers(s, t_n), hybrid_energy(s, t_n), True)
+    lines.append(",".join(cell(v) for v in optimum) + ",optimum")
+    return "\n".join(lines) + "\n"
+
+
 class TestSurfaceExport:
+    @pytest.mark.parametrize("resolution, p1_max, p2_max", [
+        (200, None, None),
+        (2, None, None),
+        # Hand-picked ranges: the optimum falls between samples and rows turn feasible mid-row.
+        (57, 3.0, 5.0),
+    ])
+    def test_matches_reference_rendering(self, resolution, p1_max, p2_max):
+        grid = energy_surface(ANCHOR, 5.0, p1_max, p2_max, resolution)
+        if p1_max is not None:
+            assert any(row.any() and not row.all() for row in grid.feasible)
+        rendered = render_surface_csv(grid, ANCHOR, 5.0).splitlines(keepends=True)
+        reference = reference_surface_csv(grid, ANCHOR, 5.0).splitlines(keepends=True)
+        # Name the first differing line: pytest's diff of 40,000 lines would take minutes.
+        assert len(rendered) == len(reference)
+        for k, (line, expected) in enumerate(zip(rendered, reference)):
+            assert line == expected, f"line {k}"
+
     def test_record_count_and_annotation(self):
         lines = surface_data_lines(20)
         assert len(lines) == 20 * 20 + 1

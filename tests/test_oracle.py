@@ -1,9 +1,10 @@
+import contextlib
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import hybrid_scenarios
 from noma_mec import (
@@ -24,7 +25,7 @@ from noma_mec import (
     validate_scenario,
 )
 from noma_mec import PowerSchedule, oracle_batch
-from noma_mec.oracle import _split_powers
+from noma_mec.oracle import _split_lanes, _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
@@ -130,6 +131,15 @@ def _lane_arrays(scenarios):
 
 
 OTHER = validate_scenario(3.0, 10.0, 19.0, 1.0, 4.0)
+# Phase 1 saturates once nats/d_m + y1 passes EXP_CUTOFF (nats/d_m = 600 > 350); phase 2
+# saturates where y2 does, which at t_n = 0.5 (nats/t_n = 1200 > 700) it can.
+SATURATING = validate_scenario(600.0, 1.0, 1.5)
+# Only phase 2 can saturate: nats/d_m = 1.5, but nats/t_n = 3000 at t_n = 0.01.
+PHASE2_SATURATING = validate_scenario(30.0, 20.0, 25.0)
+# At t_n = 0.135 every split saturates, but numpy's exp leaves the products finite for
+# alpha near 0.765, where rate_dm + y1 lies just past EXP_CUTOFF.
+NEAR_CUTOFF = validate_scenario(400.0, 1.0, 1.5)
+ONE_SATURATING = _random_lanes(20, seed=7)
 
 
 class TestOracleBatch:
@@ -144,6 +154,14 @@ class TestOracleBatch:
             # search at its own step, and its result lands in its own slot.
             ([ANCHOR, OTHER, ANCHOR, ANCHOR, OTHER, ANCHOR, ANCHOR],
              [12.0, 9.0, 0.25, 20.0, 10.0, 15.0, 19.9], 2e-16, {80, 81, 82}),
+            # Saturating lanes mixed with ordinary ones, and a lane whose every split
+            # saturates: the saturated entries are patched lane by lane.
+            ([SATURATING, ANCHOR, SATURATING, PHASE2_SATURATING, OTHER, SATURATING,
+              PHASE2_SATURATING, NEAR_CUTOFF, validate_scenario(1e308, 1e-10, 1.5e-10)],
+             [0.5, 5.0, 1.0, 0.01, 9.0, 0.01, 0.04, 0.135, 5e-11], 1e-10, {53}),
+            # Exactly one saturating lane among ordinary ones.
+            ([*ONE_SATURATING[0][:10], SATURATING, *ONE_SATURATING[0][10:]],
+             [*ONE_SATURATING[1][:10], 0.5, *ONE_SATURATING[1][10:]], 1e-10, {53}),
         ],
     )
     def test_each_lane_is_its_own_search(self, scenarios, t_n, tol, evals):
@@ -195,13 +213,18 @@ class TestOracleBatch:
             oracle_batch(15.0, 20.0, 1.0, 5.0, tol=tol)
 
     @given(s=hybrid_scenarios(), alpha=st.floats(0.0, 1.0), frac=st.floats(1e-3, 1.0))
+    # Just past EXP_CUTOFF, where numpy's products are still finite: rate_dm + y1 = 704,
+    # y2 = 705, and rate_dm = 800 at alpha = 0, where exp(rate_dm) * expm1(0) is NaN.
+    @example(s=validate_scenario(400.0, 1.0, 2.0), alpha=0.76, frac=1.0)
+    @example(s=validate_scenario(30.0, 20.0, 25.0), alpha=0.0, frac=30.0 / 705.0 / 5.0)
+    @example(s=validate_scenario(800.0, 1.0, 2.0), alpha=0.0, frac=1.0)
     def test_array_objective_matches_scalar(self, s, alpha, frac):
         t_n = (s.d_n - s.d_m) * frac
         scalar = schedule_energy(s, split_schedule(s, t_n, alpha))
         # One lane, every argument an array, as oracle_batch evaluates the rule.
-        lane = [np.array([v]) for v in (alpha, s.nats, s.d_m, s.h_n_sq, t_n)]
+        alpha, *lane = [np.array([v]) for v in (alpha, s.nats, s.d_m, s.h_n_sq, t_n)]
         with np.errstate(over="ignore", invalid="ignore"):
-            p_n1, p_n2 = _split_powers(*lane)
+            p_n1, p_n2 = _split_powers(alpha, *_split_lanes(*lane))
         array = (s.d_m * p_n1 + t_n * p_n2)[0]
         if math.isinf(scalar):
             assert array == scalar
@@ -217,6 +240,24 @@ class TestSaturatedSearch:
             warnings.simplefilter("error")
             assert oracle_fixed_t(s, 5e-11).energy == math.inf
             assert oracle_joint(s).energy == math.inf
+
+
+    @pytest.mark.parametrize("split_rule, max_iter, error", [
+        (None, 200, None),
+        (None, 5, NonConvergence),
+        # A broken split rule: the objective's nonnegativity check raises mid-search.
+        (lambda alpha, *lane: (-alpha, alpha), 200, NonPositiveParameter),
+    ])
+    def test_caller_error_state_restored(self, monkeypatch, split_rule, max_iter, error):
+        if split_rule is not None:
+            monkeypatch.setattr("noma_mec.oracle._split_powers", split_rule)
+        # A caller's state unlike both numpy's default and the search's own, so that a
+        # state leaked by any earlier search shows too.
+        with np.errstate(over="raise", invalid="raise"):
+            before = np.geterr()
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                oracle_batch(600.0, 1.0, 1.0, [0.5, 1.0, 0.01], max_iter=max_iter)
+            assert np.geterr() == before
 
 
 class TestOracleJoint:
