@@ -14,6 +14,7 @@ fixed defaults, overlaid by the file's values, overlaid by the flags given
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -81,7 +82,7 @@ def load_scenario_file(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise FileUnreadable(path, f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileUnreadable(path, f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FileUnreadable(path, f"config file {path!r} must hold a JSON object")
@@ -220,11 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than a whole solve; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str]) -> int:
-    """Parse and dispatch; returns the process exit code instead of exiting."""
-    parser = build_parser()
+    """Parse with the process's one parser, built on the first call (``build_parser()`` builds
+    a fresh one to extend), and dispatch; returns the process exit code instead of exiting."""
     try:
-        given = vars(parser.parse_args(argv))
+        given = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for bad flags; bad input is 1 here.
         return 0 if exc.code == 0 else 1

@@ -19,7 +19,7 @@ import numpy as np
 from ._version import __version__
 from .closed_form import hybrid_energy, hybrid_powers
 from .errors import NonPositiveParameter
-from .model import OffloadScenario, StrategyKind, validate_scenario
+from .model import _MAX_ROWS, OffloadScenario, StrategyKind, validate_scenario
 from .oracle import SurfaceGrid, oracle_batch
 from .strategy import _strategy_columns
 
@@ -29,8 +29,6 @@ SURFACE_COLUMNS = "p1,p2,energy,feasible,kind"
 # Campaign draw ranges: task size, shared slot, d_n / d_m - 1, both gains.
 _CAMPAIGN_LOWS = (1.0, 1.0, 1e-3, 0.1, 0.1)
 _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
-# The largest campaign; one of 400k scenarios peaks at about 190 MB of resident memory.
-_CAMPAIGN_MAX_COUNT = 1_000_000
 
 
 # One deadline sample: the three strategy energies and the hybrid optimum behind them.
@@ -93,10 +91,12 @@ def deadline_sweep(
     Columns run in ascending deadline order, all quantities from the closed
     forms: the hybrid optimum at the capped extension ``min(d_n - d_m, d_m)``,
     pure NOMA, and OMA over the dedicated slot ``d_n - d_m`` (``inf`` when
-    that slot is empty).
+    that slot is empty). ``steps`` must lie in [2, 1,000,000].
     """
     if steps < 2:
         raise NonPositiveParameter(f"steps must be at least 2, got {steps!r}")
+    if steps > _MAX_ROWS:
+        raise NonPositiveParameter(f"steps must be at most {_MAX_ROWS}, got {steps!r}")
     # The fields first, so that a bad d_m is named; the order and finiteness checks then cover d_n.
     scenario = validate_scenario(nats, d_m, d_m, h_m_sq, h_n_sq)
     if not (d_m <= d_n_from < d_n_to):
@@ -122,8 +122,8 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     scenarios in one batch. ``count`` must lie in [1, 1,000,000]. Failures,
     including a non-finite error or excess, are reported in the summary, never raised.
     """
-    if not (1 <= count <= _CAMPAIGN_MAX_COUNT):
-        raise NonPositiveParameter(f"count must lie in [1, {_CAMPAIGN_MAX_COUNT}], got {count!r}")
+    if not (1 <= count <= _MAX_ROWS):
+        raise NonPositiveParameter(f"count must lie in [1, {_MAX_ROWS}], got {count!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise NonPositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import DeadlineOrderViolation, NonPositiveParameter
 
+# The most rows one command may produce: sweep samples, surface samples or campaign
+# scenarios. A campaign of 400k scenarios peaks at about 190 MB of resident memory.
+_MAX_ROWS = 1_000_000
+
 
 def _require_positive(name: str, value: float) -> None:
     # NaN fails both comparisons, so it is rejected here as well.

@@ -26,7 +26,8 @@ import numpy as np
 
 from .closed_form import EXP_CUTOFF, hybrid_powers
 from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
-from .model import OffloadScenario, PowerSchedule, _offloaded, _where, schedule_energy
+from .model import (_MAX_ROWS, OffloadScenario, PowerSchedule, _offloaded, _phase_energies,
+                    _where, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -165,6 +166,7 @@ def oracle_batch(
         p_n1, p_n2 = _split_powers(alpha, nats, d_m, h_n_sq, t_n, *constants)
         if not (np.minimum(p_n1, p_n2) >= 0.0).all():   # as PowerSchedule checks a schedule
             raise NonPositiveParameter("split powers must be nonnegative")
+        # Not _phase_energies: every t_n > 0 is checked above; its _where adds an np.where per step.
         return d_m * p_n1 + t_n * p_n2, p_n1, p_n2
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
@@ -281,13 +283,16 @@ def energy_surface(
     feasible sample. With hand-picked ranges the optimum generally falls
     between samples and the cheapest feasible sample can sit a few cells away
     along the constraint boundary. Both ranges must be positive and finite,
-    defaults included (a saturated closed-form power gives an infinite one);
+    defaults included (a saturated closed-form power gives an infinite one),
+    and ``resolution`` must lie in [2, 1000], at most 1,000,000 samples;
     otherwise NonPositiveParameter is raised.
     """
     if not (t_n > 0.0):
         raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
     if resolution < 2:
         raise NonPositiveParameter(f"resolution must be at least 2, got {resolution!r}")
+    if resolution**2 > _MAX_ROWS:
+        raise NonPositiveParameter(f"resolution**2 must be at most {_MAX_ROWS}, got {resolution!r}**2")
     if p1_max is None or p2_max is None:
         star1, star2 = hybrid_powers(scenario, t_n)
         if p1_max is None:
@@ -301,7 +306,8 @@ def energy_surface(
 
     p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)
     p2_axis = np.linspace(0.0, p2_max, resolution, endpoint=False)
-    energy = scenario.d_m * p1_axis[:, None] + t_n * p2_axis[None, :]
+    phase1, phase2 = _phase_energies(scenario.d_m, t_n, p1_axis[:, None], p2_axis[None, :])
+    energy = phase1 + phase2
     offloaded = _offloaded(scenario.nats, scenario.d_m, scenario.h_n_sq,
                            t_n, p1_axis[:, None], p2_axis[None, :])
     feasible = offloaded >= scenario.nats * (1.0 - FEASIBILITY_SLACK)

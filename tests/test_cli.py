@@ -1,11 +1,13 @@
+import argparse
 import json
 import warnings
 
 import pytest
 
 from noma_mec import FileUnreadable, TypeMismatch
-from noma_mec.cli import load_scenario_file, run
+from noma_mec.cli import _COMMANDS, build_parser, load_scenario_file, run
 from noma_mec.experiments import CampaignSummary
+from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run
 
 
 def run_capture(capsys, argv):
@@ -134,6 +136,16 @@ class TestConfigFile:
         config.write_text("{not json")
         with pytest.raises(FileUnreadable):
             load_scenario_file(str(config))
+
+    def test_undecodable_file_is_invalid_input(self, capsys, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_bytes(b"\xff\xfe{}")   # a UTF-16 byte-order mark
+        with pytest.raises(FileUnreadable):
+            load_scenario_file(str(config))
+        code, out, err = run_capture(capsys, ["solve", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: config file {str(config)!r} is not valid JSON: ")
 
     def test_sweep_block(self, tmp_path):
         config = tmp_path / "scenario.json"
@@ -310,3 +322,61 @@ class TestHelpAndUsage:
         code, out, _ = run_capture(capsys, ["--help"])
         assert code == 0
         assert "solve" in out and "sweep" in out and "surface" in out and "verify" in out
+
+
+class TestOneParser:
+    MIXED = [
+        SOLVE_ARGS,
+        ["sweep", "--n", "15", "--dm", "20", "--steps", "3"],
+        ["surface", "--n", "15", "--dm", "20", "--resolution", "2"],
+        ["verify", "--count", "3"],
+        ["solve", "--n", "abc", "--dm", "20", "--dn", "25"],
+        ["solve", "--n", "15", "--dn", "25"],
+        ["sweep", "--help"],
+        ["--version"],
+        ["explode"],
+    ]
+
+    def test_at_most_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for k in range(50):
+            run(self.MIXED[k % len(self.MIXED)])
+        capsys.readouterr()
+        # One build makes the top-level parser and, through add_parser, one per subcommand.
+        assert built.count("noma-mec") <= 1
+        assert len(built) <= 1 + len(_COMMANDS)
+
+    def test_build_parser_builds_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_calls_do_not_affect_each_other(self, capsys, tmp_path):
+        golden = json.loads(GOLDEN.read_text())
+
+        def helps():
+            texts = []
+            for argv in [["--help"]] + [[name, "--help"] for name, *_ in _COMMANDS]:
+                assert run(argv) == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        def replay(cases):
+            for argv, config in cases:
+                expected = golden[_case_id(argv, config)]
+                assert _pinned_run(argv, config, tmp_path) == (expected["code"], expected["stdout"])
+
+        first_helps = helps()
+        replay(CASES)
+        assert run(["solve", "--bogus", "1"]) == 1
+        assert run(["solve", "--help"]) == 0
+        assert capsys.readouterr().out == first_helps[1]
+        assert run(["solve", "--n", "15", "--dn", "25"]) == 1
+        replay(reversed(CASES))
+        capsys.readouterr()
+        assert helps() == first_helps

@@ -55,6 +55,8 @@ CASES = [
     (["verify", "--seed", "-1"], None),
     (["verify", "--tol", "inf"], None),
     (["verify", "--count", "1000001"], None),
+    (["sweep", "--n", "3", "--dm", "1", "--steps", "100000000000"], None),
+    (["surface", "--n", "3", "--dm", "1", "--resolution", "10000000"], None),
 ]
 
 

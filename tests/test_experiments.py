@@ -30,8 +30,8 @@ from noma_mec import (
     __version__,
 )
 from noma_mec.cli import run
-from noma_mec.experiments import (_CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, _CAMPAIGN_MAX_COUNT,
-                                  SWEEP_COLUMNS, SURFACE_COLUMNS)
+from noma_mec.experiments import _CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, SWEEP_COLUMNS, SURFACE_COLUMNS
+from noma_mec.model import _MAX_ROWS
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 NUMPY_EXP_FINGERPRINT = "c65323f58be31cb3"
@@ -386,7 +386,27 @@ class TestVerificationCampaign:
 
         monkeypatch.setattr(np.random, "Philox", no_draws)
         with pytest.raises(NonPositiveParameter, match=r"^count must lie in \[1, 1000000\]"):
-            verification_campaign(seed=42, count=_CAMPAIGN_MAX_COUNT + 1)
+            verification_campaign(seed=42, count=_MAX_ROWS + 1)
+
+    @pytest.mark.parametrize("call,at_limit,message", [
+        (lambda steps: deadline_sweep(3.0, 1.0, 1.0, 2.0, steps), _MAX_ROWS,
+         r"^steps must be at most 1000000, got 1000001$"),
+        (lambda resolution: energy_surface(ANCHOR, 5.0, resolution=resolution), 1000,
+         r"^resolution\*\*2 must be at most 1000000, got 1001\*\*2$"),
+    ], ids=["sweep steps", "surface resolution"])
+    def test_rows_above_limit_rejected_before_allocating(self, monkeypatch, call, at_limit, message):
+        class Allocating(Exception):
+            pass
+
+        def no_axis(*args, **kwargs):
+            raise Allocating
+
+        # The grid starts with np.linspace: the limit itself gets that far, one more row does not.
+        monkeypatch.setattr(np, "linspace", no_axis)
+        with pytest.raises(Allocating):
+            call(at_limit)
+        with pytest.raises(NonPositiveParameter, match=message):
+            call(at_limit + 1)
 
     def test_coarser_oracle_tolerance_still_passes(self):
         # GSS excess over the true minimum is quadratic in the bracket width,

@@ -330,9 +330,17 @@ class TestEnergySurface:
         assert grid.p1_axis[0] == 0.0 and grid.p2_axis[0] == 0.0
         assert not grid.feasible[0, 0]
 
-    def test_energy_matrix_matches_objective(self):
-        grid = energy_surface(ANCHOR, 5.0, resolution=40)
-        expected = ANCHOR.d_m * grid.p1_axis[:, None] + 5.0 * grid.p2_axis[None, :]
+    @given(hybrid_scenarios(), st.floats(min_value=1e-3, max_value=1.0),
+           st.sampled_from([{}, {"p1_max": 3.0, "p2_max": 5.0}]))
+    @example(ANCHOR, 1.0, {})
+    @example(validate_scenario(400.0, 1.0, 1.5), 1.0, {})
+    @example(validate_scenario(600.0, 1.0, 1.5), 0.5, {"p1_max": 3.0, "p2_max": 5.0})
+    @example(validate_scenario(1e308, 1e-10, 1.5e-10), 1.0, {"p1_max": 3.0, "p2_max": 5.0})
+    @settings(max_examples=50, deadline=None)
+    def test_energy_matrix_matches_objective(self, s, frac, ranges):
+        t_n = frac * s.capped_extension
+        grid = energy_surface(s, t_n, resolution=40, **ranges)
+        expected = s.d_m * grid.p1_axis[:, None] + t_n * grid.p2_axis[None, :]
         assert np.array_equal(grid.energy, expected)
 
     def test_infeasible_cells_fall_short_of_task(self):
