@@ -96,6 +96,14 @@ def _hybrid_powers(nats, d_m, h_n_sq, t_n):
     return p_n1, _solo_power(y2, h_n_sq)
 
 
+def _hybrid_phase_energies(d_m, t_n, p_n1, p_n2):
+    """Phase energies of the fixed-extension optimum, elementwise. Where ``p_n1 == 0`` phase 2
+    carries the whole task at ``y2 == nats/d_m``, which takes ``d_m``: just below ``t_n == d_m``
+    the rates round to those of ``d_m`` itself, and billing ``t_n`` would price a schedule that
+    falls short of the task, below ``hybrid_lower_bound``. Billed over ``d_m`` it is that bound."""
+    return _phase_energies(d_m, _where(p_n1 == 0.0, d_m, t_n), p_n1, p_n2)
+
+
 def _oma_energy(nats, h_n_sq, slot):
     """``oma_energy_n`` elementwise: the slot times its solo power, multiplied as
     ``_phase_energies`` multiplies; an empty slot costs inf. Array callers hold ``np.errstate``."""
@@ -113,7 +121,7 @@ def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
 
 def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     """Energy of the fixed-extension optimum; non-increasing in ``t_n`` on [0, d_m]."""
-    phase1, phase2 = _phase_energies(scenario.d_m, t_n, *hybrid_powers(scenario, t_n))
+    phase1, phase2 = _hybrid_phase_energies(scenario.d_m, t_n, *hybrid_powers(scenario, t_n))
     return float(phase1 + phase2)
 
 
@@ -192,7 +200,8 @@ def log_hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     y1, y2 = kkt_log_vars(scenario, t_n)
     rate_dm = scenario.nats / scenario.d_m
     term1 = math.log(scenario.d_m) + rate_dm + _log_expm1(y1)
-    term2 = math.log(t_n) + _log_expm1(y2) if t_n > 0.0 else -math.inf
+    slot = t_n if y1 > 0.0 else scenario.d_m   # the phase-2 length hybrid_energy bills
+    term2 = math.log(slot) + _log_expm1(y2) if slot > 0.0 else -math.inf
     return _log_add(term1, term2) - math.log(scenario.h_n_sq)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .closed_form import (
+    _hybrid_phase_energies,
     _hybrid_powers,
     _oma_energy,
     hybrid_energy,
@@ -23,8 +24,7 @@ from .closed_form import (
     oma_energy_n,
 )
 from .errors import TimeExtensionOutOfRange
-from .model import (EnergyReport, OffloadScenario, StrategyKind, _capped_extension,
-                    _phase_energies, _where)
+from .model import EnergyReport, OffloadScenario, StrategyKind, _capped_extension, _where
 
 
 class Regime(Enum):
@@ -86,7 +86,7 @@ def _strategy_columns(nats, d_m, d_n, h_n_sq) -> _Columns:
     """
     t_star = _capped_extension(d_m, d_n)
     p_n1, p_n2 = _hybrid_powers(nats, d_m, h_n_sq, t_star)
-    phase1, phase2 = _phase_energies(d_m, t_star, p_n1, p_n2)
+    phase1, phase2 = _hybrid_phase_energies(d_m, t_star, p_n1, p_n2)
     oma_slot = d_n - d_m
     oma_feasible = oma_slot > 0.0
     regime = _regimes(d_m, d_n)

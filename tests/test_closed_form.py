@@ -198,6 +198,19 @@ class TestHybridEnergy:
         t_lo, t_hi = sorted((a * s.d_m, b * s.d_m))
         assert hybrid_energy(s, t_lo) >= hybrid_energy(s, t_hi) - 1e-12
 
+    @pytest.mark.parametrize("nats, d_m, h_n_sq, t_n", [
+        (10.0, 1.0, 1.0, 0.9999999999999999),
+        (30.983336987743208, 49.824226555571094, 5.095538934289587, 49.82422655557108),
+    ])
+    def test_rates_of_full_extension_bill_the_whole_slot(self, nats, d_m, h_n_sq, t_n):
+        # A few ulp below d_m the rates round to those of d_m (y1 == 0). Phase 2 then needs
+        # all of d_m, and the energy is OMA over d_m; t_n times the power would read below it.
+        s = validate_scenario(nats, d_m, 1.5 * d_m, h_n_sq=h_n_sq)
+        assert t_n < d_m
+        assert kkt_log_vars(s, t_n).y1 == 0.0
+        assert hybrid_energy(s, t_n) == oma_energy_n(s, d_m)
+        assert log_hybrid_energy(s, t_n) == log_oma_energy_n(s, d_m)
+
 
 class TestPureNomaEnergy:
     def test_reference_value(self):

@@ -9,6 +9,7 @@ from noma_mec import (
     StrategyKind,
     TimeExtensionOutOfRange,
     classify_regime,
+    deadline_sweep,
     hybrid_energy,
     hybrid_lower_bound,
     noma_oma_gap,
@@ -200,6 +201,16 @@ class TestHybridLowerBound:
     @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
     def test_bounds_hybrid_energy(self, s, frac):
         assert hybrid_energy(s, frac * s.d_m) >= hybrid_lower_bound(s) - 1e-12
+
+    def test_attained_by_sweep_row_just_below_shared_slot_length(self):
+        # A 161-point sweep over [d_m, 3 d_m] puts its midpoint a few ulp below 2 d_m.
+        d_m = 49.824226555571094
+        row = deadline_sweep(30.983336987743208, d_m, d_m, 3.0 * d_m, 161,
+                             1.2491148082183643, 5.095538934289587)[80]
+        s = validate_scenario(30.983336987743208, d_m, row.d_n, h_n_sq=5.095538934289587)
+        assert 0.0 < d_m - row.t_n_star <= 4 * math.ulp(d_m)
+        assert row.e_hybrid == hybrid_energy(s, row.t_n_star) == hybrid_lower_bound(s)
+        assert select_strategy(s).hybrid.energy == hybrid_lower_bound(s)
 
 
 class TestExactTieAtSharedSlotLength:
