@@ -29,6 +29,8 @@ SURFACE_COLUMNS = "p1,p2,energy,feasible,kind"
 # Campaign draw ranges: task size, shared slot, d_n / d_m - 1, both gains.
 _CAMPAIGN_LOWS = (1.0, 1.0, 1e-3, 0.1, 0.1)
 _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
+_KIND_TEXT = {kind: kind.value for kind in StrategyKind}
+_CHUNK_ROWS = 4096   # sweep rows rendered at a time, so the cells held at once stay bounded
 
 
 # One deadline sample: the three strategy energies and the hybrid optimum behind them.
@@ -108,8 +110,8 @@ def deadline_sweep(
     d_n = np.linspace(d_n_from, d_n_to, steps)
     with np.errstate(all="ignore"):
         c = _strategy_columns(scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
-    columns = (d_n, c.e_hybrid, c.e_pure, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)
-    return DeadlineSweep(*(np.broadcast_to(col, d_n.shape).tolist() for col in columns))
+    cols = [col.tolist() for col in (d_n, c.e_hybrid, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)]
+    return DeadlineSweep(*cols[:2], [float(c.e_pure)] * steps, *cols[2:])
 
 
 def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> CampaignSummary:
@@ -161,6 +163,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _run_cells(column: list, fmt=repr) -> list[str]:
+    """``fmt`` of each value, called once per run of equal values but for each zero and NaN."""
+    cells, above, text = [], None, ""
+    for value in column:
+        if value != above or not value:
+            above, text = value, fmt(value)
+        cells.append(text)
+    return cells
+
+
 def _meta_lines(pairs: list[tuple[str, object]]) -> list[str]:
     lines = [f"# {key}={_fmt(value)}" for key, value in pairs]
     lines.append(f"# tool=noma-mec {__version__}")
@@ -174,16 +186,19 @@ def render_sweep_csv(
     h_m_sq: float = 1.0,
     h_n_sq: float = 1.0,
 ) -> str:
-    """A deadline sweep as CSV text: metadata lines, header, one line per deadline."""
+    """A deadline sweep as CSV text: metadata lines, header, one line per deadline.
+
+    Each run of equal values in a column is formatted once, but every zero
+    (``0.0 == -0.0`` prints two ways) and every NaN (it equals nothing) on its own."""
     lines = _meta_lines(
         [("nats", float(nats)), ("d_m", float(d_m)),
          ("h_m_sq", float(h_m_sq)), ("h_n_sq", float(h_n_sq))]
     )
     lines.append(SWEEP_COLUMNS)
-    lines += [
-        f"{d_n!r},{e_hybrid!r},{e_pure!r},{e_oma!r},{p1!r},{p2!r},{t_n!r},{selected.value}"
-        for d_n, e_hybrid, e_pure, e_oma, p1, p2, t_n, selected in zip(*_columns(rows))
-    ]
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        *floats, kinds = _columns(rows[start:start + _CHUNK_ROWS])
+        cells = [*map(_run_cells, floats), _run_cells(kinds, _KIND_TEXT.__getitem__)]
+        lines.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(lines) + "\n"
 
 

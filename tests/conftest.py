@@ -1,7 +1,12 @@
+import os
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+# The repository's own src/, placed after the PYTHONPATH entries so that
+# ``PYTHONPATH=<other checkout>/src python -m pytest`` tests that checkout.
+_pythonpath = {os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p}
+_last = max((i for i, p in enumerate(sys.path) if p and os.path.abspath(p) in _pythonpath), default=-1)
+sys.path.insert(_last + 1, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hypothesis import strategies as st
 

@@ -30,7 +30,15 @@ from noma_mec import (
     __version__,
 )
 from noma_mec.cli import run
-from noma_mec.experiments import _CAMPAIGN_HIGHS, _CAMPAIGN_LOWS, SWEEP_COLUMNS, SURFACE_COLUMNS
+from noma_mec.experiments import (
+    _CAMPAIGN_HIGHS,
+    _CAMPAIGN_LOWS,
+    _CHUNK_ROWS,
+    SWEEP_COLUMNS,
+    SURFACE_COLUMNS,
+    DeadlineSweep,
+    _run_cells,
+)
 from noma_mec.model import _MAX_ROWS
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
@@ -147,6 +155,28 @@ rates = st.one_of(st.floats(0.05, 5.0), st.floats(350.0, 700.0, exclude_min=True
 sweep_ends = st.one_of(st.just(2.0), st.floats(1.001, 4.0))   # d_n_to / d_m
 
 
+def assert_renders_as_reference(rows, nats=15.0, d_m=20.0, h_m_sq=1.0, h_n_sq=1.0):
+    """``render_sweep_csv`` equals the CSV written out row by row, each cell formatted on its own."""
+    lines = [f"# nats={nats!r}", f"# d_m={d_m!r}", f"# h_m_sq={h_m_sq!r}",
+             f"# h_n_sq={h_n_sq!r}", f"# tool=noma-mec {__version__}", SWEEP_COLUMNS]
+    lines += [",".join(map(repr, row[:7])) + "," + row.selected.value for row in rows]
+    text = render_sweep_csv(rows, nats, d_m, h_m_sq, h_n_sq)
+    rendered = text.split("\n")
+    assert len(rendered) == len(lines) + 1 and rendered[-1] == ""
+    # Line by line, so that a failure names its line without a diff of thousands of them.
+    for k, (line, expected) in enumerate(zip(rendered, lines)):
+        assert line == expected, k
+    return text
+
+
+def hand_built_sweep(*float_columns, selected=None):
+    """A ``DeadlineSweep`` whose last float columns are given; the leading ones count rows."""
+    steps = len(float_columns[-1])
+    counter = [float(i) for i in range(steps)]
+    kinds = selected or [StrategyKind.HYBRID_NOMA] * steps
+    return DeadlineSweep(*[counter] * (7 - len(float_columns)), *float_columns, kinds)
+
+
 class TestSweepColumns:
     """``deadline_sweep`` returns columns; ``len``, indexing and iteration give namedtuple rows."""
 
@@ -175,10 +205,7 @@ class TestSweepColumns:
     def test_csv_equals_reference_rendering(self, rate, d_m, end, steps, h_m_sq, h_n_sq):
         nats = rate * d_m
         rows = deadline_sweep(nats, d_m, d_m, end * d_m, steps, h_m_sq, h_n_sq)
-        lines = [f"# nats={nats!r}", f"# d_m={d_m!r}", f"# h_m_sq={h_m_sq!r}",
-                 f"# h_n_sq={h_n_sq!r}", f"# tool=noma-mec {__version__}", SWEEP_COLUMNS]
-        lines += [",".join(map(repr, row[:7])) + "," + row.selected.value for row in rows]
-        assert render_sweep_csv(rows, nats, d_m, h_m_sq, h_n_sq) == "\n".join(lines) + "\n"
+        assert_renders_as_reference(rows, nats, d_m, h_m_sq, h_n_sq)
 
 
 class TestViewsAgree:
@@ -273,6 +300,58 @@ class TestSweepCsv:
         a = render_sweep_csv(reference_sweep(), 15.0, 20.0)
         b = render_sweep_csv(reference_sweep(), 15.0, 20.0)
         assert a == b
+
+
+class TestSweepCsvRuns:
+    """Each run of equal values is formatted once; the text equals a cell-by-cell rendering."""
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0, -0.0, 0.0, 0.0],
+        [-0.0, 0.0, 0.0, -0.0, -0.0],
+        [1.5, 1.5, 0.0, -0.0, 1.5, 1.5],
+        [math.nan, math.nan, math.nan, 2.0, math.nan],
+        [math.inf, math.inf, -math.inf, -math.inf, math.inf, 3.0, 3.0],
+        [3.0, 3.0, 2.0, 2.0, 1.0, 1.0, 2.0],
+    ])
+    def test_hand_built_column_equals_reference(self, column):
+        for position in range(7):
+            columns = [[1.0] * len(column)] * 7
+            columns[position] = column
+            rows = hand_built_sweep(*columns)
+            assert_renders_as_reference(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(columns=st.integers(2, 12).flatmap(lambda steps: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 1.5]),
+                 min_size=steps, max_size=steps), min_size=7, max_size=7)))
+    def test_drawn_runs_equal_reference(self, columns):
+        rows = hand_built_sweep(*columns)
+        assert_renders_as_reference(rows)
+
+    def test_runs_across_a_chunk_boundary(self):
+        steps = _CHUNK_ROWS + 3
+        rows = deadline_sweep(15.0, 20.0, 20.0, 60.0, steps)
+        assert_renders_as_reference(rows)
+        # One run of 1.5 over the boundary, and the zeros of both signs on either side of it.
+        zeros = [0.0] * steps
+        zeros[_CHUNK_ROWS - 1] = zeros[_CHUNK_ROWS + 1] = -0.0
+        kinds = [StrategyKind.HYBRID_NOMA] * _CHUNK_ROWS + [StrategyKind.OMA] * 3
+        rows = hand_built_sweep([1.5] * steps, zeros, selected=kinds)
+        text = assert_renders_as_reference(rows)
+        assert text.splitlines()[-1] == f"{steps - 1}.0," * 5 + "1.5,0.0,oma"
+
+    def test_two_row_sweep(self):
+        rows = deadline_sweep(15.0, 20.0, 20.0, 60.0, 2)
+        text = assert_renders_as_reference(rows)
+        assert [line.split(",")[-1] for line in text.splitlines()[-2:]] == ["hybrid-noma", "oma"]
+
+    def test_each_run_is_formatted_once(self):
+        calls = []
+        column = [1.0, 1.0, 2.0, 0.0, 0.0, -0.0, math.nan, math.nan, math.inf, math.inf, 1.0]
+        cells = _run_cells(column, lambda value: calls.append(value) or repr(value))
+        assert cells == [repr(v) for v in column]
+        # Once per run, except that every zero and every NaN is formatted on its own.
+        assert len(calls) == 9
 
 
 def surface_csv(resolution):
