@@ -14,6 +14,7 @@ fixed defaults, overlaid by the file's values, overlaid by the flags given
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
@@ -225,9 +226,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+# glibc maps a block above its mmap threshold on its own and, once such a block is freed,
+# raises that threshold to its size (32 MiB at most) and the trim threshold to twice that.
+# Whether a later multi-megabyte output reuses heap or takes fresh pages then depends on
+# the order of earlier output sizes (the same surface commands peaked 2.5 MB apart in one
+# process); thresholds fixed at that ceiling do not drift.
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(argv: list[str]) -> int:
     """Parse with the process's one parser, built on the first call (``build_parser()`` builds
-    a fresh one to extend), and dispatch; returns the process exit code instead of exiting."""
+    a fresh one to extend), and dispatch; returns the process exit code instead of exiting.
+    The first call also fixes glibc's malloc thresholds for the process."""
+    _pin_malloc_thresholds()
     try:
         given = vars(_parser().parse_args(argv))
     except SystemExit as exc:

@@ -1,9 +1,14 @@
 import argparse
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import noma_mec
 from noma_mec import FileUnreadable, TypeMismatch
 from noma_mec.cli import _COMMANDS, build_parser, load_scenario_file, run
 from noma_mec.experiments import CampaignSummary
@@ -380,3 +385,43 @@ class TestOneParser:
         replay(reversed(CASES))
         capsys.readouterr()
         assert helps() == first_helps
+
+
+# In a fresh process: how many bytes glibc maps on its own for a 4 MiB block before the
+# first ``run``, and for an 8 MiB and a 40 MiB block after it; mallinfo2's ``hblkhd``
+# counts such bytes. Unpinned, freeing the 4 MiB block would raise the threshold to 4 MiB
+# only, and the 8 MiB block would be mapped too.
+_MAPPED_BLOCKS = """
+import ctypes
+from noma_mec.cli import run
+
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Info
+
+def mapped(size):
+    before = libc.mallinfo2().hblkhd
+    block = bytearray(size)
+    return libc.mallinfo2().hblkhd - before
+
+first = mapped(4 << 20)
+assert run(["solve", "--n", "15", "--dm", "20", "--dn", "25"]) == 0
+print(first, mapped(8 << 20), mapped(40 << 20))
+"""
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and hasattr(ctypes.CDLL(None), "mallinfo2")),
+                    reason="needs glibc 2.33 or later")
+class TestMallocThresholds:
+    def test_run_serves_blocks_up_to_32_mib_from_the_heap(self):
+        src = os.path.dirname(os.path.dirname(noma_mec.__file__))
+        done = subprocess.run([sys.executable, "-c", _MAPPED_BLOCKS], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        first, after, large = map(int, done.stdout.split()[-3:])
+        assert first >= 4 << 20   # glibc's starting threshold maps it
+        assert after == 0         # the pinned threshold keeps it in the heap
+        assert large >= 40 << 20  # above the pinned threshold, still mapped
