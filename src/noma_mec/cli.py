@@ -30,7 +30,7 @@ from .experiments import (
     render_sweep_csv,
     verification_campaign,
 )
-from .model import validate_scenario
+from .model import EnergyReport, validate_scenario
 from .oracle import energy_surface
 from .strategy import select_strategy
 
@@ -145,16 +145,9 @@ def _cmd_solve(options: dict) -> int:
         f"energy={_fmt(chosen.energy)}",
         f"normalized_energy={_fmt(chosen.normalized_energy)}",
         f"oma_power_m={_fmt(oma_power_m(scenario))}",
-        "strategy,energy,normalized_energy,phase1_energy,phase2_energy,feasible",
+        ",".join(EnergyReport._fields),
     ]
-    for report in (table.hybrid, table.pure_noma, table.oma):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (report.strategy, report.energy, report.normalized_energy,
-                          report.phase1_energy, report.phase2_energy, report.feasible)
-            )
-        )
+    lines += [",".join(map(_fmt, report)) for report in (table.hybrid, table.pure_noma, table.oma)]
     _emit("\n".join(lines) + "\n", options.get("out"))
     return 0
 

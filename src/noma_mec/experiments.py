@@ -62,21 +62,16 @@ class DeadlineSweep:
         return DeadlineSweep(*cut) if isinstance(i, slice) else SweepRow._make(cut)
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
-    """Outcome of a randomized verification run.
+CampaignSummary = namedtuple("CampaignSummary", "seed count max_rel_err max_dominance_violation"
+                                                " passed")
+CampaignSummary.__doc__ = """Outcome of a randomized verification run.
 
-    ``max_rel_err`` is the worst closed-form vs oracle disagreement,
-    ``max_dominance_violation`` the worst (clamped at 0) excess of the hybrid
-    energy over the pure-NOMA or OMA energy. Either is NaN when any
-    scenario's value is, and ``passed`` is then false.
-    """
-
-    seed: int
-    count: int
-    max_rel_err: float
-    max_dominance_violation: float
-    passed: bool
+``max_rel_err`` is the worst closed-form vs oracle disagreement,
+``max_dominance_violation`` the worst (clamped at 0) excess of the hybrid
+energy over the pure-NOMA or OMA energy. Either is NaN when any
+scenario's value is, and ``passed`` is then false. The fields run in the
+order of ``render_campaign_summary``'s lines.
+"""
 
 
 def deadline_sweep(
@@ -144,13 +139,7 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     excess = np.maximum(np.maximum(e_hybrid - e_pure, e_hybrid - e_oma), 0.0)
     max_violation = float(np.max(excess))
     passed = max_rel_err <= 1e-5 and max_violation <= 1e-9
-    return CampaignSummary(
-        seed=seed,
-        count=count,
-        max_rel_err=max_rel_err,
-        max_dominance_violation=max_violation,
-        passed=passed,
-    )
+    return CampaignSummary(seed, count, max_rel_err, max_violation, passed)
 
 
 def _fmt(value) -> str:
@@ -237,11 +226,7 @@ def render_surface_csv(
 
 def render_campaign_summary(summary: CampaignSummary) -> str:
     """Campaign summary as stable key=value text."""
-    lines = _meta_lines([]) + [
-        f"seed={summary.seed}",
-        f"count={summary.count}",
-        f"max_rel_err={_fmt(summary.max_rel_err)}",
-        f"max_dominance_violation={_fmt(summary.max_dominance_violation)}",
-        f"result={'PASS' if summary.passed else 'FAIL'}",
-    ]
+    *values, passed = summary
+    lines = _meta_lines([]) + [f"{key}={_fmt(v)}" for key, v in zip(summary._fields, values)]
+    lines.append(f"result={'PASS' if passed else 'FAIL'}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ use concurrently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -132,23 +133,17 @@ class StrategyKind(Enum):
     OMA = "oma"
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy of one strategy with its per-phase breakdown.
+EnergyReport = namedtuple("EnergyReport", "strategy energy normalized_energy phase1_energy"
+                                          " phase2_energy feasible")
+EnergyReport.__doc__ = """Energy of one strategy with its per-phase breakdown.
 
-    ``energy`` is an extended real (``inf`` when the strategy is infeasible or
-    its power saturates the floating-point range). ``normalized_energy`` is
-    ``h_n_sq * energy``, the gain-free quantity used for cross-scenario
-    comparison. When ``feasible`` is set, ``energy`` equals
-    ``phase1_energy + phase2_energy``.
-    """
-
-    strategy: StrategyKind
-    energy: float
-    phase1_energy: float
-    phase2_energy: float
-    normalized_energy: float
-    feasible: bool
+``energy`` is an extended real (``inf`` when the strategy is infeasible or
+its power saturates the floating-point range). ``normalized_energy`` is
+``h_n_sq * energy``, the gain-free quantity used for cross-scenario
+comparison. When ``feasible`` is set, ``energy`` equals
+``phase1_energy + phase2_energy``. The fields run in the order of the
+``solve`` table's columns.
+"""
 
 
 def validate_scenario(

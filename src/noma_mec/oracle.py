@@ -20,7 +20,7 @@ saturation is patched only where it occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,30 +36,19 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 FEASIBILITY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Numerically found minimum: powers, extension, energy, search effort."""
-
-    p_n1: float
-    p_n2: float
-    t_n: float
-    energy: float
-    iterations: int
+OracleResult = namedtuple("OracleResult", "p_n1 p_n2 t_n energy iterations")
+OracleResult.__doc__ = "Numerically found minimum: powers, extension, energy, search effort."
 
 
-@dataclass(frozen=True)
-class SurfaceGrid:
+class SurfaceGrid(namedtuple("SurfaceGrid", "p1_axis p2_axis energy feasible")):
     """Dense energy/feasibility sampling over the power plane at fixed ``t_n``.
 
-    ``energy[i, j] == d_m * p1_axis[i] + t_n * p2_axis[j]``; ``feasible``
-    marks samples whose offloaded total reaches the task size (up to
-    FEASIBILITY_SLACK relative).
+    ``energy[i, j] == d_m * p1_axis[i] + t_n * p2_axis[j]``, ``inf`` where it
+    overflows; ``feasible`` marks samples whose offloaded total reaches the
+    task size (up to FEASIBILITY_SLACK relative).
     """
 
-    p1_axis: np.ndarray
-    p2_axis: np.ndarray
-    energy: np.ndarray
-    feasible: np.ndarray
+    __slots__ = ()
 
     def feasible_argmin(self) -> tuple[int, int] | None:
         """Indices of the cheapest feasible sample, or None if none is feasible."""
@@ -217,13 +206,7 @@ def oracle_fixed_t(
     p_n1, p_n2, energy, iterations = oracle_batch(
         scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, tol=tol, max_iter=max_iter
     )
-    return OracleResult(
-        p_n1=float(p_n1[0]),
-        p_n2=float(p_n2[0]),
-        t_n=t_n,
-        energy=float(energy[0]),
-        iterations=int(iterations[0]),
-    )
+    return OracleResult(float(p_n1[0]), float(p_n2[0]), t_n, float(energy[0]), int(iterations[0]))
 
 
 def oracle_joint(
@@ -246,25 +229,14 @@ def oracle_joint(
     if t_max == 0.0:
         # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.
         shared = split_schedule(scenario, scenario.d_m, 1.0)
-        return OracleResult(
-            p_n1=shared.p_n1,
-            p_n2=shared.p_n2,
-            t_n=0.0,
-            energy=schedule_energy(scenario, shared),
-            iterations=0,
-        )
+        return OracleResult(shared.p_n1, shared.p_n2, 0.0, schedule_energy(scenario, shared), 0)
     grid = t_max * np.arange(1, t_steps + 1) / t_steps
     p_n1, p_n2, energy, iterations = oracle_batch(
         scenario.nats, scenario.d_m, scenario.h_n_sq, grid, tol=tol
     )
     best = int(np.argmin(energy))
-    return OracleResult(
-        p_n1=float(p_n1[best]),
-        p_n2=float(p_n2[best]),
-        t_n=float(grid[best]),
-        energy=float(energy[best]),
-        iterations=int(iterations.sum()),
-    )
+    return OracleResult(float(p_n1[best]), float(p_n2[best]), float(grid[best]),
+                        float(energy[best]), int(iterations.sum()))
 
 
 def energy_surface(
@@ -306,9 +278,10 @@ def energy_surface(
 
     p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)
     p2_axis = np.linspace(0.0, p2_max, resolution, endpoint=False)
-    phase1, phase2 = _phase_energies(scenario.d_m, t_n, p1_axis[:, None], p2_axis[None, :])
-    energy = phase1 + phase2
-    offloaded = _offloaded(scenario.nats, scenario.d_m, scenario.h_n_sq,
-                           t_n, p1_axis[:, None], p2_axis[None, :])
+    with np.errstate(over="ignore"):   # energies are extended reals: a cell may overflow to inf
+        phase1, phase2 = _phase_energies(scenario.d_m, t_n, p1_axis[:, None], p2_axis[None, :])
+        energy = phase1 + phase2
+        offloaded = _offloaded(scenario.nats, scenario.d_m, scenario.h_n_sq,
+                               t_n, p1_axis[:, None], p2_axis[None, :])
     feasible = offloaded >= scenario.nats * (1.0 - FEASIBILITY_SLACK)
-    return SurfaceGrid(p1_axis=p1_axis, p2_axis=p2_axis, energy=energy, feasible=feasible)
+    return SurfaceGrid(p1_axis, p2_axis, energy, feasible)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 from .closed_form import (
@@ -36,25 +35,16 @@ class Regime(Enum):
     OMA_FAVORED = "oma-favored"    # d_n > 2 d_m
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Three-way energy comparison for one scenario.
+ComparisonTable = namedtuple("ComparisonTable", "hybrid pure_noma oma selected regime t_star"
+                                                " p_n1_star p_n2_star")
+ComparisonTable.__doc__ = """Three-way energy comparison for one scenario.
 
-    ``selected`` minimizes energy among the feasible rows; the exact tie at
-    ``d_n == 2 d_m`` resolves to OMA, every other tie (there are none in
-    exact arithmetic) would resolve to the hybrid row. ``t_star``,
-    ``p_n1_star`` and ``p_n2_star`` are the extension and powers behind the
-    hybrid row.
-    """
-
-    hybrid: EnergyReport
-    pure_noma: EnergyReport
-    oma: EnergyReport
-    selected: StrategyKind
-    regime: Regime
-    t_star: float
-    p_n1_star: float
-    p_n2_star: float
+``selected`` minimizes energy among the feasible rows; the exact tie at
+``d_n == 2 d_m`` resolves to OMA, every other tie (there are none in
+exact arithmetic) would resolve to the hybrid row. ``t_star``,
+``p_n1_star`` and ``p_n2_star`` are the extension and powers behind the
+hybrid row.
+"""
 
 
 _REGIMES = tuple(Regime)
@@ -102,7 +92,7 @@ def _strategy_columns(nats, d_m, d_n, h_n_sq) -> _Columns:
 
 def _report(strategy: StrategyKind, energy: float, phase1: float, phase2: float,
             feasible: bool, h_n_sq: float) -> EnergyReport:
-    return EnergyReport(strategy, energy, phase1, phase2, h_n_sq * energy, feasible)
+    return EnergyReport(strategy, energy, h_n_sq * energy, phase1, phase2, feasible)
 
 
 def select_strategy(scenario: OffloadScenario) -> ComparisonTable:

@@ -203,6 +203,20 @@ class TestSweepAndSurface:
         assert err == "error: d_n_to must be finite, got inf\n"
         assert caught == []
 
+    @pytest.mark.parametrize("argv", [
+        ["surface", "--n", "15", "--dm", "20", "--resolution", "2", "--p1max", "1e308",
+         "--p2max", "1e308"],
+        ["surface", "--n", "15", "--dm", "1e300", "--p1max", "1e10", "--p2max", "1",
+         "--resolution", "3"],
+    ])
+    def test_surface_overflow_exits_zero_without_warning(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_capture(capsys, argv)
+        assert code == 0 and err == ""
+        assert ",inf,true,grid" in out
+        assert caught == []
+
     @pytest.mark.parametrize("dm", ["0", "inf", "nan"])
     def test_sweep_bad_dm_is_named(self, capsys, dm):
         code, out, err = run_capture(capsys, ["sweep", "--n", "15", "--dm", dm])

@@ -39,6 +39,8 @@ CASES = [
       "--p1max", "3", "--p2max", "5", "--resolution", "5"], None),
     (["surface", "--config", "{config}"],
      {"n": 15, "dm": 20, "dn": 25, "surface": {"tn": 5, "p1max": 3, "p2max": 5, "resolution": 3}}),
+    (["surface", "--n", "15", "--dm", "20", "--resolution", "2", "--p1max", "1e308",
+      "--p2max", "1e308"], None),
     (["verify", "--count", "25"], None),
     (["verify", "--seed", "7", "--count", "10"], None),
     (["sweep", "--n", "400", "--dm", "1", "--from", "1", "--to", "3", "--steps", "9",

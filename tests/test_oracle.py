@@ -343,6 +343,20 @@ class TestEnergySurface:
         expected = s.d_m * grid.p1_axis[:, None] + t_n * grid.p2_axis[None, :]
         assert np.array_equal(grid.energy, expected)
 
+    @pytest.mark.parametrize("s,t_n,ranges", [
+        (ANCHOR, 5.0, {"p1_max": 1e308, "p2_max": 1e308}),
+        (validate_scenario(15.0, 1e300, 1.25e300), 2.5e299, {"p1_max": 1e10, "p2_max": 1.0}),
+        # Default ranges: twice finite closed-form powers, whose energies still overflow.
+        (validate_scenario(3.48e128, 6.59e289, 6.59e289 * (1.0 + 1e-9), 1.0, 4.1e-218),
+         1.6475e289, {}),
+    ])
+    def test_overflowing_cells_are_inf_without_warning(self, s, t_n, ranges):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = energy_surface(s, t_n, resolution=3, **ranges)
+        assert np.isinf(grid.energy).any() and not np.isnan(grid.energy).any()
+        assert grid.energy[0, 0] == 0.0 and grid.feasible.any()
+
     def test_infeasible_cells_fall_short_of_task(self):
         grid = energy_surface(ANCHOR, 5.0, resolution=60)
         for i in range(0, 60, 7):
