@@ -24,11 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NonPositiveParameter, RegimeViolation, TimeExtensionOutOfRange
-from .model import OffloadScenario, _phase_energies, _where
-
-# Exponent magnitude beyond which exp() products are at risk of overflowing a
-# double; plain-domain energies saturate to inf past this point.
-EXP_CUTOFF = 700.0
+from .model import EXP_CUTOFF, _SCALAR, OffloadScenario, _phase_energies
 
 
 def _check_extension(scenario: OffloadScenario, t_n: float) -> None:
@@ -38,16 +34,16 @@ def _check_extension(scenario: OffloadScenario, t_n: float) -> None:
         )
 
 
-def _log_rates(nats, d_m, t_n):
-    """(y1, y2) of the fixed-extension optimum, elementwise over floats or arrays; raises
-    NonPositiveParameter, naming the first bad element, where one is negative or NaN."""
+def _log_rates(ops, nats, d_m, t_n):
+    """(y1, y2) of the fixed-extension optimum, elementwise; raises NonPositiveParameter,
+    naming the first bad element, where one is negative or NaN."""
     rate_dm = nats / d_m
     y2 = 2.0 * nats / (d_m + t_n)
     # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
     # y2 - y1 == rate_dm then holds bit-for-bit, and y1 == 0.0 exactly at t_n == d_m.
     y1 = y2 - rate_dm
-    ok = (y1 >= 0.0) & (y2 >= 0.0)   # a bool over floats: the check touches no numpy
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+    ok = (y1 >= 0.0) & (y2 >= 0.0)
+    if not ops.all(ok):
         y1, y2 = (float(np.broadcast_to(y, np.shape(ok)).flat[np.argmin(ok)]) for y in (y1, y2))
         raise NonPositiveParameter(f"log-domain rates must be nonnegative, got ({y1!r}, {y2!r})")
     return y1, y2
@@ -60,68 +56,55 @@ def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> LogRates:
     """Optimal log-domain rates (y1, y2) for a fixed extension ``t_n`` in [0, d_m]: the coupling
     ``y2 - y1 == nats / d_m`` holds bit for bit, ``d_m * y1 + t_n * y2 == nats`` to a few ulp."""
     _check_extension(scenario, t_n)
-    return LogRates(*_log_rates(scenario.nats, scenario.d_m, t_n))
+    return LogRates(*_log_rates(_SCALAR, scenario.nats, scenario.d_m, t_n))
 
 
-def _math_map(fn, x):
-    """The ``math`` function ``fn`` on each element of ``x``, capped at EXP_CUTOFF.
-
-    ``math`` is the reference: numpy's ``exp``/``expm1`` can differ in the
-    last ulp. Callers replace every result whose exponent passes the cutoff,
-    so the cap only keeps ``fn`` from raising OverflowError there.
-    """
-    if not isinstance(x, np.ndarray):
-        return fn(min(x, EXP_CUTOFF))
-    x = np.minimum(x, EXP_CUTOFF)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _solo_power(y, h_sq):
+def _solo_power(ops, y, h_sq):
     """Power that carries log-rate ``y`` alone, ``expm1(y) / h_sq``, elementwise; inf past the
     cutoff. The solo phase of the hybrid schedule and both OMA users run on it."""
-    return _where(y > EXP_CUTOFF, math.inf, _math_map(math.expm1, y) / h_sq)
+    return ops.where(y > EXP_CUTOFF, math.inf, ops.expm1(y) / h_sq)
 
 
-def _hybrid_powers(nats, d_m, h_n_sq, t_n):
-    """``hybrid_powers`` elementwise over scalars or broadcastable arrays of valid fields;
-    raises as ``_log_rates`` does. Pure NOMA is the case ``t_n == 0``."""
-    y1, y2 = _log_rates(nats, d_m, t_n)
+def _hybrid_powers(ops, nats, d_m, h_n_sq, t_n):
+    """``hybrid_powers`` elementwise over valid fields; raises as ``_log_rates`` does. Pure NOMA
+    is the case ``t_n == 0``."""
+    y1, y2 = _log_rates(ops, nats, d_m, t_n)
     rate_dm = nats / d_m
-    p_n1 = _where(
+    p_n1 = ops.where(
         y1 == 0.0,
         0.0,
-        _where(rate_dm + y1 > EXP_CUTOFF, math.inf,
-               _math_map(math.exp, rate_dm) * _math_map(math.expm1, y1) / h_n_sq),
+        ops.where(rate_dm + y1 > EXP_CUTOFF, math.inf, ops.exp(rate_dm) * ops.expm1(y1) / h_n_sq),
     )
-    return p_n1, _solo_power(y2, h_n_sq)
+    return p_n1, _solo_power(ops, y2, h_n_sq)
 
 
-def _hybrid_phase_energies(d_m, t_n, p_n1, p_n2):
+def _hybrid_phase_energies(ops, d_m, t_n, p_n1, p_n2):
     """Phase energies of the fixed-extension optimum, elementwise. Where ``p_n1 == 0`` phase 2
     carries the whole task at ``y2 == nats/d_m``, which takes ``d_m``: just below ``t_n == d_m``
     the rates round to those of ``d_m`` itself, and billing ``t_n`` would price a schedule that
     falls short of the task, below ``hybrid_lower_bound``. Billed over ``d_m`` it is that bound."""
-    return _phase_energies(d_m, _where(p_n1 == 0.0, d_m, t_n), p_n1, p_n2)
+    return _phase_energies(ops, d_m, ops.where(p_n1 == 0.0, d_m, t_n), p_n1, p_n2)
 
 
-def _oma_energy(nats, h_n_sq, slot):
+def _oma_energy(ops, nats, h_n_sq, slot):
     """``oma_energy_n`` elementwise: the slot times its solo power, multiplied as
-    ``_phase_energies`` multiplies; an empty slot costs inf. Array callers hold ``np.errstate``."""
-    rate = nats / slot if isinstance(slot, np.ndarray) or slot > 0.0 else math.inf
-    return _where(slot > 0.0, slot * _solo_power(rate, h_n_sq), math.inf)
+    ``_phase_energies`` multiplies; an empty slot costs inf, from a NaN rate, not a 1/0."""
+    rate = nats / ops.where(slot > 0.0, slot, math.nan)
+    return ops.where(slot > 0.0, slot * _solo_power(ops, rate, h_n_sq), math.inf)
 
 
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
     """Optimal powers (p_n1, p_n2) for a fixed extension ``t_n`` in [0, d_m], meeting the rate
     constraint with equality; ``p_n1`` is the pure-NOMA power at 0 and exactly 0 at ``d_m``."""
     _check_extension(scenario, t_n)
-    p_n1, p_n2 = _hybrid_powers(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
+    p_n1, p_n2 = _hybrid_powers(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return float(p_n1), float(p_n2)
 
 
 def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     """Energy of the fixed-extension optimum; non-increasing in ``t_n`` on [0, d_m]."""
-    phase1, phase2 = _hybrid_phase_energies(scenario.d_m, t_n, *hybrid_powers(scenario, t_n))
+    p_n1, p_n2 = hybrid_powers(scenario, t_n)
+    phase1, phase2 = _hybrid_phase_energies(_SCALAR, scenario.d_m, t_n, p_n1, p_n2)
     return float(phase1 + phase2)
 
 
@@ -138,7 +121,7 @@ def pure_noma_energy(scenario: OffloadScenario) -> float:
 
 def oma_power_m(scenario: OffloadScenario) -> float:
     """User m's power in plain OMA, solving ``d_m * ln(1 + p * h_m_sq) == nats``."""
-    return _solo_power(scenario.nats / scenario.d_m, scenario.h_m_sq)
+    return _solo_power(_SCALAR, scenario.nats / scenario.d_m, scenario.h_m_sq)
 
 
 def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
@@ -150,7 +133,7 @@ def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """
     if slot < 0.0:
         raise TimeExtensionOutOfRange(f"slot length must be nonnegative, got {slot!r}")
-    return float(_oma_energy(scenario.nats, scenario.h_n_sq, slot))
+    return float(_oma_energy(_SCALAR, scenario.nats, scenario.h_n_sq, slot))
 
 
 def optimal_time_extension(scenario: OffloadScenario) -> float:

@@ -19,7 +19,8 @@ import numpy as np
 from ._version import __version__
 from .closed_form import hybrid_energy, hybrid_powers
 from .errors import NonPositiveParameter
-from .model import _MAX_ROWS, OffloadScenario, StrategyKind, validate_scenario
+from .model import (_EXACT, _MAX_ROWS, OffloadScenario, StrategyKind, _require_integer,
+                    validate_scenario)
 from .oracle import SurfaceGrid, oracle_batch
 from .strategy import _strategy_columns
 
@@ -88,8 +89,9 @@ def deadline_sweep(
     Columns run in ascending deadline order, all quantities from the closed
     forms: the hybrid optimum at the capped extension ``min(d_n - d_m, d_m)``,
     pure NOMA, and OMA over the dedicated slot ``d_n - d_m`` (``inf`` when
-    that slot is empty). ``steps`` must lie in [2, 1,000,000].
+    that slot is empty). ``steps`` must be an integer in [2, 1,000,000].
     """
+    _require_integer("steps", steps)
     if steps < 2:
         raise NonPositiveParameter(f"steps must be at least 2, got {steps!r}")
     if steps > _MAX_ROWS:
@@ -104,7 +106,7 @@ def deadline_sweep(
         raise NonPositiveParameter(f"d_n_to must be finite, got {d_n_to!r}")
     d_n = np.linspace(d_n_from, d_n_to, steps)
     with np.errstate(all="ignore"):
-        c = _strategy_columns(scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
+        c = _strategy_columns(_EXACT, scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
     cols = [col.tolist() for col in (d_n, c.e_hybrid, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)]
     return DeadlineSweep(*cols[:2], [float(c.e_pure)] * steps, *cols[2:])
 
@@ -116,12 +118,14 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     (identical seed, identical summary): task size in [1, 40], shared slot in
     [1, 50], user n's deadline strictly inside (d_m, 2 d_m), gains in
     [0.1, 10]. ``tol`` is forwarded to the oracle, which searches all
-    scenarios in one batch. ``count`` must lie in [1, 1,000,000]. Failures,
+    scenarios in one batch. ``count`` must be an integer in [1, 1,000,000]. Failures,
     including a non-finite error or excess, are reported in the summary, never raised.
     """
+    _require_integer("count", count)
     if not (1 <= count <= _MAX_ROWS):
         raise NonPositiveParameter(f"count must lie in [1, {_MAX_ROWS}], got {count!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    _require_integer("seed", seed)
+    if seed < 0:
         raise NonPositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     # One draw per row in the order nats, d_m, d_n factor, h_m_sq, h_n_sq:
@@ -130,7 +134,7 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     draws[:, 2] = draws[:, 1] * (1.0 + draws[:, 2])   # the d_n factor becomes d_n
     nats, d_m, d_n, _, h_n_sq = draws.T
     with np.errstate(all="ignore"):
-        c = _strategy_columns(nats, d_m, d_n, h_n_sq)
+        c = _strategy_columns(_EXACT, nats, d_m, d_n, h_n_sq)
     e_hybrid, e_pure, e_oma = c.e_hybrid, c.e_pure, c.e_oma
     _, _, e_oracle, _ = oracle_batch(nats, d_m, h_n_sq, c.t_star, tol=tol)
     # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a

@@ -27,6 +27,10 @@ from .errors import DeadlineOrderViolation, NonPositiveParameter
 # scenarios. A campaign of 400k scenarios peaks at about 190 MB of resident memory.
 _MAX_ROWS = 1_000_000
 
+# Exponent magnitude beyond which exp() products are at risk of overflowing a
+# double; plain-domain energies saturate to inf past this point.
+EXP_CUTOFF = 700.0
+
 
 def _require_positive(name: str, value: float) -> None:
     # NaN fails both comparisons, so it is rejected here as well.
@@ -34,39 +38,53 @@ def _require_positive(name: str, value: float) -> None:
         raise NonPositiveParameter(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):   # bool is an int
+        raise NonPositiveParameter(f"{name} must be an integer, got {value!r}")
+
+
 def _require_nonnegative(name: str, value: float) -> None:
     if not (value >= 0.0):
         raise NonPositiveParameter(f"{name} must be nonnegative, got {value!r}")
 
 
-def _where(cond, yes, no):
-    """``np.where`` over arrays, a plain branch over scalars.
+def _per_element(fn):
+    """``math``'s ``fn`` on each element, capped at EXP_CUTOFF (callers replace what lies past
+    it), so that arrays stay bit-equal to floats: numpy's ``exp``/``expm1`` can differ by an ulp."""
+    def each(x):
+        x = np.minimum(x, EXP_CUTOFF)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return each
 
-    The private elementwise rules (``_*`` here, in ``closed_form`` and in
-    ``strategy``) use it to run on either: scalar callers stay free of
-    numpy's per-call cost; array callers silence warnings with ``np.errstate``.
-    """
-    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else (yes if cond else no)
+
+# The operations of the private elementwise rules (``_*`` here and in ``closed_form``,
+# ``strategy`` and ``oracle``); each entry point names its table. _SCALAR: floats, no numpy.
+# _EXACT: arrays bit-equal to _SCALAR, also plain bools for ``any``/``all``. _NUMPY: the
+# oracle's own path. Array callers hold ``np.errstate``: masked elements may overflow.
+_Ops = namedtuple("_Ops", "where exp expm1 log1p any all")
+_SCALAR = _Ops(lambda cond, yes, no: yes if cond else no, lambda x: math.exp(min(x, EXP_CUTOFF)),
+               lambda x: math.expm1(min(x, EXP_CUTOFF)), math.log1p, bool, bool)
+_EXACT = _Ops(np.where, _per_element(math.exp), _per_element(math.expm1), np.log1p, np.any, np.all)
+# ndarray.any, not np.any: the search tests a mask per step, and np.any costs over twice as much.
+_NUMPY = _Ops(np.where, np.exp, np.expm1, np.log1p, np.ndarray.any, np.all)
 
 
-def _capped_extension(d_m, d_n):
+def _capped_extension(ops, d_m, d_n):
     """``min(d_n - d_m, d_m)`` elementwise, ties to ``d_n - d_m`` as ``min`` does."""
     slot = d_n - d_m
-    return _where(d_m < slot, d_m, slot)
+    return ops.where(d_m < slot, d_m, slot)
 
 
-def _offloaded(nats, d_m, h_n_sq, t_n, p_n1, p_n2):
-    """``offloaded_nats`` elementwise over floats or broadcastable power arrays: ``math.log1p``
-    on floats, numpy's on arrays; a zero-length phase carries 0 nats."""
-    log1p = np.log1p if isinstance(p_n1, np.ndarray) or isinstance(p_n2, np.ndarray) else math.log1p
-    discount = math.exp(-nats / d_m)
-    phase1 = d_m * log1p(discount * h_n_sq * p_n1)
-    return phase1 + _where(t_n > 0.0, t_n * log1p(h_n_sq * p_n2), 0.0)
+def _offloaded(ops, nats, d_m, h_n_sq, t_n, p_n1, p_n2):
+    """``offloaded_nats`` elementwise over the powers; a zero-length phase carries 0 nats."""
+    discount = math.exp(-nats / d_m)   # the scenario's own, a float in every caller
+    phase1 = d_m * ops.log1p(discount * h_n_sq * p_n1)
+    return phase1 + ops.where(t_n > 0.0, t_n * ops.log1p(h_n_sq * p_n2), 0.0)
 
 
-def _phase_energies(d_m, t_n, p_n1, p_n2):
+def _phase_energies(ops, d_m, t_n, p_n1, p_n2):
     """``(d_m * p_n1, t_n * p_n2)`` elementwise; a zero-length phase costs 0, not 0 * inf = NaN."""
-    return d_m * p_n1, _where(t_n > 0.0, t_n * p_n2, 0.0)
+    return d_m * p_n1, ops.where(t_n > 0.0, t_n * p_n2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +116,7 @@ class OffloadScenario:
     def capped_extension(self) -> float:
         """Solo extension of the hybrid optimum, ``min(d_n - d_m, d_m)``: the
         deadline budget, capped at ``d_m``, where the shared-slot power is zero."""
-        return _capped_extension(self.d_m, self.d_n)
+        return _capped_extension(_SCALAR, self.d_m, self.d_n)
 
 
 @dataclass(frozen=True)
@@ -173,7 +191,8 @@ def schedule_energy(scenario: OffloadScenario, schedule: PowerSchedule) -> float
     This is the raw objective value; it does not care whether the schedule
     offloads enough nats.
     """
-    phase1, phase2 = _phase_energies(scenario.d_m, schedule.t_n, schedule.p_n1, schedule.p_n2)
+    phase1, phase2 = _phase_energies(_SCALAR, scenario.d_m, schedule.t_n,
+                                     schedule.p_n1, schedule.p_n2)
     return phase1 + phase2
 
 
@@ -185,5 +204,5 @@ def offloaded_nats(scenario: OffloadScenario, schedule: PowerSchedule) -> float:
     ``exp(-nats / d_m)``. The schedule is rate-feasible for the scenario iff
     the result is at least ``scenario.nats``.
     """
-    return _offloaded(scenario.nats, scenario.d_m, scenario.h_n_sq,
+    return _offloaded(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq,
                       schedule.t_n, schedule.p_n1, schedule.p_n2)

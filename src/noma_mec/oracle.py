@@ -9,12 +9,14 @@ Agreement with the closed forms is the certificate. The one closed form this
 module reads, ``hybrid_powers``, only sets the default ranges of
 ``energy_surface``.
 
-The split rule is written once, elementwise: ``split_schedule`` evaluates it
-on floats with ``math``'s ``exp``/``expm1``, and the search on numpy arrays
-with numpy's, a few ulp apart. The search takes one lane per (scenario,
-extension) pair. A step pays only for the open lanes and what depends on
-alpha: a lane's ``nats/d_m`` and its ``exp`` are computed once, and
-saturation is patched only where it occurs.
+The split rule is written once, elementwise, over the operations table its
+caller names: ``split_schedule`` runs it on floats with ``model._SCALAR``
+(``math``'s ``exp``/``expm1``), ``oracle_batch`` on numpy arrays with
+``model._NUMPY`` (numpy's), a few ulp apart; ``energy_surface`` evaluates its
+grid with ``_NUMPY`` too. The search takes one lane per (scenario, extension)
+pair. A step pays only for the open lanes and what depends on alpha: a lane's
+``nats/d_m`` and its ``exp`` are computed once, and saturation is patched
+only where it occurs.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .closed_form import EXP_CUTOFF, hybrid_powers
+from .closed_form import hybrid_powers
 from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
-from .model import (_MAX_ROWS, OffloadScenario, PowerSchedule, _offloaded, _phase_energies,
-                    _where, schedule_energy)
+from .model import (_MAX_ROWS, _NUMPY, _SCALAR, EXP_CUTOFF, OffloadScenario, PowerSchedule,
+                    _offloaded, _phase_energies, _require_integer, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -59,36 +61,24 @@ class SurfaceGrid(namedtuple("SurfaceGrid", "p1_axis p2_axis energy feasible")):
         return int(i), int(j)
 
 
-def _numpy_or_math(name, x):
-    """numpy's ``name`` over arrays, ``math``'s over floats capped at EXP_CUTOFF (callers mask)."""
-    if isinstance(x, np.ndarray):
-        return getattr(np, name)(x)
-    return getattr(math, name)(min(x, EXP_CUTOFF))
-
-
-def _any(cond):
-    """Whether ``cond`` holds anywhere: ``cond.any()`` over arrays, ``cond`` over scalars."""
-    return cond.any() if isinstance(cond, np.ndarray) else cond
-
-
-def _split_lanes(nats, d_m, h_n_sq, t_n):
+def _split_lanes(ops, nats, d_m, h_n_sq, t_n):
     """``_split_powers``'s arguments after alpha: the lane fields, ``nats/d_m`` and its ``exp``."""
     rate_dm = nats / d_m
-    return nats, d_m, h_n_sq, t_n, rate_dm, _numpy_or_math("exp", rate_dm)
+    return nats, d_m, h_n_sq, t_n, rate_dm, ops.exp(rate_dm)
 
 
-def _split_powers(alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm):
-    """``split_schedule``'s powers, elementwise over floats or broadcastable arrays: the same
-    operations in the same order on either, so the two differ only where numpy's ``exp``/``expm1``
-    differ from ``math``'s. Saturation is patched where it occurs; arrays need ``np.errstate``."""
+def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm):
+    """``split_schedule``'s powers, elementwise, with ``_SCALAR`` or ``_NUMPY``: the same steps,
+    so the two differ only where numpy's ``exp``/``expm1`` differ from ``math``'s. The unmasked
+    powers are patched only where some element saturates; arrays need ``np.errstate``."""
     y1 = alpha * nats / d_m
     y2 = (1.0 - alpha) * nats / t_n
-    p_n1 = exp_rate_dm * _numpy_or_math("expm1", y1) / h_n_sq
-    p_n2 = _numpy_or_math("expm1", y2) / h_n_sq
-    if _any(saturated := rate_dm + y1 > EXP_CUTOFF):
-        p_n1 = _where(saturated, _where(y1 > 0.0, math.inf, 0.0), p_n1)
-    if _any(saturated := y2 > EXP_CUTOFF):
-        p_n2 = _where(saturated, math.inf, p_n2)
+    p_n1 = exp_rate_dm * ops.expm1(y1) / h_n_sq
+    p_n2 = ops.expm1(y2) / h_n_sq
+    if ops.any(saturated := rate_dm + y1 > EXP_CUTOFF):
+        p_n1 = ops.where(saturated, ops.where(y1 > 0.0, math.inf, 0.0), p_n1)
+    if ops.any(saturated := y2 > EXP_CUTOFF):
+        p_n2 = ops.where(saturated, math.inf, p_n2)
     return p_n1, p_n2
 
 
@@ -99,8 +89,8 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
         raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
     if not (0.0 <= alpha <= 1.0):
         raise NonPositiveParameter(f"alpha must lie in [0, 1], got {alpha!r}")
-    lane = _split_lanes(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
-    return PowerSchedule(*_split_powers(alpha, *lane), t_n=t_n)
+    lane = _split_lanes(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
+    return PowerSchedule(*_split_powers(_SCALAR, alpha, *lane), t_n=t_n)
 
 
 def _check_tol(tol: float) -> None:
@@ -152,14 +142,13 @@ def oracle_batch(
 
     def objective(alpha, nats, d_m, h_n_sq, t_n, *constants):
         """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
-        p_n1, p_n2 = _split_powers(alpha, nats, d_m, h_n_sq, t_n, *constants)
+        p_n1, p_n2 = _split_powers(_NUMPY, alpha, nats, d_m, h_n_sq, t_n, *constants)
         if not (np.minimum(p_n1, p_n2) >= 0.0).all():   # as PowerSchedule checks a schedule
             raise NonPositiveParameter("split powers must be nonnegative")
-        # Not _phase_energies: every t_n > 0 is checked above; its _where adds an np.where per step.
         return d_m * p_n1 + t_n * p_n2, p_n1, p_n2
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
-        lanes = _split_lanes(*lanes)   # the constants ride in ``params``, retiring with their lane
+        lanes = _split_lanes(_NUMPY, *lanes)   # constants ride in params, retiring with their lane
         # Only open lanes are searched; ``index`` maps them to their output slots.
         index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
         final_lo, final_hi = np.empty((2, t_n.size))
@@ -256,11 +245,12 @@ def energy_surface(
     between samples and the cheapest feasible sample can sit a few cells away
     along the constraint boundary. Both ranges must be positive and finite,
     defaults included (a saturated closed-form power gives an infinite one),
-    and ``resolution`` must lie in [2, 1000], at most 1,000,000 samples;
+    and ``resolution`` an integer in [2, 1000], at most 1,000,000 samples;
     otherwise NonPositiveParameter is raised.
     """
     if not (t_n > 0.0):
         raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
+    _require_integer("resolution", resolution)
     if resolution < 2:
         raise NonPositiveParameter(f"resolution must be at least 2, got {resolution!r}")
     if resolution**2 > _MAX_ROWS:
@@ -279,9 +269,9 @@ def energy_surface(
     p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)
     p2_axis = np.linspace(0.0, p2_max, resolution, endpoint=False)
     with np.errstate(over="ignore"):   # energies are extended reals: a cell may overflow to inf
-        phase1, phase2 = _phase_energies(scenario.d_m, t_n, p1_axis[:, None], p2_axis[None, :])
+        p1, p2 = p1_axis[:, None], p2_axis[None, :]
+        phase1, phase2 = _phase_energies(_NUMPY, scenario.d_m, t_n, p1, p2)
         energy = phase1 + phase2
-        offloaded = _offloaded(scenario.nats, scenario.d_m, scenario.h_n_sq,
-                               t_n, p1_axis[:, None], p2_axis[None, :])
+        offloaded = _offloaded(_NUMPY, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, p1, p2)
     feasible = offloaded >= scenario.nats * (1.0 - FEASIBILITY_SLACK)
     return SurfaceGrid(p1_axis, p2_axis, energy, feasible)

@@ -23,7 +23,7 @@ from .closed_form import (
     oma_energy_n,
 )
 from .errors import TimeExtensionOutOfRange
-from .model import EnergyReport, OffloadScenario, StrategyKind, _capped_extension, _where
+from .model import _SCALAR, EnergyReport, OffloadScenario, StrategyKind, _capped_extension
 
 
 class Regime(Enum):
@@ -50,13 +50,14 @@ hybrid row.
 _REGIMES = tuple(Regime)
 
 
-def _regimes(d_m, d_n):
+def _regimes(ops, d_m, d_n):
     """Index into ``_REGIMES`` of each scenario, elementwise."""
-    return _where(d_n == d_m, 0, _where(d_n < 2.0 * d_m, 1, _where(d_n == 2.0 * d_m, 2, 3)))
+    where = ops.where
+    return where(d_n == d_m, 0, where(d_n < 2.0 * d_m, 1, where(d_n == 2.0 * d_m, 2, 3)))
 
 
 def classify_regime(scenario: OffloadScenario) -> Regime:
-    return _REGIMES[_regimes(scenario.d_m, scenario.d_n)]
+    return _REGIMES[_regimes(_SCALAR, scenario.d_m, scenario.d_n)]
 
 
 # select_strategy's numbers, one scalar or array per field; regime indexes _REGIMES.
@@ -64,29 +65,31 @@ _Columns = namedtuple("_Columns", "t_star p_n1 p_n2 hybrid_phase1 hybrid_phase2 
                                   " e_pure e_oma oma_feasible regime selected")
 
 
-def _strategy_columns(nats, d_m, d_n, h_n_sq) -> _Columns:
-    """The three strategies and the selection, over floats or broadcastable arrays.
+def _strategy_columns(ops, nats, d_m, d_n, h_n_sq) -> _Columns:
+    """The three strategies and the selection, over the fields of valid scenarios.
 
-    The fields must be those of valid scenarios. Arithmetic and comparisons
-    run in the scalar order, in numpy for arrays, and the exponentials
-    through ``math``, so every element equals its one-scenario value bit for
-    bit. A column that depends on no array argument stays a scalar. Floats
-    touch no numpy; array callers hold ``np.errstate(all="ignore")``, because
+    ``select_strategy`` passes floats with ``model._SCALAR``, which touches
+    no numpy. The sweep and the campaign pass broadcastable arrays with
+    ``model._EXACT`` and hold ``np.errstate(all="ignore")``, because
     saturated and empty-slot elements are computed before they are masked.
+    Either way arithmetic and comparisons run in the same order and the
+    exponentials come from ``math``, so every element equals its
+    one-scenario value bit for bit. A column that depends on no array
+    argument is a scalar or a 0-d array.
     """
-    t_star = _capped_extension(d_m, d_n)
-    p_n1, p_n2 = _hybrid_powers(nats, d_m, h_n_sq, t_star)
-    phase1, phase2 = _hybrid_phase_energies(d_m, t_star, p_n1, p_n2)
+    t_star = _capped_extension(ops, d_m, d_n)
+    p_n1, p_n2 = _hybrid_powers(ops, nats, d_m, h_n_sq, t_star)
+    phase1, phase2 = _hybrid_phase_energies(ops, d_m, t_star, p_n1, p_n2)
     oma_slot = d_n - d_m
     oma_feasible = oma_slot > 0.0
-    regime = _regimes(d_m, d_n)
+    regime = _regimes(ops, d_m, d_n)
     return _Columns(
         t_star, p_n1, p_n2, phase1, phase2, phase1 + phase2,
-        d_m * _hybrid_powers(nats, d_m, h_n_sq, 0.0)[0],   # pure NOMA: hybrid at t_n == 0
-        _oma_energy(nats, h_n_sq, oma_slot),   # inf where the slot is empty
+        d_m * _hybrid_powers(ops, nats, d_m, h_n_sq, 0.0)[0],   # pure NOMA: hybrid at t_n == 0
+        _oma_energy(ops, nats, h_n_sq, oma_slot),   # inf where the slot is empty
         oma_feasible, regime,
         # Hybrid up to the hybrid regime; from the boundary tie on, OMA.
-        _where(regime <= 1, StrategyKind.HYBRID_NOMA, StrategyKind.OMA),
+        ops.where(regime <= 1, StrategyKind.HYBRID_NOMA, StrategyKind.OMA),
     )
 
 
@@ -104,7 +107,7 @@ def select_strategy(scenario: OffloadScenario) -> ComparisonTable:
     empty the row is reported infeasible with infinite energy rather than
     raising.
     """
-    c = _strategy_columns(scenario.nats, scenario.d_m, scenario.d_n, scenario.h_n_sq)
+    c = _strategy_columns(_SCALAR, scenario.nats, scenario.d_m, scenario.d_n, scenario.h_n_sq)
     h_n_sq, feasible = scenario.h_n_sq, c.oma_feasible
     return ComparisonTable(
         hybrid=_report(StrategyKind.HYBRID_NOMA, c.e_hybrid, c.hybrid_phase1, c.hybrid_phase2,

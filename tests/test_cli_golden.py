@@ -66,19 +66,29 @@ def _case_id(argv, config):
     return " ".join(argv) + (f" with {json.dumps(config)}" if config is not None else "")
 
 
+def _with_config(argv, config, directory):
+    """``argv`` with "{config}" replaced by the path of a file holding ``config``."""
+    if config is None:
+        return argv
+    path = pathlib.Path(directory) / "config.json"
+    path.write_text(json.dumps(config))
+    return [str(path) if arg == "{config}" else arg for arg in argv]
+
+
+def _pinned(argv, text):
+    """The part of a command's stdout that ``cli_golden.json`` pins."""
+    if argv[0] == "verify":
+        return "".join(line for line in text.splitlines(keepends=True) if line.startswith("result="))
+    return text
+
+
 def _pinned_run(argv, config, directory):
     """Exit code and the pinned part of stdout of one command."""
-    if config is not None:
-        path = pathlib.Path(directory) / "config.json"
-        path.write_text(json.dumps(config))
-        argv = [str(path) if arg == "{config}" else arg for arg in argv]
+    argv = _with_config(argv, config, directory)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)
-    text = out.getvalue()
-    if argv[0] == "verify":
-        text = "".join(line for line in text.splitlines(keepends=True) if line.startswith("result="))
-    return code, text
+    return code, _pinned(argv, out.getvalue())
 
 
 @pytest.mark.parametrize("argv,config", CASES, ids=[_case_id(*case) for case in CASES])

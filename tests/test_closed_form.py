@@ -28,6 +28,7 @@ from noma_mec import (
     validate_scenario,
 )
 from noma_mec.closed_form import _log_rates
+from noma_mec.model import _EXACT, _SCALAR
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
@@ -168,9 +169,9 @@ class TestKktLogVars:
     def test_negative_rate_rejected(self):
         # A negative task gives y2 = -0.08 and y1 = -0.03; the array path names that element.
         with pytest.raises(NonPositiveParameter, match=r"got \(-0\.03.*, -0\.08.*\)"):
-            _log_rates(-1.0, 20.0, 5.0)
+            _log_rates(_SCALAR, -1.0, 20.0, 5.0)
         with pytest.raises(NonPositiveParameter, match=r"got \(-0\.03.*, -0\.08.*\)"):
-            _log_rates(np.array([15.0, -1.0]), 20.0, 5.0)
+            _log_rates(_EXACT, np.array([15.0, -1.0]), 20.0, 5.0)
 
     @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
     def test_coupling_exact_and_constraint_active(self, s, frac):

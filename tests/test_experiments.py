@@ -18,13 +18,17 @@ from noma_mec import (
     hybrid_powers,
     kkt_log_vars,
     log_hybrid_energy,
+    offloaded_nats,
     oma_energy_n,
+    oma_power_m,
     pure_noma_energy,
     pure_noma_power,
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
+    schedule_energy,
     select_strategy,
+    split_schedule,
     validate_scenario,
     verification_campaign,
     __version__,
@@ -252,6 +256,10 @@ class TestViewsAgree:
                            report.normalized_energy]
             values += [*hybrid_powers(s, t_n), hybrid_energy(s, t_n), pure_noma_power(s),
                        oma_energy_n(s, s.d_n - s.d_m), oma_energy_n(s, t_n)]
+            split = split_schedule(s, d_m, frac)
+            values += [split.p_n1, split.p_n2, schedule_energy(s, split), offloaded_nats(s, split),
+                       *kkt_log_vars(s, t_n), s.capped_extension, oma_power_m(s),
+                       energy_derivative(s, t_n)]
         assert all(type(v) is float for v in values)
 
     def test_overflowing_rates_fail_closed_in_every_view(self):
@@ -486,6 +494,24 @@ class TestVerificationCampaign:
             call(at_limit)
         with pytest.raises(NonPositiveParameter, match=message):
             call(at_limit + 1)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: verification_campaign(True, 3), r"^seed must be an integer, got True$"),
+        (lambda: verification_campaign(1.0, 3), r"^seed must be an integer, got 1\.0$"),
+        (lambda: verification_campaign(42, True), r"^count must be an integer, got True$"),
+        (lambda: verification_campaign(42, 2.0), r"^count must be an integer, got 2\.0$"),
+        (lambda: deadline_sweep(3.0, 1.0, 1.0, 2.0, 3.0), r"^steps must be an integer, got 3\.0$"),
+        (lambda: deadline_sweep(3.0, 1.0, 1.0, 2.0, True), r"^steps must be an integer, got True$"),
+        (lambda: energy_surface(ANCHOR, 5.0, resolution=3.0),
+         r"^resolution must be an integer, got 3\.0$"),
+        (lambda: energy_surface(ANCHOR, 5.0, resolution=True),
+         r"^resolution must be an integer, got True$"),
+    ], ids=["seed True", "seed 1.0", "count True", "count 2.0", "steps 3.0", "steps True",
+            "resolution 3.0", "resolution True"])
+    def test_non_integer_seed_or_row_count_rejected(self, call, message):
+        # A bool is an int to Python and a float reaches numpy, which raises TypeError.
+        with pytest.raises(NonPositiveParameter, match=message):
+            call()
 
     def test_coarser_oracle_tolerance_still_passes(self):
         # GSS excess over the true minimum is quadratic in the bracket width,

@@ -25,6 +25,7 @@ from noma_mec import (
     validate_scenario,
 )
 from noma_mec import PowerSchedule, oracle_batch
+from noma_mec.model import _NUMPY
 from noma_mec.oracle import _split_lanes, _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
@@ -224,7 +225,7 @@ class TestOracleBatch:
         # One lane, every argument an array, as oracle_batch evaluates the rule.
         alpha, *lane = [np.array([v]) for v in (alpha, s.nats, s.d_m, s.h_n_sq, t_n)]
         with np.errstate(over="ignore", invalid="ignore"):
-            p_n1, p_n2 = _split_powers(alpha, *_split_lanes(*lane))
+            p_n1, p_n2 = _split_powers(_NUMPY, alpha, *_split_lanes(_NUMPY, *lane))
         array = (s.d_m * p_n1 + t_n * p_n2)[0]
         if math.isinf(scalar):
             assert array == scalar
@@ -246,7 +247,7 @@ class TestSaturatedSearch:
         (None, 200, None),
         (None, 5, NonConvergence),
         # A broken split rule: the objective's nonnegativity check raises mid-search.
-        (lambda alpha, *lane: (-alpha, alpha), 200, NonPositiveParameter),
+        (lambda ops, alpha, *lane: (-alpha, alpha), 200, NonPositiveParameter),
     ])
     def test_caller_error_state_restored(self, monkeypatch, split_rule, max_iter, error):
         if split_rule is not None:
