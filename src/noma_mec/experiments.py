@@ -205,27 +205,29 @@ def render_surface_csv(
     One ``grid`` line per sample, row by row in ``p1``, then one ``optimum``
     line with the closed-form powers and energy at ``t_n``.
     """
-    lines = _meta_lines(
+    header = _meta_lines(
         [("nats", scenario.nats), ("d_m", scenario.d_m),
          ("h_m_sq", scenario.h_m_sq), ("h_n_sq", scenario.h_n_sq),
          ("t_n", float(t_n))]
     )
-    lines.append(SURFACE_COLUMNS)
-    # Cells are floats and bools from ``tolist``: ``repr`` and a flag table give ``_fmt``'s text.
-    p2_cells = [repr(p2) for p2 in grid.p2_axis.tolist()]
-    flags = (_fmt(False), _fmt(True))
-    # Convert and join one p1 row at a time: no per-sample object outlives its row.
+    header.append(SURFACE_COLUMNS)
+    # Each sample is four parts: "p1,", "p2,", the energy and ",flag,grid\n". Cells are floats
+    # and bools from ``tolist``, so ``repr`` and a table of the two tails give ``_fmt``'s text.
+    # Slice assignment fills a row's parts into one reused list: no bytecode runs per sample.
+    n = grid.p2_axis.size
+    parts = [""] * (4 * n)
+    parts[1::4] = [f"{p2!r}," for p2 in grid.p2_axis.tolist()]
+    tails = tuple(f",{_fmt(flag)},grid\n" for flag in (False, True))
+    rows = []
     for p1, energies, feasible in zip(grid.p1_axis.tolist(), grid.energy, grid.feasible):
-        p1_cell = repr(p1)
-        lines.append("\n".join([
-            f"{p1_cell},{p2_cell},{energy!r},{flags[ok]},grid"
-            for p2_cell, energy, ok in zip(p2_cells, energies.tolist(), feasible.tolist())
-        ]))
+        parts[0::4] = [f"{p1!r},"] * n
+        parts[2::4] = map(repr, energies.tolist())
+        parts[3::4] = map(tails.__getitem__, feasible.tolist())
+        rows.append("".join(parts))
     star1, star2 = hybrid_powers(scenario, t_n)
     optimum = (star1, star2, hybrid_energy(scenario, t_n), True, "optimum")
-    # The final newline rides on the last line, so the whole text is built once.
-    lines.append(",".join(_fmt(v) for v in optimum) + "\n")
-    return "\n".join(lines)
+    # One join builds the whole text: no second copy of it is made.
+    return "".join(["\n".join(header) + "\n", *rows, ",".join(_fmt(v) for v in optimum) + "\n"])
 
 
 def render_campaign_summary(summary: CampaignSummary) -> str:

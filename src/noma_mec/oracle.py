@@ -241,12 +241,16 @@ def energy_surface(
     ``max / resolution`` (the right endpoint is excluded). Ranges default to
     twice the closed-form powers at ``t_n``; that puts the closed-form
     optimum exactly on the sample lattice, where it is also the cheapest
-    feasible sample. With hand-picked ranges the optimum generally falls
-    between samples and the cheapest feasible sample can sit a few cells away
-    along the constraint boundary. Both ranges must be positive and finite,
-    defaults included (a saturated closed-form power gives an infinite one),
-    and ``resolution`` an integer in [2, 1000], at most 1,000,000 samples;
-    otherwise NonPositiveParameter is raised.
+    feasible sample. At ``t_n == d_m`` the closed-form ``p_n1`` is exactly 0,
+    so ``p1_max`` defaults to twice the pure-NOMA power
+    (``hybrid_powers(scenario, 0)[0]``) instead; the optimum stays on the
+    lattice, in its ``p1 == 0`` row. With hand-picked ranges the optimum
+    generally falls between samples and the cheapest feasible sample can sit
+    a few cells away along the constraint boundary. Both ranges must be
+    positive and finite, defaults included (a saturated closed-form or
+    pure-NOMA power gives an infinite one), and ``resolution`` an integer in
+    [2, 1000], at most 1,000,000 samples; otherwise NonPositiveParameter is
+    raised.
     """
     if not (t_n > 0.0):
         raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
@@ -258,7 +262,8 @@ def energy_surface(
     if p1_max is None or p2_max is None:
         star1, star2 = hybrid_powers(scenario, t_n)
         if p1_max is None:
-            p1_max = 2.0 * star1
+            # p_n1 is exactly 0 at t_n == d_m: span twice the pure-NOMA power there instead.
+            p1_max = 2.0 * (hybrid_powers(scenario, 0.0)[0] if star1 == 0.0 else star1)
         if p2_max is None:
             p2_max = 2.0 * star2
     if not (0.0 < p1_max < math.inf and 0.0 < p2_max < math.inf):

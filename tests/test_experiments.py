@@ -390,18 +390,24 @@ def reference_surface_csv(grid, s, t_n):
 
 
 class TestSurfaceExport:
-    @pytest.mark.parametrize("resolution, p1_max, p2_max", [
-        (200, None, None),
-        (2, None, None),
+    @pytest.mark.parametrize("resolution, p1_max, p2_max, t_n", [
+        (200, None, None, 5.0),
+        (2, None, None, 5.0),
         # Hand-picked ranges: the optimum falls between samples and rows turn feasible mid-row.
-        (57, 3.0, 5.0),
-    ])
-    def test_matches_reference_rendering(self, resolution, p1_max, p2_max):
-        grid = energy_surface(ANCHOR, 5.0, p1_max, p2_max, resolution)
-        if p1_max is not None:
+        (57, 3.0, 5.0, 5.0),
+        # Overflowing cells: every sample but the origin renders as inf.
+        (2, 1e308, 1e308, 5.0),
+        # t_n == d_m: p1's default range is twice the pure-NOMA power, at an odd resolution.
+        (7, None, None, 20.0),
+    ], ids=["200-None-None", "2-None-None", "57-3.0-5.0", "2-1e+308-1e+308", "7-None-None-t_n=d_m"])
+    def test_matches_reference_rendering(self, resolution, p1_max, p2_max, t_n):
+        grid = energy_surface(ANCHOR, t_n, p1_max, p2_max, resolution)
+        if p1_max == 3.0:
             assert any(row.any() and not row.all() for row in grid.feasible)
-        rendered = render_surface_csv(grid, ANCHOR, 5.0).splitlines(keepends=True)
-        reference = reference_surface_csv(grid, ANCHOR, 5.0).splitlines(keepends=True)
+        if p1_max == 1e308:
+            assert np.isinf(grid.energy).sum() == grid.energy.size - 1
+        rendered = render_surface_csv(grid, ANCHOR, t_n).splitlines(keepends=True)
+        reference = reference_surface_csv(grid, ANCHOR, t_n).splitlines(keepends=True)
         # Name the first differing line: pytest's diff of 40,000 lines would take minutes.
         assert len(rendered) == len(reference)
         for k, (line, expected) in enumerate(zip(rendered, reference)):

@@ -368,6 +368,14 @@ class TestEnergySurface:
                     )
                     assert offloaded_nats(ANCHOR, schedule) < ANCHOR.nats
 
+    @pytest.mark.parametrize("resolution", [4, 200])
+    def test_default_ranges_at_full_extension(self, resolution):
+        # The closed-form p_n1 is exactly 0 at t_n == d_m, so p1 spans twice the pure-NOMA power.
+        grid = energy_surface(ANCHOR, ANCHOR.d_m, resolution=resolution)
+        assert grid.p1_axis[1] == 2.0 * pure_noma_power(ANCHOR) / resolution
+        assert grid.p2_axis[1] == 2.0 * hybrid_powers(ANCHOR, ANCHOR.d_m)[1] / resolution > 0.0
+        assert grid.feasible_argmin() == (0, resolution // 2)
+
     def test_explicit_ranges(self):
         grid = energy_surface(ANCHOR, 5.0, p1_max=3.0, p2_max=6.0, resolution=30)
         assert grid.p1_axis.max() < 3.0
@@ -382,6 +390,8 @@ class TestEnergySurface:
         for ranges in (dict(p1_max=math.inf), dict(p2_max=math.inf), dict(p1_max=math.nan)):
             with pytest.raises(NonPositiveParameter):
                 energy_surface(ANCHOR, 5.0, resolution=3, **ranges)
+        with pytest.raises(NonPositiveParameter):   # t_n == d_m, saturated pure-NOMA power
+            energy_surface(validate_scenario(400.0, 1.0, 1.5), 1.0, resolution=3)
 
     def test_all_infeasible_surface_has_no_argmin(self):
         grid = energy_surface(ANCHOR, 5.0, p1_max=1e-6, p2_max=1e-6, resolution=10)
