@@ -52,7 +52,8 @@ _OPTIONS = (
     ("steps", "sweep", int, 81, "number of sweep samples"),
     ("tn", "surface", float, None, "solo-extension length (normalized time units, default: dm/4)"),
     ("p1max", "surface", float, None,
-     "upper edge of the shared-slot power axis (normalized power, default: twice the optimum)"),
+     "upper edge of the shared-slot power axis (normalized power, default: twice the optimum;"
+     " twice the pure-NOMA power when tn equals dm)"),
     ("p2max", "surface", float, None,
      "upper edge of the solo-phase power axis (normalized power, default: twice the optimum)"),
     ("resolution", "surface", int, 200, "samples per axis"),
@@ -216,7 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Building the parser costs more than a whole solve; parsing leaves it unchanged.
-_parser = functools.cache(build_parser)
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices   # the subcommand parsers, by name
 
 
 # glibc maps a block above its mmap threshold on its own and, once such a block is freed,
@@ -235,10 +240,14 @@ def _pin_malloc_thresholds() -> None:
 def run(argv: list[str]) -> int:
     """Parse with the process's one parser, built on the first call (``build_parser()`` builds
     a fresh one to extend), and dispatch; returns the process exit code instead of exiting.
-    The first call also fixes glibc's malloc thresholds for the process."""
+    A subcommand's own parser reads its flags; any other argv, or one it leaves unread, goes
+    through the top-level parser. The first call also fixes glibc's malloc thresholds."""
     _pin_malloc_thresholds()
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
     try:
-        given = vars(_parser().parse_args(argv))
+        given, unread = command.parse_known_args(argv[1:]) if command else (None, True)
+        given = vars(parser.parse_args(argv) if unread else given)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for bad flags; bad input is 1 here.
         return 0 if exc.code == 0 else 1

@@ -65,8 +65,8 @@ _Ops = namedtuple("_Ops", "where exp expm1 log1p any all")
 _SCALAR = _Ops(lambda cond, yes, no: yes if cond else no, lambda x: math.exp(min(x, EXP_CUTOFF)),
                lambda x: math.expm1(min(x, EXP_CUTOFF)), math.log1p, bool, bool)
 _EXACT = _Ops(np.where, _per_element(math.exp), _per_element(math.expm1), np.log1p, np.any, np.all)
-# ndarray.any, not np.any: the search tests a mask per step, and np.any costs over twice as much.
-_NUMPY = _Ops(np.where, np.exp, np.expm1, np.log1p, np.ndarray.any, np.all)
+# The search tests a mask per step: count_nonzero is as truthy as any, at a quarter of the cost.
+_NUMPY = _Ops(np.where, np.exp, np.expm1, np.log1p, np.count_nonzero, np.all)
 
 
 def _capped_extension(ops, d_m, d_n):

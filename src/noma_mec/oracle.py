@@ -158,7 +158,7 @@ def oracle_batch(
         evals = 2   # every open lane has taken every step
         while index.size:
             done = width <= tol
-            if done.any():
+            if np.count_nonzero(done):
                 slots, keep = index[done], ~done
                 final_lo[slots], final_hi[slots], iterations[slots] = lo[done], hi[done], evals
                 index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params = (

@@ -9,10 +9,10 @@ import warnings
 import pytest
 
 import noma_mec
-from noma_mec import FileUnreadable, TypeMismatch
-from noma_mec.cli import _COMMANDS, build_parser, load_scenario_file, run
+from noma_mec import FileUnreadable, NomaMecError, TypeMismatch
+from noma_mec.cli import _COMMANDS, _DEFAULTS, build_parser, load_scenario_file, run
 from noma_mec.experiments import CampaignSummary
-from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run
+from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run, _with_config
 
 
 def run_capture(capsys, argv):
@@ -399,6 +399,88 @@ class TestOneParser:
         replay(reversed(CASES))
         capsys.readouterr()
         assert helps() == first_helps
+
+
+def reference_run(argv):
+    """``run`` as argparse alone routes it: a fresh top-level parser reads all of ``argv``."""
+    try:
+        given = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 1
+    try:
+        config = given.pop("config", None)
+        file_values = load_scenario_file(config) if config else {}
+        return given.pop("handler")({**_DEFAULTS, **file_values, **given})
+    except (NomaMecError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+VALID = {
+    "solve": SOLVE_ARGS,
+    "sweep": ["sweep", "--n", "15", "--dm", "20", "--steps", "3"],
+    "surface": ["surface", "--n", "15", "--dm", "20", "--resolution", "2"],
+    "verify": ["verify", "--count", "3"],
+}
+# Argv that argparse reads in unusual ways: no subcommand, flags left unread, abbreviations,
+# "=" values, missing or mistyped values, a repeated flag and the "--" separator.
+EDGE = [
+    [],
+    ["--version"],
+    ["-h"],
+    ["explode"],
+    ["Solve", "--n", "15"],
+    ["--", "solve", "--n", "15", "--dm", "20", "--dn", "25"],
+    ["--version", "solve", "--n", "15"],
+    ["solve"],
+    ["solve", "-h"],
+    ["solve", "--bogus", "1"],
+    ["solve", "--n", "1", "extra"],
+    ["solve", "--n=15", "--dm", "20", "--dn", "25"],
+    ["solve", "--config"],
+    ["solve", "--n", "abc"],
+    ["solve", "--n", "abc", "extra"],
+    [*SOLVE_ARGS, "--version"],
+    ["solve", "--n", "1", "--n", "15", "--dm", "20", "--dn", "25"],
+    [*SOLVE_ARGS, "--", "extra"],
+    ["solve", "--", "--n", "15"],
+    [*SOLVE_ARGS, "-x"],
+    ["solve", "--n", "15", "--dm", "20", "--dn", "25", "--tn", "5"],
+    ["verify", "--cou", "3"],
+    ["verify", "--count", "3", "extra"],
+    ["verify", "--seed", "1", "--seed"],
+    ["sweep", "--n", "15", "--dm", "20", "--steps", "3.5"],
+    ["surface", "--n", "15", "--dm", "20", "--p", "3"],
+    ["surface", "--n", "15", "--dm", "20", "--resolution", "2", "--p1m", "3"],
+]
+
+
+class TestSubcommandRouting:
+    @pytest.mark.parametrize(
+        "argv,config",
+        CASES + [(argv, None) for argv in EDGE],
+        ids=[_case_id(*case) for case in CASES] + [f"edge {' '.join(argv)}" for argv in EDGE],
+    )
+    def test_same_outcome_as_argparse_routing(self, capsys, tmp_path, argv, config):
+        argv = _with_config(argv, config, tmp_path)
+        expected = (reference_run(argv), *capsys.readouterr())
+        assert run_capture(capsys, argv) == expected
+
+    def test_valid_commands_skip_the_subparsers_action(self, capsys, monkeypatch):
+        calls = []
+        call = argparse._SubParsersAction.__call__
+
+        def counting_call(self, *args, **kwargs):
+            calls.append(args[2])   # (parser, namespace, values, ...)
+            return call(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "__call__", counting_call)
+        for argv in VALID.values():
+            assert run(argv) == 0
+        assert calls == []
+        assert run([*SOLVE_ARGS, "--bogus", "1"]) == 1
+        assert calls == [[*SOLVE_ARGS, "--bogus", "1"]]
+        capsys.readouterr()
 
 
 # In a fresh process: how many bytes glibc maps on its own for a 4 MiB block before the
