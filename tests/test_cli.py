@@ -416,12 +416,12 @@ def reference_run(argv):
         return 1
 
 
-VALID = {
-    "solve": SOLVE_ARGS,
-    "sweep": ["sweep", "--n", "15", "--dm", "20", "--steps", "3"],
-    "surface": ["surface", "--n", "15", "--dm", "20", "--resolution", "2"],
-    "verify": ["verify", "--count", "3"],
-}
+VALID = [
+    SOLVE_ARGS,
+    ["sweep", "--n", "15", "--dm", "20", "--steps", "3"],
+    ["surface", "--n", "15", "--dm", "20", "--resolution", "2"],
+    ["verify", "--count", "3"],
+]
 # Argv that argparse reads in unusual ways: no subcommand, flags left unread, abbreviations,
 # "=" values, missing or mistyped values, a repeated flag and the "--" separator.
 EDGE = [
@@ -475,7 +475,7 @@ class TestSubcommandRouting:
             return call(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "__call__", counting_call)
-        for argv in VALID.values():
+        for argv in VALID:
             assert run(argv) == 0
         assert calls == []
         assert run([*SOLVE_ARGS, "--bogus", "1"]) == 1
