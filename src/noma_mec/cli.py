@@ -255,10 +255,7 @@ def run(argv: list[str]) -> int:
         config = given.pop("config", None)
         file_values = load_scenario_file(config) if config else {}
         return given.pop("handler")({**_DEFAULTS, **file_values, **given})
-    except NomaMecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NomaMecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,14 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NonPositiveParameter, RegimeViolation, TimeExtensionOutOfRange
-from .model import EXP_CUTOFF, _SCALAR, OffloadScenario, _phase_energies
-
-
-def _check_extension(scenario: OffloadScenario, t_n: float) -> None:
-    if not (0.0 <= t_n <= scenario.d_m):
-        raise TimeExtensionOutOfRange(
-            f"t_n must lie in [0, d_m] = [0, {scenario.d_m}], got {t_n!r}"
-        )
+from .model import EXP_CUTOFF, _SCALAR, OffloadScenario, _phase_energies, _require_in
 
 
 def _log_rates(ops, nats, d_m, t_n):
@@ -55,7 +48,7 @@ LogRates = namedtuple("LogRates", "y1 y2")
 def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> LogRates:
     """Optimal log-domain rates (y1, y2) for a fixed extension ``t_n`` in [0, d_m]: the coupling
     ``y2 - y1 == nats / d_m`` holds bit for bit, ``d_m * y1 + t_n * y2 == nats`` to a few ulp."""
-    _check_extension(scenario, t_n)
+    _require_in("t_n", t_n, 0, scenario.d_m, error=TimeExtensionOutOfRange)
     return LogRates(*_log_rates(_SCALAR, scenario.nats, scenario.d_m, t_n))
 
 
@@ -96,7 +89,7 @@ def _oma_energy(ops, nats, h_n_sq, slot):
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
     """Optimal powers (p_n1, p_n2) for a fixed extension ``t_n`` in [0, d_m], meeting the rate
     constraint with equality; ``p_n1`` is the pure-NOMA power at 0 and exactly 0 at ``d_m``."""
-    _check_extension(scenario, t_n)
+    _require_in("t_n", t_n, 0, scenario.d_m, error=TimeExtensionOutOfRange)
     p_n1, p_n2 = _hybrid_powers(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return float(p_n1), float(p_n2)
 
@@ -125,14 +118,14 @@ def oma_power_m(scenario: OffloadScenario) -> float:
 
 
 def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
-    """User n's energy when it offloads everything in a dedicated slot of length ``slot``.
+    """User n's energy when it offloads everything in a dedicated slot of length ``slot``,
+    finite and nonnegative (TimeExtensionOutOfRange otherwise).
 
     Returns ``inf`` at ``slot == 0`` (no finite power completes the task) and
     when the required power overflows; ``log_oma_energy_n`` stays finite in
     the latter case.
     """
-    if slot < 0.0:
-        raise TimeExtensionOutOfRange(f"slot length must be nonnegative, got {slot!r}")
+    _require_in("slot", slot, 0, math.inf, "[)", TimeExtensionOutOfRange)
     return float(_oma_energy(_SCALAR, scenario.nats, scenario.h_n_sq, slot))
 
 
@@ -160,8 +153,7 @@ def energy_derivative(scenario: OffloadScenario, t_n: float) -> float:
 
 def _log_expm1(x: float) -> float:
     """ln(exp(x) - 1) without overflow; -inf at x == 0."""
-    if x < 0.0:
-        raise NonPositiveParameter(f"argument must be nonnegative, got {x!r}")
+    _require_in("argument", x, 0, math.inf)
     if x == 0.0:
         return -math.inf
     if x > 0.693:
@@ -194,9 +186,8 @@ def log_pure_noma_energy(scenario: OffloadScenario) -> float:
 
 
 def log_oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
-    """ln of ``oma_energy_n``; +inf at ``slot == 0``."""
-    if slot < 0.0:
-        raise TimeExtensionOutOfRange(f"slot length must be nonnegative, got {slot!r}")
+    """ln of ``oma_energy_n``; +inf at ``slot == 0``. The slot must be finite and nonnegative."""
+    _require_in("slot", slot, 0, math.inf, "[)", TimeExtensionOutOfRange)
     if slot == 0.0:
         return math.inf
     return math.log(slot) + _log_expm1(scenario.nats / slot) - math.log(scenario.h_n_sq)

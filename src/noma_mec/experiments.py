@@ -19,8 +19,8 @@ import numpy as np
 from ._version import __version__
 from .closed_form import hybrid_energy, hybrid_powers
 from .errors import NonPositiveParameter
-from .model import (_EXACT, _MAX_ROWS, OffloadScenario, StrategyKind, _require_integer,
-                    validate_scenario)
+from .model import (_EXACT, _MAX_ROWS, OffloadScenario, StrategyKind, _require_in,
+                    _require_integer, validate_scenario)
 from .oracle import SurfaceGrid, oracle_batch
 from .strategy import _strategy_columns
 
@@ -92,10 +92,7 @@ def deadline_sweep(
     that slot is empty). ``steps`` must be an integer in [2, 1,000,000].
     """
     _require_integer("steps", steps)
-    if steps < 2:
-        raise NonPositiveParameter(f"steps must be at least 2, got {steps!r}")
-    if steps > _MAX_ROWS:
-        raise NonPositiveParameter(f"steps must be at most {_MAX_ROWS}, got {steps!r}")
+    _require_in("steps", steps, 2, _MAX_ROWS)
     # The fields first, so that a bad d_m is named; the order and finiteness checks then cover d_n.
     scenario = validate_scenario(nats, d_m, d_m, h_m_sq, h_n_sq)
     if not (d_m <= d_n_from < d_n_to):
@@ -122,8 +119,7 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     including a non-finite error or excess, are reported in the summary, never raised.
     """
     _require_integer("count", count)
-    if not (1 <= count <= _MAX_ROWS):
-        raise NonPositiveParameter(f"count must lie in [1, {_MAX_ROWS}], got {count!r}")
+    _require_in("count", count, 1, _MAX_ROWS)
     _require_integer("seed", seed)
     if seed < 0:
         raise NonPositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")

@@ -43,9 +43,13 @@ def _require_integer(name: str, value) -> None:
         raise NonPositiveParameter(f"{name} must be an integer, got {value!r}")
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    if not (value >= 0.0):
-        raise NonPositiveParameter(f"{name} must be nonnegative, got {value!r}")
+def _require_in(name: str, value, low, high, ends: str = "[]", error=NonPositiveParameter) -> None:
+    """Raise ``error`` unless ``value`` lies between ``low`` and ``high``, each end closed
+    (``[``, ``]``) or open (``(``, ``)``) as ``ends`` says. NaN lies in no interval."""
+    above = low < value if ends[0] == "(" else low <= value
+    below = value < high if ends[1] == ")" else value <= high
+    if not (above and below):
+        raise error(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
 
 
 def _per_element(fn):
@@ -134,9 +138,9 @@ class PowerSchedule:
     t_n: float
 
     def __post_init__(self):
-        _require_nonnegative("p_n1", self.p_n1)
-        _require_nonnegative("p_n2", self.p_n2)
-        _require_nonnegative("t_n", self.t_n)
+        _require_in("p_n1", self.p_n1, 0, math.inf)
+        _require_in("p_n2", self.p_n2, 0, math.inf)
+        _require_in("t_n", self.t_n, 0, math.inf)
 
 
 class StrategyKind(Enum):

@@ -29,7 +29,7 @@ import numpy as np
 from .closed_form import hybrid_powers
 from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
 from .model import (_MAX_ROWS, _NUMPY, _SCALAR, EXP_CUTOFF, OffloadScenario, PowerSchedule,
-                    _offloaded, _phase_energies, _require_integer, schedule_energy)
+                    _offloaded, _phase_energies, _require_in, _require_integer, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -84,20 +84,12 @@ def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm):
 
 def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> PowerSchedule:
     """Schedule that puts ``alpha`` of the task in the shared slot, the rest in ``t_n``,
-    with the rate constraint met with equality in both phases."""
-    if not (0.0 < t_n):
-        raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
-    if not (0.0 <= alpha <= 1.0):
-        raise NonPositiveParameter(f"alpha must lie in [0, 1], got {alpha!r}")
+    with the rate constraint met with equality in both phases. ``t_n`` must be positive
+    and finite (TimeExtensionOutOfRange), ``alpha`` in [0, 1] (NonPositiveParameter)."""
+    _require_in("t_n", t_n, 0, math.inf, "()", TimeExtensionOutOfRange)
+    _require_in("alpha", alpha, 0, 1)
     lane = _split_lanes(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return PowerSchedule(*_split_powers(_SCALAR, alpha, *lane), t_n=t_n)
-
-
-def _check_tol(tol: float) -> None:
-    """The final bracket width must lie in (0, 1): a bracket of width 1 or more is finished
-    before the search starts."""
-    if not (0.0 < tol < 1.0):
-        raise NonPositiveParameter(f"tol must lie in (0, 1), got {tol!r}")
 
 
 def oracle_batch(
@@ -138,7 +130,8 @@ def oracle_batch(
         raise TimeExtensionOutOfRange(
             f"t_n must lie in (0, d_m] = (0, {float(d_m[k])}], got {float(t_n[k])!r} in lane {k}"
         )
-    _check_tol(tol)
+    # A bracket of width 1 or more is finished before the search starts.
+    _require_in("tol", tol, 0, 1, "()")
 
     def objective(alpha, nats, d_m, h_n_sq, t_n, *constants):
         """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
@@ -206,14 +199,15 @@ def oracle_joint(
     """Joint search: minimize over alpha on a uniform extension grid and take the argmin.
 
     The grid covers ``(0, min(d_n - d_m, d_m)]`` with ``t_steps`` points
-    including the right endpoint, searched as one ``oracle_batch``. With
+    including the right endpoint, searched as one ``oracle_batch``; ``t_steps``
+    must be an integer in [2, 1,000,000] (NonPositiveParameter). With
     ``d_n == d_m`` the interval is empty and the split that carries the whole
     task in the shared slot (pure NOMA) is returned directly. ``iterations``
     aggregates the evaluations of all grid searches.
     """
-    if t_steps < 2:
-        raise NonPositiveParameter(f"t_steps must be at least 2, got {t_steps!r}")
-    _check_tol(tol)   # also where the degenerate case below runs no search
+    _require_integer("t_steps", t_steps)
+    _require_in("t_steps", t_steps, 2, _MAX_ROWS)
+    _require_in("tol", tol, 0, 1, "()")   # also where the degenerate case below runs no search
     t_max = scenario.capped_extension
     if t_max == 0.0:
         # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.
@@ -246,19 +240,16 @@ def energy_surface(
     (``hybrid_powers(scenario, 0)[0]``) instead; the optimum stays on the
     lattice, in its ``p1 == 0`` row. With hand-picked ranges the optimum
     generally falls between samples and the cheapest feasible sample can sit
-    a few cells away along the constraint boundary. Both ranges must be
+    a few cells away along the constraint boundary. ``t_n`` must be
+    positive and finite (TimeExtensionOutOfRange). Both ranges must be
     positive and finite, defaults included (a saturated closed-form or
     pure-NOMA power gives an infinite one), and ``resolution`` an integer in
     [2, 1000], at most 1,000,000 samples; otherwise NonPositiveParameter is
     raised.
     """
-    if not (t_n > 0.0):
-        raise TimeExtensionOutOfRange(f"t_n must be positive, got {t_n!r}")
+    _require_in("t_n", t_n, 0, math.inf, "()", TimeExtensionOutOfRange)
     _require_integer("resolution", resolution)
-    if resolution < 2:
-        raise NonPositiveParameter(f"resolution must be at least 2, got {resolution!r}")
-    if resolution**2 > _MAX_ROWS:
-        raise NonPositiveParameter(f"resolution**2 must be at most {_MAX_ROWS}, got {resolution!r}**2")
+    _require_in("resolution", resolution, 2, math.isqrt(_MAX_ROWS))
     if p1_max is None or p2_max is None:
         star1, star2 = hybrid_powers(scenario, t_n)
         if p1_max is None:
@@ -266,10 +257,8 @@ def energy_surface(
             p1_max = 2.0 * (hybrid_powers(scenario, 0.0)[0] if star1 == 0.0 else star1)
         if p2_max is None:
             p2_max = 2.0 * star2
-    if not (0.0 < p1_max < math.inf and 0.0 < p2_max < math.inf):
-        raise NonPositiveParameter(
-            f"power ranges must be positive and finite, got p1_max={p1_max!r}, p2_max={p2_max!r}"
-        )
+    _require_in("p1_max", p1_max, 0, math.inf, "()")
+    _require_in("p2_max", p2_max, 0, math.inf, "()")
 
     p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)
     p2_axis = np.linspace(0.0, p2_max, resolution, endpoint=False)

@@ -23,7 +23,8 @@ from .closed_form import (
     oma_energy_n,
 )
 from .errors import TimeExtensionOutOfRange
-from .model import _SCALAR, EnergyReport, OffloadScenario, StrategyKind, _capped_extension
+from .model import (_SCALAR, EnergyReport, OffloadScenario, StrategyKind, _capped_extension,
+                    _require_in)
 
 
 class Regime(Enum):
@@ -129,10 +130,7 @@ def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:
     at ``t = t_n``, non-decreasing in ``t_n`` and zero at ``t_n == d_m``. When both sides
     saturate to inf the sign is decided in the log domain (0.0 on an exact tie).
     """
-    if not (0.0 < t_n <= scenario.d_m):
-        raise TimeExtensionOutOfRange(
-            f"t_n must lie in (0, d_m] = (0, {scenario.d_m}], got {t_n!r}"
-        )
+    _require_in("t_n", t_n, 0, scenario.d_m, "(]", TimeExtensionOutOfRange)
     e_hybrid = hybrid_energy(scenario, t_n)
     e_oma = oma_energy_n(scenario, t_n)
     if math.isinf(e_hybrid) and math.isinf(e_oma):

@@ -21,6 +21,7 @@ from noma_mec import (
     offloaded_nats,
     oma_energy_n,
     oma_power_m,
+    oracle_joint,
     pure_noma_energy,
     pure_noma_power,
     render_campaign_summary,
@@ -481,21 +482,24 @@ class TestVerificationCampaign:
         with pytest.raises(NonPositiveParameter, match=r"^count must lie in \[1, 1000000\]"):
             verification_campaign(seed=42, count=_MAX_ROWS + 1)
 
-    @pytest.mark.parametrize("call,at_limit,message", [
+    @pytest.mark.parametrize("call,at_limit,message,allocator", [
         (lambda steps: deadline_sweep(3.0, 1.0, 1.0, 2.0, steps), _MAX_ROWS,
-         r"^steps must be at most 1000000, got 1000001$"),
+         r"^steps must lie in \[2, 1000000\], got 1000001$", "linspace"),
         (lambda resolution: energy_surface(ANCHOR, 5.0, resolution=resolution), 1000,
-         r"^resolution\*\*2 must be at most 1000000, got 1001\*\*2$"),
-    ], ids=["sweep steps", "surface resolution"])
-    def test_rows_above_limit_rejected_before_allocating(self, monkeypatch, call, at_limit, message):
+         r"^resolution must lie in \[2, 1000\], got 1001$", "linspace"),
+        (lambda t_steps: oracle_joint(ANCHOR, t_steps=t_steps), _MAX_ROWS,
+         r"^t_steps must lie in \[2, 1000000\], got 1000001$", "arange"),
+    ], ids=["sweep steps", "surface resolution", "joint t_steps"])
+    def test_rows_above_limit_rejected_before_allocating(self, monkeypatch, call, at_limit, message,
+                                                         allocator):
         class Allocating(Exception):
             pass
 
         def no_axis(*args, **kwargs):
             raise Allocating
 
-        # The grid starts with np.linspace: the limit itself gets that far, one more row does not.
-        monkeypatch.setattr(np, "linspace", no_axis)
+        # The grid starts with ``allocator``: the limit itself gets that far, one more row does not.
+        monkeypatch.setattr(np, allocator, no_axis)
         with pytest.raises(Allocating):
             call(at_limit)
         with pytest.raises(NonPositiveParameter, match=message):
@@ -512,8 +516,10 @@ class TestVerificationCampaign:
          r"^resolution must be an integer, got 3\.0$"),
         (lambda: energy_surface(ANCHOR, 5.0, resolution=True),
          r"^resolution must be an integer, got True$"),
+        # A fractional grid would search extensions past the deadline budget d_n - d_m.
+        (lambda: oracle_joint(ANCHOR, t_steps=2.5), r"^t_steps must be an integer, got 2\.5$"),
     ], ids=["seed True", "seed 1.0", "count True", "count 2.0", "steps 3.0", "steps True",
-            "resolution 3.0", "resolution True"])
+            "resolution 3.0", "resolution True", "t_steps 2.5"])
     def test_non_integer_seed_or_row_count_rejected(self, call, message):
         # A bool is an int to Python and a float reaches numpy, which raises TypeError.
         with pytest.raises(NonPositiveParameter, match=message):

@@ -24,7 +24,7 @@ from noma_mec import (
     split_schedule,
     validate_scenario,
 )
-from noma_mec import PowerSchedule, oracle_batch
+from noma_mec import PowerSchedule, log_oma_energy_n, oracle_batch
 from noma_mec.model import _NUMPY
 from noma_mec.oracle import _split_lanes, _split_powers
 
@@ -59,6 +59,19 @@ class TestSplitParametrization:
     def test_zero_extension_rejected(self):
         with pytest.raises(TimeExtensionOutOfRange):
             split_schedule(ANCHOR, 0.0, 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda length: oma_energy_n(ANCHOR, length),
+        lambda length: log_oma_energy_n(ANCHOR, length),
+        lambda length: split_schedule(ANCHOR, length, 0.5),
+    ], ids=["oma_energy_n", "log_oma_energy_n", "split_schedule"])
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
+    def test_nonfinite_or_negative_length_rejected(self, call, length):
+        # A NaN or inf length has no energy; it must not come back as a NaN or inf result.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TimeExtensionOutOfRange):
+                call(length)
 
 
 class TestOracleFixedT:
@@ -387,6 +400,8 @@ class TestEnergySurface:
             energy_surface(ANCHOR, 5.0, resolution=1)
         with pytest.raises(TimeExtensionOutOfRange):
             energy_surface(ANCHOR, 0.0)
+        with pytest.raises(TimeExtensionOutOfRange):
+            energy_surface(ANCHOR, math.inf, p1_max=3.0, p2_max=5.0)
         for ranges in (dict(p1_max=math.inf), dict(p2_max=math.inf), dict(p1_max=math.nan)):
             with pytest.raises(NonPositiveParameter):
                 energy_surface(ANCHOR, 5.0, resolution=3, **ranges)
