@@ -14,9 +14,8 @@ from noma_mec import (
     offloaded_nats,
     oma_energy_n,
     oma_power_m,
-    optimal_time_extension,
-    pure_noma_energy,
     schedule_energy,
+    select_strategy,
     validate_scenario,
 )
 
@@ -26,7 +25,8 @@ def main():
     print(f"scenario: {scenario}")
     print(f"user m's OMA power: {oma_power_m(scenario):.6f}")
 
-    t_star = optimal_time_extension(scenario)
+    table = select_strategy(scenario)
+    t_star = table.t_star
     print(f"\noptimal extension t_n* = d_n - d_m = {t_star}")
 
     p1, p2 = hybrid_powers(scenario, t_star)
@@ -43,7 +43,7 @@ def main():
 
     print("\nstrategy comparison:")
     print(f"  hybrid NOMA : {schedule_energy(scenario, schedule):10.5f}")
-    print(f"  pure NOMA   : {pure_noma_energy(scenario):10.5f}   (everything inside d_m)")
+    print(f"  pure NOMA   : {table.pure_noma.energy:10.5f}   (everything inside d_m)")
     print(f"  OMA         : {oma_energy_n(scenario, t_star):10.5f}   (everything inside the {t_star}-unit slot)")
 
     print("\nslope of the normalized energy (always <= 0):")

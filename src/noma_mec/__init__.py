@@ -18,12 +18,8 @@ from .closed_form import (
     kkt_log_vars,
     log_hybrid_energy,
     log_oma_energy_n,
-    log_pure_noma_energy,
     oma_energy_n,
     oma_power_m,
-    optimal_time_extension,
-    pure_noma_energy,
-    pure_noma_power,
 )
 from .errors import (
     ConfigError,
@@ -33,7 +29,6 @@ from .errors import (
     NomaMecError,
     NonConvergence,
     NonPositiveParameter,
-    RegimeViolation,
     TimeExtensionOutOfRange,
     TypeMismatch,
 )
@@ -67,7 +62,6 @@ from .strategy import (
     ComparisonTable,
     Regime,
     classify_regime,
-    hybrid_lower_bound,
     noma_oma_gap,
     select_strategy,
 )

@@ -23,7 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import NonPositiveParameter, RegimeViolation, TimeExtensionOutOfRange
+from .errors import NonPositiveParameter, TimeExtensionOutOfRange
 from .model import EXP_CUTOFF, _SCALAR, OffloadScenario, _phase_energies, _require_in
 
 
@@ -75,7 +75,7 @@ def _hybrid_phase_energies(ops, d_m, t_n, p_n1, p_n2):
     """Phase energies of the fixed-extension optimum, elementwise. Where ``p_n1 == 0`` phase 2
     carries the whole task at ``y2 == nats/d_m``, which takes ``d_m``: just below ``t_n == d_m``
     the rates round to those of ``d_m`` itself, and billing ``t_n`` would price a schedule that
-    falls short of the task, below ``hybrid_lower_bound``. Billed over ``d_m`` it is that bound."""
+    falls short of the task, below OMA over ``d_m``. Billed over ``d_m`` it is that energy."""
     return _phase_energies(ops, d_m, ops.where(p_n1 == 0.0, d_m, t_n), p_n1, p_n2)
 
 
@@ -101,17 +101,6 @@ def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     return float(phase1 + phase2)
 
 
-def pure_noma_power(scenario: OffloadScenario) -> float:
-    """Shared-slot power when the whole task is offloaded during ``d_m``: the hybrid
-    ``p_n1`` at ``t_n == 0``."""
-    return hybrid_powers(scenario, 0.0)[0]
-
-
-def pure_noma_energy(scenario: OffloadScenario) -> float:
-    """Energy of the pure-NOMA strategy; equals ``hybrid_energy(scenario, 0)``."""
-    return scenario.d_m * pure_noma_power(scenario)
-
-
 def oma_power_m(scenario: OffloadScenario) -> float:
     """User m's power in plain OMA, solving ``d_m * ln(1 + p * h_m_sq) == nats``."""
     return _solo_power(_SCALAR, scenario.nats / scenario.d_m, scenario.h_m_sq)
@@ -127,19 +116,6 @@ def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """
     _require_in("slot", slot, 0, math.inf, "[)", TimeExtensionOutOfRange)
     return float(_oma_energy(_SCALAR, scenario.nats, scenario.h_n_sq, slot))
-
-
-def optimal_time_extension(scenario: OffloadScenario) -> float:
-    """Energy-optimal extension length ``d_n - d_m`` in the hybrid regime.
-
-    Valid only for ``d_n < 2 d_m``; the monotone energy makes the largest
-    admissible extension optimal. Raises RegimeViolation otherwise.
-    """
-    if scenario.d_n >= 2.0 * scenario.d_m:
-        raise RegimeViolation(
-            f"optimal extension is defined for d_n < 2 d_m, got d_n={scenario.d_n}, d_m={scenario.d_m}"
-        )
-    return scenario.capped_extension
 
 
 def energy_derivative(scenario: OffloadScenario, t_n: float) -> float:
@@ -178,11 +154,6 @@ def log_hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     slot = t_n if y1 > 0.0 else scenario.d_m   # the phase-2 length hybrid_energy bills
     term2 = math.log(slot) + _log_expm1(y2) if slot > 0.0 else -math.inf
     return _log_add(term1, term2) - math.log(scenario.h_n_sq)
-
-
-def log_pure_noma_energy(scenario: OffloadScenario) -> float:
-    """ln of ``pure_noma_energy``: ``log_hybrid_energy`` at ``t_n == 0``."""
-    return log_hybrid_energy(scenario, 0.0)
 
 
 def log_oma_energy_n(scenario: OffloadScenario, slot: float) -> float:

@@ -17,10 +17,6 @@ class TimeExtensionOutOfRange(NomaMecError, ValueError):
     """A time extension / slot length lies outside its admissible interval."""
 
 
-class RegimeViolation(NomaMecError, ValueError):
-    """An operation restricted to the hybrid regime (d_n < 2 d_m) was called outside it."""
-
-
 class NonConvergence(NomaMecError, RuntimeError):
     """An iterative search hit its evaluation cap before reaching the requested tolerance."""
 

@@ -37,6 +37,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # few ulp short; the feasibility mask keeps them.
 FEASIBILITY_SLACK = 1e-12
 
+# Objective evaluations one golden-section lane may spend before NonConvergence.
+_MAX_EVALS = 200
+
 
 OracleResult = namedtuple("OracleResult", "p_n1 p_n2 t_n energy iterations")
 OracleResult.__doc__ = "Numerically found minimum: powers, extension, energy, search effort."
@@ -93,7 +96,7 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
 
 
 def oracle_batch(
-    nats, d_m, h_n_sq, t_n, tol: float = 1e-10, max_iter: int = 200
+    nats, d_m, h_n_sq, t_n, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the constraint-split energy over ``alpha`` for many searches at once.
 
@@ -110,8 +113,8 @@ def oracle_batch(
     (NonPositiveParameter) and ``t_n`` must lie in ``(0, d_m]``
     (TimeExtensionOutOfRange); the error names the first bad lane. ``tol``,
     the final bracket width on alpha, must lie in ``(0, 1)``
-    (NonPositiveParameter); ``max_iter`` caps each lane's
-    evaluations and exceeding it in any lane raises NonConvergence. Each
+    (NonPositiveParameter). A lane that would take more than ``_MAX_EVALS``
+    evaluations raises NonConvergence. Each
     lane's returned point is the best of its final bracket's endpoints and
     midpoint, never worse than any alpha-grid sample at resolution ``tol``.
     """
@@ -148,7 +151,7 @@ def oracle_batch(
         lo, hi, width = np.zeros(t_n.size), np.ones(t_n.size), np.ones(t_n.size)
         inner_lo, inner_hi = hi - _INV_PHI * width, lo + _INV_PHI * width
         f_lo, f_hi = objective(inner_lo, *lanes)[0], objective(inner_hi, *lanes)[0]
-        evals = 2   # every open lane has taken every step
+        evals, max_evals = 2, _MAX_EVALS   # every open lane has taken every step
         while index.size:
             done = width <= tol
             if np.count_nonzero(done):
@@ -157,7 +160,7 @@ def oracle_batch(
                 index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params = (
                     a[keep] for a in (index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params))
                 continue
-            if evals >= max_iter:
+            if evals >= max_evals:
                 raise NonConvergence(f"golden-section spent {evals} evaluations"
                                      f" without reaching width {tol}")
             # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right part,
@@ -178,15 +181,10 @@ def oracle_batch(
         return p_n1[best, lane], p_n2[best, lane], energies[best, lane], iterations + 3
 
 
-def oracle_fixed_t(
-    scenario: OffloadScenario,
-    t_n: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> OracleResult:
+def oracle_fixed_t(scenario: OffloadScenario, t_n: float, tol: float = 1e-10) -> OracleResult:
     """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
     p_n1, p_n2, energy, iterations = oracle_batch(
-        scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, tol=tol, max_iter=max_iter
+        scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, tol=tol
     )
     return OracleResult(float(p_n1[0]), float(p_n2[0]), t_n, float(energy[0]), int(iterations[0]))
 

@@ -140,11 +140,3 @@ def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:
         return -math.inf if log_gap < 0.0 else math.inf
     return e_hybrid - e_oma
 
-
-def hybrid_lower_bound(scenario: OffloadScenario) -> float:
-    """Greatest lower bound of the hybrid energy over extensions in [0, d_m].
-
-    Attained at the capped extension ``t_n == d_m``, where the shared-slot
-    power vanishes; equals ``oma_energy_n(scenario, d_m)`` bit-for-bit.
-    """
-    return oma_energy_n(scenario, scenario.d_m)

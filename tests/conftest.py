@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import sys
@@ -38,3 +39,23 @@ def any_scenarios(draw):
     d_m = draw(shared_slots)
     factor = draw(st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
     return validate_scenario(nats, d_m, d_m * (1.0 + factor), draw(gains), draw(gains))
+
+
+def identity_corpus(count=1200, seed=2018):
+    """Seeded scenarios for the README's bit-exact identities: a quarter each with d_n == d_m,
+    d_m < d_n < 2 d_m, d_n == 2 d_m and 2 d_m < d_n <= 3.5 d_m. ``nats/d_m`` is log-uniform
+    up to 800, so in part of every quarter an exponent passes EXP_CUTOFF and the energy
+    saturates to inf; an overflowing ``nats/d_m``, which fails closed, is left out."""
+    import numpy as np
+
+    from noma_mec import validate_scenario
+
+    rng = np.random.default_rng(seed)
+    quarter = count // 4
+    factor = np.concatenate([np.ones(quarter), rng.uniform(1.0, 2.0, quarter),
+                             np.full(quarter, 2.0), 3.5 - rng.uniform(0.0, 1.5, quarter)])
+    d_m = 10.0 ** rng.uniform(-1.0, 2.0, factor.size)
+    rate = 10.0 ** rng.uniform(-3.0, math.log10(800.0), factor.size)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, (2, factor.size))
+    return [validate_scenario(r * m, m, f * m, g_m, g_n)
+            for r, m, f, g_m, g_n in zip(rate, d_m, factor, *gains)]

@@ -15,12 +15,10 @@ from noma_mec import (
     energy_derivative,
     energy_surface,
     hybrid_energy,
-    hybrid_lower_bound,
     hybrid_powers,
     kkt_log_vars,
     oma_energy_n,
     oracle_fixed_t,
-    pure_noma_energy,
     select_strategy,
     validate_scenario,
 )
@@ -83,9 +81,9 @@ def test_criterion_3_oma_regime():
         for s in draw_scenarios(seed=7, count=100, deadline_lo=2.0, deadline_hi=4.0):
             slot = s.d_n - s.d_m
             e_oma = oma_energy_n(s, slot)
-            e_pure = pure_noma_energy(s)
+            e_pure = hybrid_energy(s, 0.0)
             assert e_oma <= e_pure + 1e-9
-            assert e_oma <= hybrid_lower_bound(s) + 1e-9
+            assert e_oma <= oma_energy_n(s, s.d_m) + 1e-9
             margin = s.d_m * math.expm1(s.nats / s.d_m) ** 2 / s.h_n_sq
             assert e_oma - e_pure <= -margin + 1e-6
 

@@ -8,23 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import hybrid_scenarios
+from conftest import hybrid_scenarios, identity_corpus
 from noma_mec import (
     NonPositiveParameter,
-    RegimeViolation,
+    Regime,
     TimeExtensionOutOfRange,
+    deadline_sweep,
     energy_derivative,
     hybrid_energy,
     hybrid_powers,
     kkt_log_vars,
     log_hybrid_energy,
     log_oma_energy_n,
-    log_pure_noma_energy,
     oma_energy_n,
     oma_power_m,
-    optimal_time_extension,
-    pure_noma_energy,
-    pure_noma_power,
+    select_strategy,
     validate_scenario,
 )
 from noma_mec.closed_form import _log_rates
@@ -134,7 +132,7 @@ class TestHybridPowers:
 
     def test_zero_extension_matches_pure_noma_exactly(self):
         p1, p2 = hybrid_powers(ANCHOR, 0.0)
-        assert p1 == pure_noma_power(ANCHOR)
+        assert ANCHOR.d_m * p1 == select_strategy(ANCHOR).pure_noma.energy
         assert p1 == pytest.approx(2.364689, abs=1e-5)
         assert p2 == pytest.approx(3.481689, abs=1e-5)
 
@@ -188,7 +186,14 @@ class TestHybridEnergy:
         assert hybrid_energy(ANCHOR, 5.0) == pytest.approx(35.66291, abs=1e-4)
 
     def test_zero_extension_equals_pure_noma_bitwise(self):
-        assert hybrid_energy(ANCHOR, 0.0) == pure_noma_energy(ANCHOR)
+        assert hybrid_energy(ANCHOR, 0.0) == select_strategy(ANCHOR).pure_noma.energy
+        corpus = identity_corpus()
+        assert any(hybrid_energy(s, 0.0) == math.inf for s in corpus)
+        for s in corpus:
+            e_pure = hybrid_energy(s, 0.0)
+            assert select_strategy(s).pure_noma.energy == e_pure
+            sweep = deadline_sweep(s.nats, s.d_m, s.d_m, 3.0 * s.d_m, 2, s.h_m_sq, s.h_n_sq)
+            assert sweep.e_pure == [e_pure, e_pure]
 
     def test_full_extension_value(self):
         assert hybrid_energy(ANCHOR, 20.0) == pytest.approx(20.0 * math.expm1(0.75), rel=1e-15)
@@ -215,31 +220,36 @@ class TestHybridEnergy:
 
 class TestPureNomaEnergy:
     def test_reference_value(self):
-        assert pure_noma_energy(ANCHOR) == pytest.approx(47.29378, abs=1e-4)
+        assert hybrid_energy(ANCHOR, 0.0) == pytest.approx(47.29378, abs=1e-4)
 
     def test_gain_scaling(self):
         s = validate_scenario(15.0, 20.0, 25.0, h_n_sq=2.0)
-        assert pure_noma_energy(s) == pytest.approx(23.64689, abs=1e-4)
+        assert hybrid_energy(s, 0.0) == pytest.approx(23.64689, abs=1e-4)
 
     def test_vanishing_task(self):
         s = validate_scenario(1e-12, 20.0, 25.0)
-        assert pure_noma_energy(s) == pytest.approx(0.0, abs=1e-9)
+        assert hybrid_energy(s, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestOptimalTimeExtension:
     def test_hybrid_case(self):
-        assert optimal_time_extension(ANCHOR) == 5.0
+        table = select_strategy(ANCHOR)
+        assert table.t_star == ANCHOR.capped_extension == 5.0
+        assert table.regime is Regime.HYBRID
 
     def test_equal_deadlines(self):
-        assert optimal_time_extension(validate_scenario(15, 20, 20)) == 0.0
+        assert select_strategy(validate_scenario(15, 20, 20)).t_star == 0.0
 
-    def test_relaxed_deadline_rejected(self):
-        with pytest.raises(RegimeViolation):
-            optimal_time_extension(validate_scenario(15, 20, 45))
+    # Past the hybrid regime the extension is capped at d_m and the regime says so.
+    def test_relaxed_deadline_capped(self):
+        table = select_strategy(validate_scenario(15, 20, 45))
+        assert table.t_star == 20.0
+        assert table.regime is Regime.OMA_FAVORED
 
-    def test_boundary_rejected(self):
-        with pytest.raises(RegimeViolation):
-            optimal_time_extension(validate_scenario(15, 20, 40))
+    def test_boundary_capped(self):
+        table = select_strategy(validate_scenario(15, 20, 40))
+        assert table.t_star == 20.0
+        assert table.regime is Regime.BOUNDARY
 
 
 class TestEnergyDerivative:
@@ -278,8 +288,8 @@ class TestLogDomain:
         assert log_oma_energy_n(ANCHOR, 5.0) == pytest.approx(
             math.log(oma_energy_n(ANCHOR, 5.0)), rel=1e-12
         )
-        assert log_pure_noma_energy(ANCHOR) == pytest.approx(
-            math.log(pure_noma_energy(ANCHOR)), rel=1e-12
+        assert log_hybrid_energy(ANCHOR, 0.0) == pytest.approx(
+            math.log(hybrid_energy(ANCHOR, 0.0)), rel=1e-12
         )
         assert log_hybrid_energy(ANCHOR, 5.0) == pytest.approx(
             math.log(hybrid_energy(ANCHOR, 5.0)), rel=1e-12

@@ -40,3 +40,19 @@ def test_public_names_are_the_packages_own():
         assert not isinstance(value, types.ModuleType), name
         # Classes and functions come from the package, not from a helper import.
         assert getattr(value, "__module__", "noma_mec").startswith("noma_mec"), name
+
+
+def test_public_names_are_pinned():
+    # The whole public API, sorted: adding, removing or renaming a name shows in this list.
+    assert sorted(noma_mec.__all__) == [
+        "CampaignSummary", "ComparisonTable", "ConfigError", "DeadlineOrderViolation",
+        "EXP_CUTOFF", "EnergyReport", "FileUnreadable", "MissingKey", "NomaMecError",
+        "NonConvergence", "NonPositiveParameter", "OffloadScenario", "OracleResult",
+        "PowerSchedule", "Regime", "StrategyKind", "SurfaceGrid", "TimeExtensionOutOfRange",
+        "TypeMismatch", "__version__", "classify_regime", "deadline_sweep", "energy_derivative",
+        "energy_surface", "hybrid_energy", "hybrid_powers", "kkt_log_vars", "log_hybrid_energy",
+        "log_oma_energy_n", "noma_oma_gap", "offloaded_nats", "oma_energy_n", "oma_power_m",
+        "oracle_batch", "oracle_fixed_t", "oracle_joint", "render_campaign_summary",
+        "render_surface_csv", "render_sweep_csv", "schedule_energy", "select_strategy",
+        "split_schedule", "validate_scenario", "verification_campaign",
+    ]

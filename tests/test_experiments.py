@@ -22,8 +22,6 @@ from noma_mec import (
     oma_energy_n,
     oma_power_m,
     oracle_joint,
-    pure_noma_energy,
-    pure_noma_power,
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
@@ -236,8 +234,8 @@ class TestViewsAgree:
             t_n = row.t_n_star
             assert hybrid_powers(s, t_n) == reference_powers(s, t_n) == (row.p1_star, row.p2_star)
             assert hybrid_energy(s, t_n) == row.e_hybrid
-            assert pure_noma_energy(s) == row.e_pure
-            assert pure_noma_power(s) == reference_powers(s, 0.0)[0]
+            assert hybrid_energy(s, 0.0) == row.e_pure
+            assert hybrid_powers(s, 0.0)[0] == reference_powers(s, 0.0)[0]
             slot = row.d_n - d_m
             expected_oma = reference_oma_energy(s, slot) if slot > 0.0 else math.inf
             assert oma_energy_n(s, slot) == expected_oma == row.e_oma
@@ -255,7 +253,7 @@ class TestViewsAgree:
             for report in (table.hybrid, table.pure_noma, table.oma):
                 values += [report.energy, report.phase1_energy, report.phase2_energy,
                            report.normalized_energy]
-            values += [*hybrid_powers(s, t_n), hybrid_energy(s, t_n), pure_noma_power(s),
+            values += [*hybrid_powers(s, t_n), hybrid_energy(s, t_n), hybrid_powers(s, 0.0)[0],
                        oma_energy_n(s, s.d_n - s.d_m), oma_energy_n(s, t_n)]
             split = split_schedule(s, d_m, frac)
             values += [split.p_n1, split.p_n2, schedule_energy(s, split), offloaded_nats(s, split),

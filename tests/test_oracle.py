@@ -18,8 +18,6 @@ from noma_mec import (
     oma_energy_n,
     oracle_fixed_t,
     oracle_joint,
-    pure_noma_energy,
-    pure_noma_power,
     schedule_energy,
     split_schedule,
     validate_scenario,
@@ -34,8 +32,8 @@ ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 class TestSplitParametrization:
     def test_all_nats_in_shared_slot_is_pure_noma(self):
         schedule = split_schedule(ANCHOR, 5.0, 1.0)
-        assert schedule_energy(ANCHOR, schedule) == pure_noma_energy(ANCHOR)
-        assert schedule.p_n1 == pure_noma_power(ANCHOR)
+        assert schedule_energy(ANCHOR, schedule) == hybrid_energy(ANCHOR, 0.0)
+        assert schedule.p_n1 == hybrid_powers(ANCHOR, 0.0)[0]
         assert schedule.p_n2 == 0.0
 
     def test_all_nats_in_solo_slot_is_oma(self):
@@ -106,8 +104,9 @@ class TestOracleFixedT:
             coarse = finer
 
     def test_iteration_cap_raises(self):
-        with pytest.raises(NonConvergence):
-            oracle_fixed_t(ANCHOR, 5.0, tol=1e-10, max_iter=5)
+        # Around the interior optimum at t_n = 5 floats are too coarse for a 1e-17 bracket.
+        with pytest.raises(NonConvergence, match="^golden-section spent 200 evaluations"):
+            oracle_fixed_t(ANCHOR, 5.0, tol=1e-17)
 
     def test_preconditions(self):
         with pytest.raises(TimeExtensionOutOfRange):
@@ -198,10 +197,10 @@ class TestOracleBatch:
 
     def test_open_lane_raises_after_others_retire(self):
         # The t_n = 20 lanes finish within 92 evaluations and leave the
-        # search; the t_n = 5 lane is still open when the cap of 100 is hit.
-        assert oracle_fixed_t(ANCHOR, 20.0, tol=1e-18, max_iter=92).iterations == 92
-        with pytest.raises(NonConvergence, match="spent 100 evaluations"):
-            oracle_batch(15.0, 20.0, 1.0, [20.0, 5.0, 20.0], tol=1e-18, max_iter=100)
+        # search; the t_n = 5 lane is still open when the cap of 200 is hit.
+        assert oracle_fixed_t(ANCHOR, 20.0, tol=1e-18).iterations == 92
+        with pytest.raises(NonConvergence, match="spent 200 evaluations"):
+            oracle_batch(15.0, 20.0, 1.0, [20.0, 5.0, 20.0], tol=1e-18)
 
     @pytest.mark.parametrize("bad_t_n", [0.0, 20.5, math.nan])
     def test_one_out_of_range_lane_raises(self, bad_t_n):
@@ -256,13 +255,14 @@ class TestSaturatedSearch:
             assert oracle_joint(s).energy == math.inf
 
 
-    @pytest.mark.parametrize("split_rule, max_iter, error", [
-        (None, 200, None),
-        (None, 5, NonConvergence),
+    @pytest.mark.parametrize("split_rule, tol, error", [
+        (None, 1e-10, None),
+        # The saturated lanes close to width 0; the ANCHOR lane's interior optimum cannot.
+        (None, 1e-17, NonConvergence),
         # A broken split rule: the objective's nonnegativity check raises mid-search.
-        (lambda ops, alpha, *lane: (-alpha, alpha), 200, NonPositiveParameter),
+        (lambda ops, alpha, *lane: (-alpha, alpha), 1e-10, NonPositiveParameter),
     ])
-    def test_caller_error_state_restored(self, monkeypatch, split_rule, max_iter, error):
+    def test_caller_error_state_restored(self, monkeypatch, split_rule, tol, error):
         if split_rule is not None:
             monkeypatch.setattr("noma_mec.oracle._split_powers", split_rule)
         # A caller's state unlike both numpy's default and the search's own, so that a
@@ -270,7 +270,8 @@ class TestSaturatedSearch:
         with np.errstate(over="raise", invalid="raise"):
             before = np.geterr()
             with pytest.raises(error) if error else contextlib.nullcontext():
-                oracle_batch(600.0, 1.0, 1.0, [0.5, 1.0, 0.01], max_iter=max_iter)
+                oracle_batch([600.0, 600.0, 600.0, 15.0], [1.0, 1.0, 1.0, 20.0], 1.0,
+                             [0.5, 1.0, 0.01, 5.0], tol=tol)
             assert np.geterr() == before
 
 
@@ -291,7 +292,7 @@ class TestOracleJoint:
         result = oracle_joint(s)
         assert result.t_n == 0.0
         assert result.p_n2 == 0.0
-        assert result.energy == pure_noma_energy(s)
+        assert result.energy == hybrid_energy(s, 0.0)
 
     def test_step_count_validated(self):
         with pytest.raises(NonPositiveParameter):
@@ -385,7 +386,7 @@ class TestEnergySurface:
     def test_default_ranges_at_full_extension(self, resolution):
         # The closed-form p_n1 is exactly 0 at t_n == d_m, so p1 spans twice the pure-NOMA power.
         grid = energy_surface(ANCHOR, ANCHOR.d_m, resolution=resolution)
-        assert grid.p1_axis[1] == 2.0 * pure_noma_power(ANCHOR) / resolution
+        assert grid.p1_axis[1] == 2.0 * hybrid_powers(ANCHOR, 0.0)[0] / resolution
         assert grid.p2_axis[1] == 2.0 * hybrid_powers(ANCHOR, ANCHOR.d_m)[1] / resolution > 0.0
         assert grid.feasible_argmin() == (0, resolution // 2)
 

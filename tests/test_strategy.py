@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import any_scenarios, hybrid_scenarios
+from conftest import any_scenarios, hybrid_scenarios, identity_corpus
 from noma_mec import (
     Regime,
     StrategyKind,
@@ -11,10 +11,8 @@ from noma_mec import (
     classify_regime,
     deadline_sweep,
     hybrid_energy,
-    hybrid_lower_bound,
     noma_oma_gap,
     oma_energy_n,
-    pure_noma_energy,
     select_strategy,
     validate_scenario,
 )
@@ -77,7 +75,7 @@ class TestSelectStrategy:
         assert table.oma.energy == pytest.approx(19.46164, abs=1e-4)
         assert table.oma.energy < table.pure_noma.energy
         # Hybrid is reported at its capped extension d_m, i.e. at its infimum.
-        assert table.hybrid.energy == pytest.approx(hybrid_lower_bound(s), rel=1e-12)
+        assert table.hybrid.energy == pytest.approx(oma_energy_n(s, s.d_m), rel=1e-12)
         assert table.oma.energy <= table.hybrid.energy
 
     def test_boundary_tie_goes_to_oma(self):
@@ -188,19 +186,24 @@ class TestNormalizedGap:
 
 class TestHybridLowerBound:
     def test_reference_value(self):
-        assert hybrid_lower_bound(ANCHOR) == pytest.approx(22.34000, abs=1e-4)
+        assert oma_energy_n(ANCHOR, ANCHOR.d_m) == pytest.approx(22.34000, abs=1e-4)
 
     def test_gain_scaling(self):
         s = validate_scenario(15.0, 20.0, 25.0, h_n_sq=2.0)
-        assert hybrid_lower_bound(s) == pytest.approx(11.17000, abs=1e-4)
+        assert oma_energy_n(s, s.d_m) == pytest.approx(11.17000, abs=1e-4)
 
     def test_equals_oma_at_shared_slot_length(self):
-        assert hybrid_lower_bound(ANCHOR) == oma_energy_n(ANCHOR, 20.0)
+        assert hybrid_energy(ANCHOR, ANCHOR.d_m) == oma_energy_n(ANCHOR, 20.0)
+        corpus = identity_corpus()
+        assert {classify_regime(s) for s in corpus} == set(Regime)
+        assert any(oma_energy_n(s, s.d_m) == math.inf for s in corpus)
+        for s in corpus:
+            assert hybrid_energy(s, s.d_m) == oma_energy_n(s, s.d_m)
 
     @settings(max_examples=80)
     @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
     def test_bounds_hybrid_energy(self, s, frac):
-        assert hybrid_energy(s, frac * s.d_m) >= hybrid_lower_bound(s) - 1e-12
+        assert hybrid_energy(s, frac * s.d_m) >= oma_energy_n(s, s.d_m) - 1e-12
 
     def test_attained_by_sweep_row_just_below_shared_slot_length(self):
         # A 161-point sweep over [d_m, 3 d_m] puts its midpoint a few ulp below 2 d_m.
@@ -209,8 +212,8 @@ class TestHybridLowerBound:
                              1.2491148082183643, 5.095538934289587)[80]
         s = validate_scenario(30.983336987743208, d_m, row.d_n, h_n_sq=5.095538934289587)
         assert 0.0 < d_m - row.t_n_star <= 4 * math.ulp(d_m)
-        assert row.e_hybrid == hybrid_energy(s, row.t_n_star) == hybrid_lower_bound(s)
-        assert select_strategy(s).hybrid.energy == hybrid_lower_bound(s)
+        assert row.e_hybrid == hybrid_energy(s, row.t_n_star) == oma_energy_n(s, d_m)
+        assert select_strategy(s).hybrid.energy == oma_energy_n(s, d_m)
 
 
 class TestExactTieAtSharedSlotLength:
@@ -220,7 +223,7 @@ class TestExactTieAtSharedSlotLength:
     @settings(max_examples=200)
     @given(s=any_scenarios())
     def test_hybrid_oma_and_bound_coincide(self, s):
-        assert hybrid_energy(s, s.d_m) == oma_energy_n(s, s.d_m) == hybrid_lower_bound(s)
+        assert hybrid_energy(s, s.d_m) == oma_energy_n(s, s.d_m)
 
     @settings(max_examples=200)
     @given(s=any_scenarios())
@@ -266,5 +269,5 @@ class TestOmaRegimeComparisons:
             return
         slot = s.d_n - s.d_m
         e_oma = oma_energy_n(s, slot)
-        assert e_oma <= pure_noma_energy(s) + 1e-9
-        assert e_oma <= hybrid_lower_bound(s) + 1e-9
+        assert e_oma <= select_strategy(s).pure_noma.energy + 1e-9
+        assert e_oma <= oma_energy_n(s, s.d_m) + 1e-9
