@@ -31,7 +31,7 @@ SURFACE_COLUMNS = "p1,p2,energy,feasible,kind"
 _CAMPAIGN_LOWS = (1.0, 1.0, 1e-3, 0.1, 0.1)
 _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
 _KIND_TEXT = {kind: kind.value for kind in StrategyKind}
-_CHUNK_ROWS = 4096   # sweep rows rendered at a time, so the cells held at once stay bounded
+_CHUNK_ROWS = 4096   # sweep rows rendered or campaign scenarios certified at a time
 
 
 # One deadline sample: the three strategy energies and the hybrid optimum behind them.
@@ -114,30 +114,37 @@ def verification_campaign(seed: int, count: int, tol: float = 1e-10) -> Campaign
     Scenarios are drawn with a counter-based generator keyed by ``seed``
     (identical seed, identical summary): task size in [1, 40], shared slot in
     [1, 50], user n's deadline strictly inside (d_m, 2 d_m), gains in
-    [0.1, 10]. ``tol`` is forwarded to the oracle, which searches all
-    scenarios in one batch. ``count`` must be an integer in [1, 1,000,000]. Failures,
-    including a non-finite error or excess, are reported in the summary, never raised.
+    [0.1, 10]. They are drawn and certified 4,096 at a time, one oracle
+    search per chunk, so memory stays flat in ``count``. ``count`` must be an
+    integer in [1, 1,000,000] and ``tol``, forwarded to the oracle, must lie
+    in (0, 1). Failures, including a non-finite error or excess, are reported
+    in the summary, never raised.
     """
     _require_integer("count", count)
     _require_in("count", count, 1, _MAX_ROWS)
     _require_integer("seed", seed)
     if seed < 0:
         raise NonPositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
+    _require_in("tol", tol, 0, 1, "()")
     rng = np.random.Generator(np.random.Philox(seed))
-    # One draw per row in the order nats, d_m, d_n factor, h_m_sq, h_n_sq:
-    # the same stream, value for value, as five scalar draws per scenario.
-    draws = rng.uniform(_CAMPAIGN_LOWS, _CAMPAIGN_HIGHS, size=(count, 5))
-    draws[:, 2] = draws[:, 1] * (1.0 + draws[:, 2])   # the d_n factor becomes d_n
-    nats, d_m, d_n, _, h_n_sq = draws.T
-    with np.errstate(all="ignore"):
-        c = _strategy_columns(_EXACT, nats, d_m, d_n, h_n_sq)
-    e_hybrid, e_pure, e_oma = c.e_hybrid, c.e_pure, c.e_oma
-    _, _, e_oracle, _ = oracle_batch(nats, d_m, h_n_sq, c.t_star, tol=tol)
-    # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a
-    # non-finite error or excess reports FAIL instead of folding away.
-    max_rel_err = float(np.max(np.abs(e_oracle - e_hybrid) / e_hybrid))
-    excess = np.maximum(np.maximum(e_hybrid - e_pure, e_hybrid - e_oma), 0.0)
-    max_violation = float(np.max(excess))
+    max_rel_err = max_violation = 0.0
+    for start in range(0, count, _CHUNK_ROWS):
+        # One draw per row in the order nats, d_m, d_n factor, h_m_sq, h_n_sq: the same
+        # stream, value for value, as five scalar draws per scenario, chunk after chunk.
+        draws = rng.uniform(_CAMPAIGN_LOWS, _CAMPAIGN_HIGHS,
+                            size=(min(_CHUNK_ROWS, count - start), 5))
+        draws[:, 2] = draws[:, 1] * (1.0 + draws[:, 2])   # the d_n factor becomes d_n
+        nats, d_m, d_n, _, h_n_sq = draws.T
+        with np.errstate(all="ignore"):
+            c = _strategy_columns(_EXACT, nats, d_m, d_n, h_n_sq)
+        _, _, e_oracle, _ = oracle_batch(nats, d_m, h_n_sq, c.t_star, tol=tol)
+        # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a
+        # non-finite error or excess reports FAIL instead of folding away.
+        rel_err = np.abs(e_oracle - c.e_hybrid) / c.e_hybrid
+        excess = np.maximum(c.e_hybrid - c.e_pure, c.e_hybrid - c.e_oma)
+        max_rel_err = np.maximum(max_rel_err, np.max(rel_err))
+        max_violation = np.maximum(max_violation, np.max(excess))
+    max_rel_err, max_violation = float(max_rel_err), float(max_violation)
     passed = max_rel_err <= 1e-5 and max_violation <= 1e-9
     return CampaignSummary(seed, count, max_rel_err, max_violation, passed)
 

@@ -16,7 +16,9 @@ caller names: ``split_schedule`` runs it on floats with ``model._SCALAR``
 grid with ``_NUMPY`` too. The search takes one lane per (scenario, extension)
 pair. A step pays only for the open lanes and what depends on alpha: a lane's
 ``nats/d_m`` and its ``exp`` are computed once, and saturation is patched
-only where it occurs.
+only where it occurs. A batch tests a phase for saturation only if some lane
+can reach the cutoff: ``alpha`` lies in [0, 1], so ``y1 <= nats/d_m`` and
+``y2 <= nats/t_n`` in floats too, rounding being monotone.
 """
 
 from __future__ import annotations
@@ -70,17 +72,19 @@ def _split_lanes(ops, nats, d_m, h_n_sq, t_n):
     return nats, d_m, h_n_sq, t_n, rate_dm, ops.exp(rate_dm)
 
 
-def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm):
+def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm,
+                  can_saturate=(True, True)):
     """``split_schedule``'s powers, elementwise, with ``_SCALAR`` or ``_NUMPY``: the same steps,
     so the two differ only where numpy's ``exp``/``expm1`` differ from ``math``'s. The unmasked
-    powers are patched only where some element saturates; arrays need ``np.errstate``."""
+    powers are patched only where some element saturates, and a phase is tested only if its
+    ``can_saturate`` flag is set; arrays need ``np.errstate``."""
     y1 = alpha * nats / d_m
     y2 = (1.0 - alpha) * nats / t_n
     p_n1 = exp_rate_dm * ops.expm1(y1) / h_n_sq
     p_n2 = ops.expm1(y2) / h_n_sq
-    if ops.any(saturated := rate_dm + y1 > EXP_CUTOFF):
+    if can_saturate[0] and ops.any(saturated := rate_dm + y1 > EXP_CUTOFF):
         p_n1 = ops.where(saturated, ops.where(y1 > 0.0, math.inf, 0.0), p_n1)
-    if ops.any(saturated := y2 > EXP_CUTOFF):
+    if can_saturate[1] and ops.any(saturated := y2 > EXP_CUTOFF):
         p_n2 = ops.where(saturated, math.inf, p_n2)
     return p_n1, p_n2
 
@@ -138,13 +142,16 @@ def oracle_batch(
 
     def objective(alpha, nats, d_m, h_n_sq, t_n, *constants):
         """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
-        p_n1, p_n2 = _split_powers(_NUMPY, alpha, nats, d_m, h_n_sq, t_n, *constants)
+        p_n1, p_n2 = _split_powers(_NUMPY, alpha, nats, d_m, h_n_sq, t_n, *constants, can_saturate)
         if not (np.minimum(p_n1, p_n2) >= 0.0).all():   # as PowerSchedule checks a schedule
             raise NonPositiveParameter("split powers must be nonnegative")
         return d_m * p_n1 + t_n * p_n2, p_n1, p_n2
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
         lanes = _split_lanes(_NUMPY, *lanes)   # constants ride in params, retiring with their lane
+        # Phase 1's exponent nats/d_m + y1 is at most 2 nats/d_m, phase 2's at most nats/t_n.
+        can_saturate = (np.count_nonzero(2.0 * nats / d_m > EXP_CUTOFF),
+                        np.count_nonzero(nats / t_n > EXP_CUTOFF))
         # Only open lanes are searched; ``index`` maps them to their output slots.
         index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
         final_lo, final_hi = np.empty((2, t_n.size))
@@ -169,7 +176,8 @@ def oracle_batch(
             left = f_lo < f_hi
             lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
             width = hi - lo
-            probe = np.where(left, hi - _INV_PHI * width, lo + _INV_PHI * width)
+            step = _INV_PHI * width
+            probe = np.where(left, hi - step, lo + step)
             f_probe = objective(probe, *params)[0]
             inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
             f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import pickle
 import warnings
@@ -543,22 +544,38 @@ class TestVerificationCampaign:
         vectorized = rng.uniform(_CAMPAIGN_LOWS, _CAMPAIGN_HIGHS, size=(count, 5))
         assert vectorized.tolist() == scalar
 
-    def test_nan_oracle_lane_fails_closed(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("count,chunk", [(10, 0), (2 * _CHUNK_ROWS + 5, 1)],
+                             ids=["one chunk", "middle of three chunks"])
+    def test_nan_oracle_lane_fails_closed(self, monkeypatch, capsys, count, chunk):
         import noma_mec.experiments as experiments_module
 
         real_batch = experiments_module.oracle_batch
+        chunks, calls = -(-count // _CHUNK_ROWS), itertools.count()
 
         def nan_lane_batch(*args, **kwargs):
             p_n1, p_n2, energy, iterations = real_batch(*args, **kwargs)
-            energy[3] = math.nan
+            if next(calls) % chunks == chunk:   # each campaign's own chunk ``chunk``
+                energy[3] = math.nan
             return p_n1, p_n2, energy, iterations
 
         monkeypatch.setattr(experiments_module, "oracle_batch", nan_lane_batch)
-        summary = verification_campaign(seed=42, count=10)
+        summary = verification_campaign(seed=42, count=count)
         assert not summary.passed
         assert math.isnan(summary.max_rel_err)
-        assert run(["verify", "--seed", "42", "--count", "10"]) == 2
+        assert run(["verify", "--seed", "42", "--count", str(count)]) == 2
         assert "result=FAIL" in capsys.readouterr().out
+        assert next(calls) == 2 * chunks
+
+    @pytest.mark.parametrize("tol", [2.0, 0.0, math.nan])
+    def test_bad_tol_refused_before_drawing(self, monkeypatch, tol):
+        import noma_mec.experiments as experiments_module
+
+        def no_columns(*args):
+            raise AssertionError("computed the closed forms of a campaign with a bad tol")
+
+        monkeypatch.setattr(experiments_module, "_strategy_columns", no_columns)
+        with pytest.raises(NonPositiveParameter, match=r"^tol must lie in \(0, 1\), got "):
+            verification_campaign(seed=42, count=_MAX_ROWS, tol=tol)
 
     @pytest.mark.parametrize("seed,count,max_rel_err", [
         (0, 1, "0.0"),
@@ -567,10 +584,24 @@ class TestVerificationCampaign:
         (42, 200, "1.482412645510839e-15"),
         (2**32 - 1, 1, "2.433605359658634e-16"),
         (2**32 - 1, 200, "9.99216788342013e-16"),
+        # Certified 4,096 scenarios at a time: one chunk, exactly one, one more, two and one.
+        (0, 4095, "3.578848984872027e-15"),
+        (0, 4096, "3.578848984872027e-15"),
+        (0, 4097, "3.578848984872027e-15"),
+        (0, 8193, "4.5422337499051566e-15"),
+        (42, 4095, "5.335808201177592e-15"),
+        (42, 4096, "5.335808201177592e-15"),
+        (42, 4097, "5.335808201177592e-15"),
+        (42, 8193, "5.335808201177592e-15"),
+        (2**32 - 1, 4095, "8.845907640067282e-15"),
+        (2**32 - 1, 4096, "8.845907640067282e-15"),
+        (2**32 - 1, 4097, "8.845907640067282e-15"),
+        (2**32 - 1, 8193, "8.845907640067282e-15"),
+        (42, 100_000, "7.721396954728562e-15"),
     ])
     def test_pinned_summaries(self, seed, count, max_rel_err):
         summary = verification_campaign(seed, count)
-        assert summary.passed
+        assert (summary.seed, summary.count, summary.passed) == (seed, count, True)
         assert repr(summary.max_dominance_violation) == "0.0"
         # The oracle's side of max_rel_err uses numpy's exp/expm1, whose last
         # bits depend on the SIMD code numpy picks for the CPU; the pinned

@@ -23,10 +23,11 @@ from noma_mec import (
     validate_scenario,
 )
 from noma_mec import PowerSchedule, log_oma_energy_n, oracle_batch
-from noma_mec.model import _NUMPY
+from noma_mec.model import _NUMPY, EXP_CUTOFF
 from noma_mec.oracle import _split_lanes, _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestSplitParametrization:
@@ -224,6 +225,35 @@ class TestOracleBatch:
         # A bracket of width 1 or more would end the search before its first step.
         with pytest.raises(NonPositiveParameter, match=r"^tol must lie in \(0, 1\), got "):
             oracle_batch(15.0, 20.0, 1.0, 5.0, tol=tol)
+
+    def test_saturation_skip_is_exact_at_its_edge(self, monkeypatch):
+        # A batch tests a phase for saturation only if some lane's 2 nats/d_m (phase 1) or
+        # nats/t_n (phase 2) passes EXP_CUTOFF. Lanes with that bound at the cutoff and one
+        # ulp either side: in one batch both tests run, alone a lane at or below skips them.
+        edge = [math.nextafter(EXP_CUTOFF, -math.inf), EXP_CUTOFF,
+                math.nextafter(EXP_CUTOFF, math.inf)]
+        lanes = ([(x / 2.0, 1.0, 1.0) for x in edge]      # phase 1 only: nats/t_n = 350
+                 + [(x, 4.0, 1.0) for x in edge]          # phase 2 only: 2 nats/d_m = 350
+                 + [(x, 1.0, 1.0) for x in edge])         # both at once
+        nats, d_m, t_n = (np.array(column) for column in zip(*lanes))
+        batch = oracle_batch(nats, d_m, 1.0, t_n)
+        bits = [a.tobytes() for a in batch]
+        for k, (n, m, t) in enumerate(lanes):
+            alone = oracle_fixed_t(validate_scenario(n, m, m + t), t)
+            seen = (alone.p_n1, alone.p_n2, alone.energy, alone.iterations)
+            assert [np.array([v]).tobytes() for v in seen] == [a[k:k + 1].tobytes() for a in batch]
+        # The same batch with both tests run in every step gives the same bits.
+        real = _split_powers
+        monkeypatch.setattr("noma_mec.oracle._split_powers",
+                            lambda ops, alpha, *lane: real(ops, alpha, *lane[:6]))
+        assert [a.tobytes() for a in oracle_batch(nats, d_m, 1.0, t_n)] == bits
+
+    @given(alpha=st.floats(0.0, 1.0), nats=POSITIVE, d_m=POSITIVE, t_n=POSITIVE)
+    def test_split_exponents_bounded_by_their_alpha_ends(self, alpha, nats, d_m, t_n):
+        # Rounding is monotone, so the batch-wide saturation bounds hold in floats.
+        y1, y2 = alpha * nats / d_m, (1.0 - alpha) * nats / t_n
+        assert y1 <= nats / d_m and nats / d_m + y1 <= 2.0 * (nats / d_m)
+        assert y2 <= nats / t_n
 
     @given(s=hybrid_scenarios(), alpha=st.floats(0.0, 1.0), frac=st.floats(1e-3, 1.0))
     # Just past EXP_CUTOFF, where numpy's products are still finite: rate_dm + y1 = 704,
