@@ -150,7 +150,7 @@ def oracle_batch(
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
         lanes = _split_lanes(_NUMPY, *lanes)   # constants ride in params, retiring with their lane
         # Phase 1's exponent nats/d_m + y1 is at most 2 nats/d_m, phase 2's at most nats/t_n.
-        can_saturate = (np.count_nonzero(2.0 * nats / d_m > EXP_CUTOFF),
+        can_saturate = (np.count_nonzero(2.0 * (nats / d_m) > EXP_CUTOFF),
                         np.count_nonzero(nats / t_n > EXP_CUTOFF))
         # Only open lanes are searched; ``index`` maps them to their output slots.
         index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
