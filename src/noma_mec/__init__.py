@@ -34,7 +34,9 @@ from .errors import (
 )
 from .experiments import (
     CampaignSummary,
+    SurfaceGrid,
     deadline_sweep,
+    energy_surface,
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
@@ -51,8 +53,6 @@ from .model import (
 )
 from .oracle import (
     OracleResult,
-    SurfaceGrid,
-    energy_surface,
     oracle_batch,
     oracle_fixed_t,
     oracle_joint,

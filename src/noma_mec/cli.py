@@ -25,13 +25,13 @@ from .errors import FileUnreadable, MissingKey, NomaMecError, TypeMismatch
 from .experiments import (
     _fmt,
     deadline_sweep,
+    energy_surface,
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
     verification_campaign,
 )
 from .model import EnergyReport, validate_scenario
-from .oracle import energy_surface
 from .strategy import select_strategy
 
 # One row per option: (flag, block, type, fixed default, help). The flag is also the

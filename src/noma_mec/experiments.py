@@ -1,7 +1,7 @@
 """Deterministic sweep generators and the randomized verification campaign.
 
-Output is tabular: the generators return columns or a summary, and the
-``render_*`` helpers turn those, or an ``energy_surface`` grid, into CSV with
+Output is tabular: the generators return columns, a summary or an
+``energy_surface`` grid, and the ``render_*`` helpers turn those into CSV with
 ``#``-prefixed metadata lines. Floats are serialized with ``repr`` so they
 round-trip exactly; infinities become the token ``inf``. Re-running a
 generator with identical inputs yields byte-identical output.
@@ -18,10 +18,10 @@ import numpy as np
 
 from ._version import __version__
 from .closed_form import hybrid_energy, hybrid_powers
-from .errors import NonPositiveParameter
-from .model import (_EXACT, _MAX_ROWS, OffloadScenario, StrategyKind, _require_in,
-                    _require_integer, validate_scenario)
-from .oracle import SurfaceGrid, oracle_batch
+from .errors import NonPositiveParameter, TimeExtensionOutOfRange
+from .model import (_EXACT, _MAX_ROWS, _NUMPY, OffloadScenario, StrategyKind, _offloaded,
+                    _phase_energies, _require_in, _require_integer, validate_scenario)
+from .oracle import oracle_batch
 from .strategy import _strategy_columns
 
 SWEEP_COLUMNS = "d_n,e_hybrid,e_pure,e_oma,p1_star,p2_star,t_n_star,selected"
@@ -32,7 +32,9 @@ _CAMPAIGN_LOWS = (1.0, 1.0, 1e-3, 0.1, 0.1)
 _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
 _KIND_TEXT = {kind: kind.value for kind in StrategyKind}
 _CHUNK_ROWS = 4096   # sweep rows rendered or campaign scenarios certified at a time
-
+# Boundary surface samples whose true offloaded total equals the task size can
+# round a few ulp short; the feasibility mask keeps them.
+FEASIBILITY_SLACK = 1e-12
 
 # One deadline sample: the three strategy energies and the hybrid optimum behind them.
 SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS)
@@ -73,6 +75,25 @@ energy over the pure-NOMA or OMA energy. Either is NaN when any
 scenario's value is, and ``passed`` is then false. The fields run in the
 order of ``render_campaign_summary``'s lines.
 """
+
+
+class SurfaceGrid(namedtuple("SurfaceGrid", "p1_axis p2_axis energy feasible")):
+    """Dense energy/feasibility sampling over the power plane at fixed ``t_n``.
+
+    ``energy[i, j] == d_m * p1_axis[i] + t_n * p2_axis[j]``, ``inf`` where it
+    overflows; ``feasible`` marks samples whose offloaded total reaches the
+    task size (up to FEASIBILITY_SLACK relative).
+    """
+
+    __slots__ = ()
+
+    def feasible_argmin(self) -> tuple[int, int] | None:
+        """Indices of the cheapest feasible sample, or None if none is feasible."""
+        if not self.feasible.any():
+            return None
+        masked = np.where(self.feasible, self.energy, np.inf)
+        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        return int(i), int(j)
 
 
 def deadline_sweep(
@@ -196,6 +217,55 @@ def render_sweep_csv(
         cells = [*map(_run_cells, floats), _run_cells(kinds, _KIND_TEXT.__getitem__)]
         lines.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(lines) + "\n"
+
+
+def energy_surface(
+    scenario: OffloadScenario,
+    t_n: float,
+    p1_max: float | None = None,
+    p2_max: float | None = None,
+    resolution: int = 200,
+) -> SurfaceGrid:
+    """Sample energy and rate-feasibility over ``[0, p1_max) x [0, p2_max)`` for
+    ``render_surface_csv``; the oracle's certificate does not depend on it.
+
+    Each axis carries ``resolution`` uniform samples starting at 0, spaced
+    ``max / resolution`` (the right endpoint is excluded). Ranges default to
+    twice the closed-form powers at ``t_n``, which puts the closed-form
+    optimum exactly on the sample lattice, as the cheapest feasible sample.
+    At ``t_n == d_m`` the closed-form ``p_n1`` is exactly 0, so ``p1_max``
+    defaults to twice the pure-NOMA power (``hybrid_powers(scenario, 0)[0]``)
+    instead; the optimum stays on the lattice, in its ``p1 == 0`` row. With
+    hand-picked ranges the optimum generally falls between samples and the
+    cheapest feasible sample can sit a few cells away along the constraint
+    boundary. ``t_n`` must be positive and finite, and at most ``d_m`` for a
+    default range (TimeExtensionOutOfRange). Both ranges must be positive and
+    finite, defaults included (a saturated closed-form or pure-NOMA power
+    gives an infinite one), and ``resolution`` an integer in [2, 1000], at
+    most 1,000,000 samples; otherwise NonPositiveParameter is raised.
+    """
+    _require_in("t_n", t_n, 0, math.inf, "()", TimeExtensionOutOfRange)
+    _require_integer("resolution", resolution)
+    _require_in("resolution", resolution, 2, math.isqrt(_MAX_ROWS))
+    if p1_max is None or p2_max is None:
+        star1, star2 = hybrid_powers(scenario, t_n)
+        if p1_max is None:
+            # p_n1 is exactly 0 at t_n == d_m: span twice the pure-NOMA power there instead.
+            p1_max = 2.0 * (hybrid_powers(scenario, 0.0)[0] if star1 == 0.0 else star1)
+        if p2_max is None:
+            p2_max = 2.0 * star2
+    _require_in("p1_max", p1_max, 0, math.inf, "()")
+    _require_in("p2_max", p2_max, 0, math.inf, "()")
+
+    p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)
+    p2_axis = np.linspace(0.0, p2_max, resolution, endpoint=False)
+    with np.errstate(over="ignore"):   # energies are extended reals: a cell may overflow to inf
+        p1, p2 = p1_axis[:, None], p2_axis[None, :]
+        phase1, phase2 = _phase_energies(_NUMPY, scenario.d_m, t_n, p1, p2)
+        energy = phase1 + phase2
+        offloaded = _offloaded(_NUMPY, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, p1, p2)
+    feasible = offloaded >= scenario.nats * (1.0 - FEASIBILITY_SLACK)
+    return SurfaceGrid(p1_axis, p2_axis, energy, feasible)
 
 
 def render_surface_csv(

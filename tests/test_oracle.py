@@ -1,16 +1,22 @@
+import ast
 import contextlib
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import hybrid_scenarios
+import noma_mec.oracle
+from conftest import hybrid_scenarios, identity_corpus
 from noma_mec import (
     NonConvergence,
     NonPositiveParameter,
+    Regime,
+    StrategyKind,
     TimeExtensionOutOfRange,
+    classify_regime,
     energy_surface,
     hybrid_energy,
     hybrid_powers,
@@ -19,14 +25,18 @@ from noma_mec import (
     oracle_fixed_t,
     oracle_joint,
     schedule_energy,
+    select_strategy,
     split_schedule,
     validate_scenario,
 )
 from noma_mec import PowerSchedule, log_oma_energy_n, oracle_batch
 from noma_mec.model import _NUMPY, EXP_CUTOFF
-from noma_mec.oracle import _split_lanes, _split_powers
+from noma_mec.oracle import _INV_PHI, _split_lanes, _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
+# 1.382 nats/d_m > EXP_CUTOFF: both first inner points of the search saturate phase 1, an
+# inf/inf tie, while the optimum at t_n = 0.9 (alpha = 0.0526) is finite.
+PHASE1_TIE = validate_scenario(507.0, 1.0, 1.9)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -113,9 +123,31 @@ class TestOracleFixedT:
         with pytest.raises(TimeExtensionOutOfRange):
             oracle_fixed_t(ANCHOR, 0.0)
         with pytest.raises(TimeExtensionOutOfRange):
-            oracle_fixed_t(ANCHOR, 25.0)
+            oracle_fixed_t(ANCHOR, math.inf)
         with pytest.raises(NonPositiveParameter):
             oracle_fixed_t(ANCHOR, 5.0, tol=0.0)
+
+    def test_phase1_saturated_tie_moves_left(self):
+        result = oracle_fixed_t(PHASE1_TIE, 0.9)
+        assert result.energy == pytest.approx(hybrid_energy(PHASE1_TIE, 0.9), rel=1e-11)
+
+    def test_no_finite_hybrid_optimum_reads_inf(self):
+        # Every non-degenerate scenario of the corpus at its capped extension, in one batch.
+        # The lanes whose first inner points saturate phase 1 are also searched alone: 16 of
+        # them have a finite optimum (nats/d_m in 520-694), and an inf/inf tie that moved
+        # right read inf there.
+        corpus = [s for s in identity_corpus() if s.d_n > s.d_m]
+        t_star = [s.capped_extension for s in corpus]
+        closed = np.array([hybrid_energy(s, t) for s, t in zip(corpus, t_star)])
+        energy = oracle_batch(*_lane_arrays(corpus), t_star)[2]
+        finite = np.isfinite(closed)
+        assert np.count_nonzero(finite) == 880
+        assert np.isfinite(energy[finite]).all() and np.isinf(energy[~finite]).all()
+        assert np.allclose(energy[finite], closed[finite], rtol=1e-12, atol=0.0)
+        ties = [k for k, s in enumerate(corpus) if (2.0 - _INV_PHI) * s.nats / s.d_m > EXP_CUTOFF]
+        assert np.count_nonzero(finite[ties]) == 16
+        for k in ties:
+            assert oracle_fixed_t(corpus[k], t_star[k]).energy == energy[k]
 
     @settings(max_examples=60, deadline=None)
     @given(s=hybrid_scenarios())
@@ -173,6 +205,9 @@ class TestOracleBatch:
             ([SATURATING, ANCHOR, SATURATING, PHASE2_SATURATING, OTHER, SATURATING,
               PHASE2_SATURATING, NEAR_CUTOFF, validate_scenario(1e308, 1e-10, 1.5e-10)],
              [0.5, 5.0, 1.0, 0.01, 9.0, 0.01, 0.04, 0.135, 5e-11], 1e-10, {53}),
+            # Lanes whose inf/inf ties go left mixed with lanes that never saturate.
+            ([PHASE1_TIE, ANCHOR, PHASE1_TIE, OTHER, SATURATING, PHASE1_TIE],
+             [0.9, 5.0, 0.5, 9.0, 0.5, 0.01], 1e-10, {53}),
             # Exactly one saturating lane among ordinary ones.
             ([*ONE_SATURATING[0][:10], SATURATING, *ONE_SATURATING[0][10:]],
              [*ONE_SATURATING[1][:10], 0.5, *ONE_SATURATING[1][10:]], 1e-10, {53}),
@@ -203,7 +238,7 @@ class TestOracleBatch:
         with pytest.raises(NonConvergence, match="spent 200 evaluations"):
             oracle_batch(15.0, 20.0, 1.0, [20.0, 5.0, 20.0], tol=1e-18)
 
-    @pytest.mark.parametrize("bad_t_n", [0.0, 20.5, math.nan])
+    @pytest.mark.parametrize("bad_t_n", [0.0, math.inf, math.nan])
     def test_one_out_of_range_lane_raises(self, bad_t_n):
         scenarios, t_n = _random_lanes(5, seed=4)
         scenarios.append(ANCHOR)
@@ -276,6 +311,12 @@ class TestOracleBatch:
 
 
 class TestSaturatedSearch:
+    def test_phase2_saturated_optimum_is_inf(self):
+        # The optimum's shared exponent is 2 * 669 / 1.9 = 704.2 > EXP_CUTOFF: phase 2
+        # saturates there, and numpy's unpatched expm1 would still read finite.
+        assert oracle_batch(669.0, 1.0, 1.0, 0.9)[2].tolist() == [math.inf]
+        assert hybrid_energy(validate_scenario(669.0, 1.0, 1.9), 0.9) == math.inf
+
     def test_overflowing_rates_raise_no_numpy_warning(self):
         # nats / d_m overflows to inf, so every split saturates; the search still runs silently.
         s = validate_scenario(1e308, 1e-10, 1.5e-10)
@@ -340,6 +381,39 @@ class TestOracleJoint:
         t_max = min(s.d_n - s.d_m, s.d_m)
         result = oracle_joint(s, t_steps=64)
         assert result.t_n >= t_max * (1.0 - 1.0 / 64) - 1e-12
+
+    def test_certifies_the_selected_strategy_in_every_regime(self):
+        # Every 4th corpus scenario: 75 per regime. Past d_m a split's optimum is OMA over
+        # t_n, so the search over the whole deadline budget also finds where OMA wins.
+        sample = identity_corpus()[::4]
+        assert {classify_regime(s) for s in sample} == set(Regime)
+        for s in sample:
+            result, table = oracle_joint(s, t_steps=16), select_strategy(s)
+            row = table.oma if table.selected is StrategyKind.OMA else table.hybrid
+            if math.isinf(row.energy):
+                assert result.energy == math.inf
+            else:
+                assert result.energy == pytest.approx(row.energy, rel=1e-11, abs=0.0)
+            if classify_regime(s) is Regime.OMA_FAVORED:
+                assert result.t_n == s.d_n - s.d_m
+                for t_n in (0.5 * s.d_n, s.d_n - s.d_m):   # both in (d_m, d_n - d_m]
+                    assert oracle_fixed_t(s, t_n).energy == pytest.approx(
+                        oma_energy_n(s, t_n), rel=1e-12, abs=0.0)
+
+
+class TestImportBoundary:
+    def test_oracle_reads_no_closed_form(self):
+        # The certificate is independent only while the oracle imports neither the closed
+        # forms nor the strategy selection and does not take the capped extension as given.
+        tree = ast.parse(pathlib.Path(noma_mec.oracle.__file__).read_text())
+        imported, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {getattr(node, "module", None) or "", *(a.name for a in node.names)}
+            names.add(getattr(node, "attr", None) or getattr(node, "id", None) or "")
+        modules = {part for name in imported for part in name.split(".")}
+        assert not modules & {"closed_form", "strategy"}, modules
+        assert not [name for name in names | imported if "capped_extension" in name]
 
 
 class TestConcurrentDeterminism:
