@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 
 from ._version import __version__
 from .closed_form import (
-    EXP_CUTOFF,
     energy_derivative,
     hybrid_energy,
     hybrid_powers,
@@ -43,6 +42,7 @@ from .experiments import (
     verification_campaign,
 )
 from .model import (
+    EXP_CUTOFF,
     EnergyReport,
     OffloadScenario,
     PowerSchedule,

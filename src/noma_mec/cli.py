@@ -53,7 +53,7 @@ _OPTIONS = (
     ("tn", "surface", float, None, "solo-extension length (normalized time units, default: dm/4)"),
     ("p1max", "surface", float, None,
      "upper edge of the shared-slot power axis (normalized power, default: twice the optimum;"
-     " twice the pure-NOMA power when tn equals dm)"),
+     " twice the pure-NOMA power when tn is at least dm)"),
     ("p2max", "surface", float, None,
      "upper edge of the solo-phase power axis (normalized power, default: twice the optimum)"),
     ("resolution", "surface", int, 200, "samples per axis"),

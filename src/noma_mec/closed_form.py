@@ -11,9 +11,8 @@ rate constraint is active at every optimum:
     y2 = y1 + nats / d_m = 2 * nats / (d_m + t_n)
 
 All functions here evaluate those forms (and the limiting pure-NOMA / OMA
-cases) with overflow-safe primitives. Whenever an exponent exceeds
-``EXP_CUTOFF`` the plain-domain value saturates to ``inf``; the ``log_*``
-companions stay finite and should be used for comparisons in that range.
+cases) with ``model``'s rate-to-power rules, ``inf`` past ``EXP_CUTOFF``; the
+``log_*`` companions stay finite and should be used for comparisons there.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NonPositiveParameter, TimeExtensionOutOfRange
-from .model import EXP_CUTOFF, _SCALAR, OffloadScenario, _phase_energies, _require_in
+from .model import _SCALAR, OffloadScenario, _phase_energies, _power, _require_in, _saturates
 
 
 def _log_rates(ops, nats, d_m, t_n):
@@ -52,23 +51,12 @@ def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> LogRates:
     return LogRates(*_log_rates(_SCALAR, scenario.nats, scenario.d_m, t_n))
 
 
-def _solo_power(ops, y, h_sq):
-    """Power that carries log-rate ``y`` alone, ``expm1(y) / h_sq``, elementwise; inf past the
-    cutoff. The solo phase of the hybrid schedule and both OMA users run on it."""
-    return ops.where(y > EXP_CUTOFF, math.inf, ops.expm1(y) / h_sq)
-
-
 def _hybrid_powers(ops, nats, d_m, h_n_sq, t_n):
     """``hybrid_powers`` elementwise over valid fields; raises as ``_log_rates`` does. Pure NOMA
     is the case ``t_n == 0``."""
     y1, y2 = _log_rates(ops, nats, d_m, t_n)
     rate_dm = nats / d_m
-    p_n1 = ops.where(
-        y1 == 0.0,
-        0.0,
-        ops.where(rate_dm + y1 > EXP_CUTOFF, math.inf, ops.exp(rate_dm) * ops.expm1(y1) / h_n_sq),
-    )
-    return p_n1, _solo_power(ops, y2, h_n_sq)
+    return _power(ops, y1, h_n_sq, rate_dm, ops.exp(rate_dm)), _power(ops, y2, h_n_sq)
 
 
 def _hybrid_phase_energies(ops, d_m, t_n, p_n1, p_n2):
@@ -83,7 +71,14 @@ def _oma_energy(ops, nats, h_n_sq, slot):
     """``oma_energy_n`` elementwise: the slot times its solo power, multiplied as
     ``_phase_energies`` multiplies; an empty slot costs inf, from a NaN rate, not a 1/0."""
     rate = nats / ops.where(slot > 0.0, slot, math.nan)
-    return ops.where(slot > 0.0, slot * _solo_power(ops, rate, h_n_sq), math.inf)
+    return ops.where(slot > 0.0, slot * _power(ops, rate, h_n_sq), math.inf)
+
+
+def _optimum_at(scenario: OffloadScenario, t_n: float) -> tuple[float, float, float]:
+    """``(p_n1, p_n2, energy)`` of the optimum at ``t_n > 0``: hybrid up to ``d_m``, OMA past it."""
+    if t_n <= scenario.d_m:
+        return (*hybrid_powers(scenario, t_n), hybrid_energy(scenario, t_n))
+    return 0.0, _power(_SCALAR, scenario.nats / t_n, scenario.h_n_sq), oma_energy_n(scenario, t_n)
 
 
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
@@ -103,7 +98,7 @@ def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
 
 def oma_power_m(scenario: OffloadScenario) -> float:
     """User m's power in plain OMA, solving ``d_m * ln(1 + p * h_m_sq) == nats``."""
-    return _solo_power(_SCALAR, scenario.nats / scenario.d_m, scenario.h_m_sq)
+    return _power(_SCALAR, scenario.nats / scenario.d_m, scenario.h_m_sq)
 
 
 def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
@@ -122,7 +117,7 @@ def energy_derivative(scenario: OffloadScenario, t_n: float) -> float:
     """d/dt of the normalized energy ``h_n_sq * hybrid_energy`` at ``t_n``: in the solo-phase
     rate y2, ``exp(y2) * (1 - y2) - 1``, zero at y2 = 0 and negative for y2 > 0."""
     y2 = kkt_log_vars(scenario, t_n).y2
-    if y2 > EXP_CUTOFF:
+    if _saturates(y2):
         return -math.inf
     return math.exp(y2) * (1.0 - y2) - 1.0
 

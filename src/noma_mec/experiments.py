@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from ._version import __version__
-from .closed_form import hybrid_energy, hybrid_powers
+from .closed_form import _optimum_at, hybrid_powers
 from .errors import NonPositiveParameter, TimeExtensionOutOfRange
 from .model import (_EXACT, _MAX_ROWS, _NUMPY, OffloadScenario, StrategyKind, _offloaded,
                     _phase_energies, _require_in, _require_integer, validate_scenario)
@@ -230,27 +230,25 @@ def energy_surface(
     ``render_surface_csv``; the oracle's certificate does not depend on it.
 
     Each axis carries ``resolution`` uniform samples starting at 0, spaced
-    ``max / resolution`` (the right endpoint is excluded). Ranges default to
-    twice the closed-form powers at ``t_n``, which puts the closed-form
-    optimum exactly on the sample lattice, as the cheapest feasible sample.
-    At ``t_n == d_m`` the closed-form ``p_n1`` is exactly 0, so ``p1_max``
-    defaults to twice the pure-NOMA power (``hybrid_powers(scenario, 0)[0]``)
-    instead; the optimum stays on the lattice, in its ``p1 == 0`` row. With
-    hand-picked ranges the optimum generally falls between samples and the
-    cheapest feasible sample can sit a few cells away along the constraint
-    boundary. ``t_n`` must be positive and finite, and at most ``d_m`` for a
-    default range (TimeExtensionOutOfRange). Both ranges must be positive and
-    finite, defaults included (a saturated closed-form or pure-NOMA power
-    gives an infinite one), and ``resolution`` an integer in [2, 1000], at
-    most 1,000,000 samples; otherwise NonPositiveParameter is raised.
+    ``max / resolution`` (the right endpoint is excluded). Ranges default to twice
+    the closed-form powers at ``t_n``, which puts the closed-form optimum exactly on
+    the sample lattice, as the cheapest feasible sample. From ``t_n == d_m`` on
+    the optimum's ``p_n1`` is exactly 0 (past ``d_m`` it is OMA over ``t_n``),
+    so ``p1_max`` defaults to twice the pure-NOMA power instead; the optimum
+    stays on the lattice, in its ``p1 == 0`` row. With hand-picked ranges the
+    optimum generally falls between samples and the cheapest feasible sample can
+    sit a few cells away along the constraint boundary. ``t_n`` must be positive
+    and finite (TimeExtensionOutOfRange). Both ranges must be positive and
+    finite, defaults included (a saturated closed-form or pure-NOMA power gives
+    an infinite one), and ``resolution`` an integer in [2, 1000], at most
+    1,000,000 samples; otherwise NonPositiveParameter is raised.
     """
     _require_in("t_n", t_n, 0, math.inf, "()", TimeExtensionOutOfRange)
     _require_integer("resolution", resolution)
     _require_in("resolution", resolution, 2, math.isqrt(_MAX_ROWS))
     if p1_max is None or p2_max is None:
-        star1, star2 = hybrid_powers(scenario, t_n)
+        star1, star2, _ = _optimum_at(scenario, t_n)
         if p1_max is None:
-            # p_n1 is exactly 0 at t_n == d_m: span twice the pure-NOMA power there instead.
             p1_max = 2.0 * (hybrid_powers(scenario, 0.0)[0] if star1 == 0.0 else star1)
         if p2_max is None:
             p2_max = 2.0 * star2
@@ -276,7 +274,7 @@ def render_surface_csv(
     """An ``energy_surface`` grid as CSV text with the sweep's metadata conventions.
 
     One ``grid`` line per sample, row by row in ``p1``, then one ``optimum``
-    line with the closed-form powers and energy at ``t_n``.
+    line with the closed-form powers and energy at ``t_n`` (past ``d_m``, OMA over ``t_n``).
     """
     header = _meta_lines(
         [("nats", scenario.nats), ("d_m", scenario.d_m),
@@ -297,8 +295,7 @@ def render_surface_csv(
         parts[2::4] = map(repr, energies.tolist())
         parts[3::4] = map(tails.__getitem__, feasible.tolist())
         rows.append("".join(parts))
-    star1, star2 = hybrid_powers(scenario, t_n)
-    optimum = (star1, star2, hybrid_energy(scenario, t_n), True, "optimum")
+    optimum = (*_optimum_at(scenario, t_n), True, "optimum")
     # One join builds the whole text: no second copy of it is made.
     return "".join(["\n".join(header) + "\n", *rows, ",".join(_fmt(v) for v in optimum) + "\n"])
 

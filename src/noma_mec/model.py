@@ -52,11 +52,11 @@ def _require_in(name: str, value, low, high, ends: str = "[]", error=NonPositive
         raise error(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
 
 
-def _per_element(fn):
-    """``math``'s ``fn`` on each element, capped at EXP_CUTOFF (callers replace what lies past
-    it), so that arrays stay bit-equal to floats: numpy's ``exp``/``expm1`` can differ by an ulp."""
+def _per_element(fn, cap=EXP_CUTOFF):
+    """``math``'s ``fn`` on each element, capped at ``cap`` (callers replace what lies past it),
+    so arrays stay bit-equal to floats: numpy's ``exp``/``expm1``/``log1p`` can be an ulp off."""
     def each(x):
-        x = np.minimum(x, EXP_CUTOFF)
+        x = np.minimum(x, cap)
         return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return each
 
@@ -68,7 +68,8 @@ def _per_element(fn):
 _Ops = namedtuple("_Ops", "where exp expm1 log1p any all")
 _SCALAR = _Ops(lambda cond, yes, no: yes if cond else no, lambda x: math.exp(min(x, EXP_CUTOFF)),
                lambda x: math.expm1(min(x, EXP_CUTOFF)), math.log1p, bool, bool)
-_EXACT = _Ops(np.where, _per_element(math.exp), _per_element(math.expm1), np.log1p, np.any, np.all)
+_EXACT = _Ops(np.where, _per_element(math.exp), _per_element(math.expm1),
+              _per_element(math.log1p, math.inf), np.any, np.all)
 # The search tests a mask per step: count_nonzero is as truthy as any, at a quarter of the cost.
 _NUMPY = _Ops(np.where, np.exp, np.expm1, np.log1p, np.count_nonzero, np.all)
 
@@ -84,6 +85,19 @@ def _offloaded(ops, nats, d_m, h_n_sq, t_n, p_n1, p_n2):
     discount = math.exp(-nats / d_m)   # the scenario's own, a float in every caller
     phase1 = d_m * ops.log1p(discount * h_n_sq * p_n1)
     return phase1 + ops.where(t_n > 0.0, t_n * ops.log1p(h_n_sq * p_n2), 0.0)
+
+
+def _saturates(y, rate_dm=0.0):
+    return rate_dm + y > EXP_CUTOFF
+
+
+def _power(ops, y, h_sq, rate_dm=0.0, exp_rate_dm=None, can_saturate=True):
+    """Power that carries log-rate ``y`` elementwise, alone or, given ``rate_dm = nats/d_m`` and its
+    ``exp_rate_dm``, in the shared slot; inf where it ``_saturates``, 0 there at ``y == 0``."""
+    power = (ops.expm1(y) if exp_rate_dm is None else exp_rate_dm * ops.expm1(y)) / h_sq
+    if can_saturate and ops.any(saturated := _saturates(y, rate_dm)):
+        power = ops.where(saturated, ops.where(y > 0.0, math.inf, 0.0), power)
+    return power
 
 
 def _phase_energies(ops, d_m, t_n, p_n1, p_n2):

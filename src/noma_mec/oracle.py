@@ -9,16 +9,16 @@ Agreement with the closed forms is the certificate. Nor does it take the
 optimal extension as given: the joint search spans the whole deadline
 budget, past the capped extension, so it also finds where OMA wins.
 
-The split rule is written once, elementwise, over the operations table its
-caller names: ``split_schedule`` runs it on floats with ``model._SCALAR``
-(``math``'s ``exp``/``expm1``), ``oracle_batch`` on numpy arrays with
-``model._NUMPY`` (numpy's), a few ulp apart. The search takes one lane per
-(scenario, extension) pair. A step pays only for the open lanes and what
-depends on alpha: a lane's ``nats/d_m`` and its ``exp`` are computed once,
-and saturation is patched only where it occurs. A batch tests a phase for
-saturation only if some lane can reach the cutoff: ``alpha`` lies in [0, 1],
-so ``y1 <= nats/d_m`` and ``y2 <= nats/t_n`` in floats too, rounding being
-monotone.
+The split rule is written once, elementwise, over ``model``'s rate-to-power
+rules and the operations table its caller names: ``split_schedule`` runs it on
+floats with ``model._SCALAR`` (``math``'s ``exp``/``expm1``), ``oracle_batch``
+on numpy arrays with ``model._NUMPY`` (numpy's), a few ulp apart. The search
+takes one lane per (scenario, extension) pair. A step pays only for the open
+lanes and what depends on alpha: a lane's ``nats/d_m`` and its ``exp`` are
+computed once, and saturation is patched only where it occurs. A batch tests a
+phase for saturation only if some lane can reach the cutoff: ``alpha`` lies in
+[0, 1], so ``y1 <= nats/d_m`` and ``y2 <= nats/t_n`` in floats too, rounding
+being monotone.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
-from .model import (_MAX_ROWS, _NUMPY, _SCALAR, EXP_CUTOFF, OffloadScenario, PowerSchedule,
-                    _require_in, _require_integer, schedule_energy)
+from .model import (_MAX_ROWS, _NUMPY, _SCALAR, OffloadScenario, PowerSchedule, _power,
+                    _require_in, _require_integer, _saturates, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -51,18 +51,11 @@ def _split_lanes(ops, nats, d_m, h_n_sq, t_n):
 def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm,
                   can_saturate=(True, True)):
     """``split_schedule``'s powers, elementwise, with ``_SCALAR`` or ``_NUMPY``: the same steps,
-    so the two differ only where numpy's ``exp``/``expm1`` differ from ``math``'s. The unmasked
-    powers are patched only where some element saturates, and a phase is tested only if its
-    ``can_saturate`` flag is set; arrays need ``np.errstate``."""
+    so the two differ only where numpy's ``exp``/``expm1`` differ; arrays need ``np.errstate``."""
     y1 = alpha * nats / d_m
     y2 = (1.0 - alpha) * nats / t_n
-    p_n1 = exp_rate_dm * ops.expm1(y1) / h_n_sq
-    p_n2 = ops.expm1(y2) / h_n_sq
-    if can_saturate[0] and ops.any(saturated := rate_dm + y1 > EXP_CUTOFF):
-        p_n1 = ops.where(saturated, ops.where(y1 > 0.0, math.inf, 0.0), p_n1)
-    if can_saturate[1] and ops.any(saturated := y2 > EXP_CUTOFF):
-        p_n2 = ops.where(saturated, math.inf, p_n2)
-    return p_n1, p_n2
+    return (_power(ops, y1, h_n_sq, rate_dm, exp_rate_dm, can_saturate[0]),
+            _power(ops, y2, h_n_sq, can_saturate=can_saturate[1]))
 
 
 def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> PowerSchedule:
@@ -121,9 +114,9 @@ def oracle_batch(
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
         lanes = _split_lanes(_NUMPY, *lanes)   # constants ride in params, retiring with their lane
-        # Phase 1's exponent nats/d_m + y1 is at most 2 nats/d_m, phase 2's at most nats/t_n.
-        can_saturate = (np.count_nonzero(2.0 * (nats / d_m) > EXP_CUTOFF),
-                        np.count_nonzero(nats / t_n > EXP_CUTOFF))
+        # Phase 1 can saturate only if it does at alpha = 1 (y1 = nats/d_m), phase 2 at alpha = 0.
+        can_saturate = (np.count_nonzero(_saturates(lanes[4], lanes[4])),
+                        np.count_nonzero(_saturates(nats / t_n)))
         # Only open lanes are searched; ``index`` maps them to their output slots.
         index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
         final_lo, final_hi = np.empty((2, t_n.size))
@@ -145,11 +138,11 @@ def oracle_batch(
             # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right part,
             # inner_lo becomes inner_hi and a new inner_lo is probed. Otherwise drop
             # the left part, inner_hi becomes inner_lo and a new inner_hi is probed.
-            # Also left where phase 1 saturates at inner_lo (``_split_powers``' test on
-            # y1), as at every larger alpha: an inf/inf tie there has its minimum left.
+            # Also left where phase 1 saturates at inner_lo (``_saturates`` on y1), as at
+            # every larger alpha: an inf/inf tie there has its minimum left.
             left = f_lo < f_hi
             if can_saturate[0]:   # params: nats, d_m, h_n_sq, t_n, nats/d_m, its exp
-                left |= params[4] + inner_lo * params[0] / params[1] > EXP_CUTOFF
+                left |= _saturates(inner_lo * params[0] / params[1], params[4])
             lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
             width = hi - lo
             step = _INV_PHI * width
@@ -186,7 +179,8 @@ def oracle_joint(
     Past ``d_m`` a split's optimum is OMA over ``t_n``, so from
     ``d_n == 2 d_m`` on the search lands on OMA over the whole budget. With
     ``d_n == d_m`` the interval is empty and the split that carries the whole
-    task in the shared slot (pure NOMA) is returned directly. ``iterations``
+    task in the shared slot (pure NOMA) is returned directly. The last of equal
+    minima wins, so an all-inf search names the whole budget. ``iterations``
     aggregates the evaluations of all grid searches.
     """
     _require_integer("t_steps", t_steps)
@@ -201,6 +195,6 @@ def oracle_joint(
     p_n1, p_n2, energy, iterations = oracle_batch(
         scenario.nats, scenario.d_m, scenario.h_n_sq, grid, tol=tol
     )
-    best = int(np.argmin(energy))
+    best = t_steps - 1 - int(np.argmin(energy[::-1]))   # the last of equal minima
     return OracleResult(float(p_n1[best]), float(p_n2[best]), float(grid[best]),
                         float(energy[best]), int(iterations.sum()))

@@ -42,6 +42,7 @@ CASES = [
     (["surface", "--n", "15", "--dm", "20", "--resolution", "2", "--p1max", "1e308",
       "--p2max", "1e308"], None),
     (["surface", "--n", "15", "--dm", "20", "--tn", "20", "--resolution", "4"], None),
+    (["surface", "--n", "15", "--dm", "20", "--tn", "25", "--resolution", "4"], None),
     (["verify", "--count", "25"], None),
     (["verify", "--seed", "7", "--count", "10"], None),
     (["sweep", "--n", "400", "--dm", "1", "--from", "1", "--to", "3", "--steps", "9",

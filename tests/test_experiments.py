@@ -384,7 +384,11 @@ def reference_surface_csv(grid, s, t_n):
         for j, p2 in enumerate(grid.p2_axis):
             lines.append(",".join([cell(p1), cell(p2), cell(grid.energy[i, j]),
                                    cell(bool(grid.feasible[i, j])), "grid"]))
-    optimum = (*hybrid_powers(s, t_n), hybrid_energy(s, t_n), True)
+    if t_n <= s.d_m:
+        optimum = (*hybrid_powers(s, t_n), hybrid_energy(s, t_n), True)
+    else:   # OMA over t_n
+        p_n2 = math.expm1(s.nats / t_n) / s.h_n_sq
+        optimum = (0.0, p_n2, t_n * p_n2, True)
     lines.append(",".join(cell(v) for v in optimum) + ",optimum")
     return "\n".join(lines) + "\n"
 
@@ -399,7 +403,10 @@ class TestSurfaceExport:
         (2, 1e308, 1e308, 5.0),
         # t_n == d_m: p1's default range is twice the pure-NOMA power, at an odd resolution.
         (7, None, None, 20.0),
-    ], ids=["200-None-None", "2-None-None", "57-3.0-5.0", "2-1e+308-1e+308", "7-None-None-t_n=d_m"])
+        # t_n > d_m: the optimum is OMA over t_n, and p1's range is the one at t_n == d_m.
+        (4, None, None, 25.0),
+    ], ids=["200-None-None", "2-None-None", "57-3.0-5.0", "2-1e+308-1e+308", "7-None-None-t_n=d_m",
+            "4-None-None-t_n>d_m"])
     def test_matches_reference_rendering(self, resolution, p1_max, p2_max, t_n):
         grid = energy_surface(ANCHOR, t_n, p1_max, p2_max, resolution)
         if p1_max is not None:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from noma_mec import (
     schedule_energy,
     validate_scenario,
 )
+from noma_mec.model import _EXACT, _SCALAR
 
 ANCHOR = validate_scenario(nats=15.0, d_m=20.0, d_n=25.0, h_m_sq=1.0, h_n_sq=1.0)
 
@@ -120,3 +122,24 @@ class TestOffloadedNats:
         t_n = s.d_n - s.d_m
         p = PowerSchedule(*hybrid_powers(s, t_n), t_n=t_n)
         assert offloaded_nats(s, p) >= s.nats * (1.0 - 1e-9)
+
+
+class TestOperationTables:
+    def test_exact_table_is_scalar_table_element_by_element(self):
+        # _EXACT promises arrays bit-equal to _SCALAR's floats, for every entry. log1p's
+        # arguments stay above -1, where math.log1p is defined; exp and expm1 pass the cutoff.
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-0.999, 1.0, 20_000), rng.exponential(50.0, 20_000),
+                            [0.0, -0.0, 700.0, math.nextafter(700.0, math.inf), 800.0, 1e300,
+                             math.inf, math.nan]])
+        for name in ("exp", "expm1", "log1p"):
+            got, scalar = getattr(_EXACT, name), getattr(_SCALAR, name)
+            want = np.array([scalar(v) for v in x.tolist()])
+            assert got(x).tobytes() == want.tobytes(), name
+            assert got(x.reshape(2, -1)).tobytes() == want.tobytes(), name
+        cond = x > 1.0
+        want = [_SCALAR.where(c, v, -v) for c, v in zip(cond.tolist(), x.tolist())]
+        assert _EXACT.where(cond, x, -x).tobytes() == np.array(want).tobytes()
+        for name in ("any", "all"):
+            got, scalar = getattr(_EXACT, name), getattr(_SCALAR, name)
+            assert [got(c) for c in cond] == [scalar(c) for c in cond.tolist()], name

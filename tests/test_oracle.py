@@ -400,6 +400,13 @@ class TestOracleJoint:
                     assert oracle_fixed_t(s, t_n).energy == pytest.approx(
                         oma_energy_n(s, t_n), rel=1e-12, abs=0.0)
 
+    def test_all_inf_search_names_the_budget(self):
+        # nats/d_m = 800 saturates phase 1 at every alpha > 0 and nats/t_n >= 1,600 phase 2 at
+        # alpha = 0: every grid energy is inf, and of equal minima the longest extension wins.
+        result = oracle_joint(validate_scenario(800.0, 1.0, 1.5), 16)
+        assert result.energy == math.inf
+        assert result.t_n == 0.5
+
 
 class TestImportBoundary:
     def test_oracle_reads_no_closed_form(self):
@@ -414,6 +421,17 @@ class TestImportBoundary:
         modules = {part for name in imported for part in name.split(".")}
         assert not modules & {"closed_form", "strategy"}, modules
         assert not [name for name in names | imported if "capped_extension" in name]
+
+    @pytest.mark.parametrize("module", [noma_mec.closed_form, noma_mec.oracle])
+    def test_power_rules_written_only_in_model(self, module):
+        # The powers that carry given log-rates, and their saturation, are model's rules: the
+        # closed forms and the oracle call them and take no expm1 from an operations table.
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        calls = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "expm1"
+                 and ast.unparse(node.func.value) in {"ops", "_SCALAR", "_EXACT", "_NUMPY"}]
+        assert not calls
 
 
 class TestConcurrentDeterminism:
@@ -493,6 +511,24 @@ class TestEnergySurface:
         assert grid.p1_axis[1] == 2.0 * hybrid_powers(ANCHOR, 0.0)[0] / resolution
         assert grid.p2_axis[1] == 2.0 * hybrid_powers(ANCHOR, ANCHOR.d_m)[1] / resolution > 0.0
         assert grid.feasible_argmin() == (0, resolution // 2)
+
+    @pytest.mark.parametrize("resolution", [4, 200])
+    def test_default_ranges_past_the_shared_slot(self, resolution):
+        # Past d_m the optimum is OMA over t_n: p_n1 = 0, so p1 spans twice the pure-NOMA power,
+        # and p2 twice the solo power of nats/t_n, which puts the optimum on the lattice.
+        rng = np.random.default_rng(resolution)
+        for nats, d_m, stretch, h_n_sq in rng.uniform((1.0, 1.0, 1.0, 0.1), (40.0, 50.0, 3.0, 10.0),
+                                                      size=(100, 4)):
+            t_n = d_m * stretch
+            s = validate_scenario(nats, d_m, d_m + t_n, 1.0, h_n_sq)
+            grid = energy_surface(s, t_n, resolution=resolution)
+            p_n2 = math.expm1(nats / t_n) / h_n_sq
+            assert grid.p1_axis[1] == 2.0 * hybrid_powers(s, 0.0)[0] / resolution
+            assert grid.p2_axis[1] == 2.0 * p_n2 / resolution
+            assert grid.feasible_argmin() == (0, resolution // 2)
+            assert grid.p2_axis[resolution // 2] == pytest.approx(p_n2, rel=1e-15, abs=0.0)
+            assert oracle_fixed_t(s, t_n).energy == pytest.approx(
+                oma_energy_n(s, t_n), rel=1e-12, abs=0.0)
 
     def test_explicit_ranges(self):
         grid = energy_surface(ANCHOR, 5.0, p1_max=3.0, p2_max=6.0, resolution=30)
