@@ -23,7 +23,7 @@ def main():
     t_star = 5.0
 
     closed = hybrid_energy(scenario, t_star)
-    probe = oracle_fixed_t(scenario, t_star, tol=1e-10)
+    probe = oracle_fixed_t(scenario, t_star)
     print("fixed-extension search (golden section over the task split):")
     print(f"  closed form : {closed:.12f}")
     print(f"  oracle      : {probe.energy:.12f}   ({probe.iterations} evaluations)")

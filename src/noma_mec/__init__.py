@@ -26,7 +26,6 @@ from .errors import (
     FileUnreadable,
     MissingKey,
     NomaMecError,
-    NonConvergence,
     NonPositiveParameter,
     TimeExtensionOutOfRange,
     TypeMismatch,

@@ -17,6 +17,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import sys
 
 from ._version import __version__
@@ -35,14 +36,14 @@ from .model import EnergyReport, validate_scenario
 from .strategy import select_strategy
 
 # One row per option: (flag, block, type, fixed default, help). The flag is also the
-# config-file key. Block "scenario" keys sit at the file's top level, "sweep" and
-# "surface" keys in a block of that name; block None options are never read from a
-# file. A default of None leaves the option out unless given: it is required, or its
-# handler derives it from other options.
+# config-file key. Block "scenario" and "deadline" keys sit at the file's top level (a sweep
+# takes no --dn: its --from and --to set d_n), "sweep" and "surface" keys in a block of that
+# name; block None options are never read from a file. A default of None leaves the option
+# out unless given: it is required, or its handler derives it from other options.
 _OPTIONS = (
     ("n", "scenario", float, None, "task size in nats"),
     ("dm", "scenario", float, None, "user m's deadline (normalized time units)"),
-    ("dn", "scenario", float, None, "user n's deadline (normalized time units)"),
+    ("dn", "deadline", float, None, "user n's deadline (normalized time units)"),
     ("hm2", "scenario", float, 1.0, "user m's squared channel gain over noise"),
     ("hn2", "scenario", float, 1.0, "user n's squared channel gain over noise"),
     ("from", "sweep", float, None,
@@ -59,17 +60,20 @@ _OPTIONS = (
     ("resolution", "surface", int, 200, "samples per axis"),
     ("seed", None, int, 42, "campaign seed"),
     ("count", None, int, 200, "number of random scenarios"),
-    ("tol", None, float, 1e-10, "oracle bracket tolerance, in (0, 1)"),
 )
 _DEFAULTS = {flag: default for flag, _, _, default, _ in _OPTIONS if default is not None}
 
 
 def _typed(key: str, value, kind: type):
-    """``value`` as ``kind``; JSON integers count as numbers, booleans as neither."""
+    """``value`` as ``kind``; JSON integers count as numbers, booleans as neither. An integer
+    past the float range reads as an infinity, as the same digits do on the command line."""
     accepted, noun = ((int, float), "a number") if kind is float else (int, "an integer")
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise TypeMismatch(key, f'config key "{key}" must be {noun}, got {value!r}')
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def load_scenario_file(path: str) -> dict:
@@ -84,7 +88,7 @@ def load_scenario_file(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise FileUnreadable(path, f"cannot read config file {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:   # bad JSON, bad UTF-8 or an integer too long to convert
         raise FileUnreadable(path, f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FileUnreadable(path, f"config file {path!r} must hold a JSON object")
@@ -93,7 +97,7 @@ def load_scenario_file(path: str) -> dict:
     for flag, block, kind, _, _ in _OPTIONS:
         if block is None:
             continue
-        section = raw if block == "scenario" else raw.get(block, {})
+        section = raw.get(block, {}) if block in ("sweep", "surface") else raw
         if not isinstance(section, dict):
             raise TypeMismatch(block, f'"{block}" must be an object')
         if flag in section:
@@ -178,7 +182,7 @@ def _cmd_surface(options: dict) -> int:
 
 
 def _cmd_verify(options: dict) -> int:
-    summary = verification_campaign(options["seed"], options["count"], tol=options["tol"])
+    summary = verification_campaign(options["seed"], options["count"])
     _emit(render_campaign_summary(summary), options.get("out"))
     return 0 if summary.passed else 2
 
@@ -186,10 +190,11 @@ def _cmd_verify(options: dict) -> int:
 # One row per subcommand: (name, help, option blocks it takes, handler). A command
 # that takes the scenario options also takes --config; every command takes --out.
 _COMMANDS = (
-    ("solve", "solve one scenario and print the strategy comparison", ("scenario",), _cmd_solve),
+    ("solve", "solve one scenario and print the strategy comparison",
+     ("scenario", "deadline"), _cmd_solve),
     ("sweep", "sweep user n's deadline and emit CSV", ("scenario", "sweep"), _cmd_sweep),
     ("surface", "sample the power-plane energy surface and emit CSV",
-     ("scenario", "surface"), _cmd_surface),
+     ("scenario", "deadline", "surface"), _cmd_surface),
     ("verify", "run the randomized certification campaign", (None,), _cmd_verify),
 )
 

@@ -17,10 +17,6 @@ class TimeExtensionOutOfRange(NomaMecError, ValueError):
     """A time extension / slot length lies outside its admissible interval."""
 
 
-class NonConvergence(NomaMecError, RuntimeError):
-    """An iterative search hit its evaluation cap before reaching the requested tolerance."""
-
-
 class ConfigError(NomaMecError):
     """Problem with a scenario configuration source. ``key`` names the offender."""
 

@@ -13,12 +13,14 @@ The split rule is written once, elementwise, over ``model``'s rate-to-power
 rules and the operations table its caller names: ``split_schedule`` runs it on
 floats with ``model._SCALAR`` (``math``'s ``exp``/``expm1``), ``oracle_batch``
 on numpy arrays with ``model._NUMPY`` (numpy's), a few ulp apart. The search
-takes one lane per (scenario, extension) pair. A step pays only for the open
-lanes and what depends on alpha: a lane's ``nats/d_m`` and its ``exp`` are
-computed once, and saturation is patched only where it occurs. A batch tests a
-phase for saturation only if some lane can reach the cutoff: ``alpha`` lies in
-[0, 1], so ``y1 <= nats/d_m`` and ``y2 <= nats/t_n`` in floats too, rounding
-being monotone.
+takes one lane per (scenario, extension) pair, each the same ``_STEPS`` steps:
+a golden-section search for a given final bracket takes a number of steps
+fixed in advance (Kiefer, "Sequential minimax search for a maximum", Proc. AMS
+1953). A step pays only for what depends on alpha: a lane's ``nats/d_m`` and
+its ``exp`` are computed once, and saturation is patched only where it occurs.
+A batch tests a phase for saturation only if some lane can reach the cutoff:
+``alpha`` lies in [0, 1], so ``y1 <= nats/d_m`` and ``y2 <= nats/t_n`` in
+floats too, rounding being monotone.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import NonConvergence, NonPositiveParameter, TimeExtensionOutOfRange
+from .errors import NonPositiveParameter, TimeExtensionOutOfRange
 from .model import (_MAX_ROWS, _NUMPY, _SCALAR, OffloadScenario, PowerSchedule, _power,
                     _require_in, _require_integer, _saturates, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Objective evaluations one golden-section lane may spend before NonConvergence.
-_MAX_EVALS = 200
+# Golden-section steps per lane: the first k whose bracket on alpha, _INV_PHI**k wide, is at
+# most 1e-10 (_INV_PHI**47 = 1.51e-10, _INV_PHI**48 = 9.30e-11, far apart for rounding).
+_STEPS = 48
 
 
 OracleResult = namedtuple("OracleResult", "p_n1 p_n2 t_n energy iterations")
@@ -68,29 +70,25 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
     return PowerSchedule(*_split_powers(_SCALAR, alpha, *lane), t_n=t_n)
 
 
-def oracle_batch(
-    nats, d_m, h_n_sq, t_n, tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the constraint-split energy over ``alpha`` for many searches at once.
 
     The lane arrays (or floats) ``nats``, ``d_m``, ``h_n_sq`` and ``t_n``
     broadcast against each other in one dimension: one scenario over a grid
     of extensions, or one extension per scenario. Each lane runs its own
-    golden-section search: it keeps its own bracket, stops when that bracket
-    is at most ``tol`` wide, and counts its own objective evaluations, so it
-    takes exactly the steps a search of that lane alone would take; a
-    finished lane leaves the search's dense arrays. Returns one-dimensional
-    arrays ``(p_n1, p_n2, energy, iterations)``, one entry per lane.
+    golden-section search on alpha in [0, 1]: it keeps its own bracket and
+    takes ``_STEPS`` steps, after which the bracket is at most 1e-10 wide, so
+    its result is that of a search of that lane alone.
+    Returns one-dimensional arrays ``(p_n1, p_n2, energy, iterations)``, one
+    entry per lane; ``iterations`` counts a lane's objective evaluations, the
+    same ``_STEPS + 5`` for every lane.
 
     Every lane field must be positive and finite, ``t_n`` too, as in
     ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
     The error names the field and the first bad lane: TimeExtensionOutOfRange
-    for ``t_n``, NonPositiveParameter for the others. ``tol``, the final
-    bracket width on alpha, must lie in ``(0, 1)`` (NonPositiveParameter). A
-    lane that would take more than ``_MAX_EVALS`` evaluations raises
-    NonConvergence. Each lane's returned point is the best of its final
-    bracket's endpoints and midpoint, never worse than any alpha-grid sample
-    at resolution ``tol``.
+    for ``t_n``, NonPositiveParameter for the others. Each lane's returned
+    point is the best of its final bracket's endpoints and midpoint, never
+    worse than any alpha-grid sample at resolution 1e-10.
     """
     nats, d_m, h_n_sq, t_n = lanes = np.broadcast_arrays(
         *(np.asarray(x, dtype=float).ravel() for x in (nats, d_m, h_n_sq, t_n))
@@ -102,8 +100,6 @@ def oracle_batch(
         error = TimeExtensionOutOfRange if i == 3 else NonPositiveParameter
         raise error(f"{('nats', 'd_m', 'h_n_sq', 't_n')[i]} must be a positive finite"
                     f" number, got {float(fields[i, k])!r} in lane {k}")
-    # A bracket of width 1 or more is finished before the search starts.
-    _require_in("tol", tol, 0, 1, "()")
 
     def objective(alpha, nats, d_m, h_n_sq, t_n, *constants):
         """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
@@ -113,64 +109,44 @@ def oracle_batch(
         return d_m * p_n1 + t_n * p_n2, p_n1, p_n2
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
-        lanes = _split_lanes(_NUMPY, *lanes)   # constants ride in params, retiring with their lane
+        lanes = _split_lanes(_NUMPY, *lanes)   # adds nats/d_m and its exp
         # Phase 1 can saturate only if it does at alpha = 1 (y1 = nats/d_m), phase 2 at alpha = 0.
         can_saturate = (np.count_nonzero(_saturates(lanes[4], lanes[4])),
                         np.count_nonzero(_saturates(nats / t_n)))
-        # Only open lanes are searched; ``index`` maps them to their output slots.
-        index, params, iterations = np.arange(t_n.size), lanes, np.empty(t_n.size, int)
-        final_lo, final_hi = np.empty((2, t_n.size))
-        lo, hi, width = np.zeros(t_n.size), np.ones(t_n.size), np.ones(t_n.size)
-        inner_lo, inner_hi = hi - _INV_PHI * width, lo + _INV_PHI * width
+        lo, hi = np.zeros(t_n.size), np.ones(t_n.size)
+        inner_lo, inner_hi = hi - _INV_PHI, lo + _INV_PHI
         f_lo, f_hi = objective(inner_lo, *lanes)[0], objective(inner_hi, *lanes)[0]
-        evals, max_evals = 2, _MAX_EVALS   # every open lane has taken every step
-        while index.size:
-            done = width <= tol
-            if np.count_nonzero(done):
-                slots, keep = index[done], ~done
-                final_lo[slots], final_hi[slots], iterations[slots] = lo[done], hi[done], evals
-                index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params = (
-                    a[keep] for a in (index, lo, hi, width, inner_lo, inner_hi, f_lo, f_hi, *params))
-                continue
-            if evals >= max_evals:
-                raise NonConvergence(f"golden-section spent {evals} evaluations"
-                                     f" without reaching width {tol}")
+        for _ in range(_STEPS):
             # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right part,
             # inner_lo becomes inner_hi and a new inner_lo is probed. Otherwise drop
             # the left part, inner_hi becomes inner_lo and a new inner_hi is probed.
             # Also left where phase 1 saturates at inner_lo (``_saturates`` on y1), as at
             # every larger alpha: an inf/inf tie there has its minimum left.
             left = f_lo < f_hi
-            if can_saturate[0]:   # params: nats, d_m, h_n_sq, t_n, nats/d_m, its exp
-                left |= _saturates(inner_lo * params[0] / params[1], params[4])
+            if can_saturate[0]:   # lanes[4] is nats/d_m
+                left |= _saturates(inner_lo * nats / d_m, lanes[4])
             lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
-            width = hi - lo
-            step = _INV_PHI * width
+            step = _INV_PHI * (hi - lo)
             probe = np.where(left, hi - step, lo + step)
-            f_probe = objective(probe, *params)[0]
+            f_probe = objective(probe, *lanes)[0]
             inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
             f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
-            evals += 1
 
-        candidates = np.stack((final_lo, 0.5 * (final_lo + final_hi), final_hi))
+        # Two evaluations open the search, one per step, three score the last bracket.
+        candidates = np.stack((lo, 0.5 * (lo + hi), hi))
         energies, p_n1, p_n2 = objective(candidates, *lanes)
         best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
-        return p_n1[best, lane], p_n2[best, lane], energies[best, lane], iterations + 3
+        return (p_n1[best, lane], p_n2[best, lane], energies[best, lane],
+                np.full(t_n.size, _STEPS + 5))
 
 
-def oracle_fixed_t(scenario: OffloadScenario, t_n: float, tol: float = 1e-10) -> OracleResult:
+def oracle_fixed_t(scenario: OffloadScenario, t_n: float) -> OracleResult:
     """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
-    p_n1, p_n2, energy, iterations = oracle_batch(
-        scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, tol=tol
-    )
+    p_n1, p_n2, energy, iterations = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return OracleResult(float(p_n1[0]), float(p_n2[0]), t_n, float(energy[0]), int(iterations[0]))
 
 
-def oracle_joint(
-    scenario: OffloadScenario,
-    t_steps: int = 256,
-    tol: float = 1e-10,
-) -> OracleResult:
+def oracle_joint(scenario: OffloadScenario, t_steps: int = 256) -> OracleResult:
     """Joint search: minimize over alpha on a uniform extension grid and take the argmin.
 
     The grid covers the deadline budget ``(0, d_n - d_m]`` with ``t_steps``
@@ -185,7 +161,6 @@ def oracle_joint(
     """
     _require_integer("t_steps", t_steps)
     _require_in("t_steps", t_steps, 2, _MAX_ROWS)
-    _require_in("tol", tol, 0, 1, "()")   # also where the degenerate case below runs no search
     t_max = scenario.d_n - scenario.d_m
     if t_max == 0.0:
         # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.
@@ -193,7 +168,7 @@ def oracle_joint(
         return OracleResult(shared.p_n1, shared.p_n2, 0.0, schedule_energy(scenario, shared), 0)
     grid = t_max * np.arange(1, t_steps + 1) / t_steps
     p_n1, p_n2, energy, iterations = oracle_batch(
-        scenario.nats, scenario.d_m, scenario.h_n_sq, grid, tol=tol
+        scenario.nats, scenario.d_m, scenario.h_n_sq, grid
     )
     best = t_steps - 1 - int(np.argmin(energy[::-1]))   # the last of equal minima
     return OracleResult(float(p_n1[best]), float(p_n2[best]), float(grid[best]),

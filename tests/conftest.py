@@ -59,3 +59,16 @@ def identity_corpus(count=1200, seed=2018):
     gains = 10.0 ** rng.uniform(-2.0, 2.0, (2, factor.size))
     return [validate_scenario(r * m, m, f * m, g_m, g_n)
             for r, m, f, g_m, g_n in zip(rate, d_m, factor, *gains)]
+
+
+def numpy_exp_is_pinned():
+    """Whether numpy's ``exp``/``expm1`` give the bits of the host that pinned the oracle's
+    outputs. Their last bits depend on the SIMD code numpy picks for the CPU, and the oracle
+    runs on them, so a pinned oracle value or hash holds only where this is true."""
+    import hashlib
+
+    import numpy as np
+
+    grid = np.linspace(-5.0, 60.0, 4001)
+    fingerprint = hashlib.sha256(np.exp(grid).tobytes() + np.expm1(grid).tobytes())
+    return fingerprint.hexdigest()[:16] == "c65323f58be31cb3"

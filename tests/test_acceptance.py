@@ -63,7 +63,7 @@ def test_criterion_1_oracle_equivalence():
         for s in HYBRID_SCENARIOS:
             t_star = s.d_n - s.d_m
             closed = hybrid_energy(s, t_star)
-            probe = oracle_fixed_t(s, t_star, tol=1e-10)
+            probe = oracle_fixed_t(s, t_star)
             worst = max(worst, abs(probe.energy - closed) / closed)
         assert worst <= 1e-5, f"worst relative disagreement {worst}"
 

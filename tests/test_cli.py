@@ -164,6 +164,27 @@ class TestConfigFile:
             config.write_text(json.dumps(document))
             assert load_scenario_file(str(config)) == expected
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_float_range_reads_as_infinity(self, capsys, tmp_path, sign):
+        # A 401-digit JSON integer is the same scenario error, exit 1, as the same digits
+        # given as --n, not an OverflowError.
+        digits = sign + "1" + "0" * 400
+        config = tmp_path / "scenario.json"
+        config.write_text(f'{{"n": {digits}, "dm": 20, "dn": 25}}')
+        assert load_scenario_file(str(config))["n"] == float(sign + "inf")
+        from_file = run_capture(capsys, ["solve", "--config", str(config)])
+        from_flag = run_capture(capsys, ["solve", "--n", digits, "--dm", "20", "--dn", "25"])
+        assert from_file == from_flag == (
+            1, "", f"error: nats must be a positive finite number, got {sign}inf\n")
+
+    def test_integer_too_long_to_parse_is_invalid_input(self, capsys, tmp_path):
+        # Past 4,300 digits Python's json refuses to convert an integer at all.
+        config = tmp_path / "scenario.json"
+        config.write_text('{"n": 1' + "0" * 5000 + ', "dm": 20, "dn": 25}')
+        code, out, err = run_capture(capsys, ["solve", "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config file {str(config)!r} is not valid JSON: ")
+
     def test_boolean_is_not_a_number(self, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"n": True, "dm": 20, "dn": 25}))
@@ -178,6 +199,20 @@ class TestConfigFile:
 
 
 class TestSweepAndSurface:
+    def test_sweep_takes_no_dn(self, capsys, tmp_path):
+        # The sweep's --from and --to set d_n; a --dn flag is refused, not ignored.
+        code, out, err = run_capture(capsys, ["sweep", "--n", "15", "--dm", "20", "--dn", "3",
+                                              "--steps", "3"])
+        assert (code, out) == (1, "")
+        assert err.endswith("noma-mec: error: unrecognized arguments: --dn 3\n")
+        # A scenario file's top-level dn is still accepted, and the sweep leaves it unread.
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"n": 15, "dm": 20, "dn": 25}))
+        from_file = run_capture(capsys, ["sweep", "--config", str(config), "--steps", "3"])
+        assert from_file == run_capture(capsys, ["sweep", "--n", "15", "--dm", "20",
+                                                 "--steps", "3"])
+        assert from_file[0] == 0
+
     def test_sweep_stdout_matches_file_output(self, capsys, tmp_path):
         argv = ["sweep", "--n", "15", "--dm", "20", "--from", "20", "--to", "40", "--steps", "9"]
         code, out, _ = run_capture(capsys, argv)
@@ -275,12 +310,6 @@ class TestVerify:
         assert out == ""
         assert err == "error: seed must be a nonnegative integer, got -1\n"
 
-    def test_tol_outside_unit_interval_is_invalid_input(self, capsys):
-        code, out, err = run_capture(capsys, ["verify", "--count", "5", "--tol", "inf"])
-        assert code == 1
-        assert out == ""
-        assert err == "error: tol must lie in (0, 1), got inf\n"
-
     def test_config_flag_rejected(self, capsys, tmp_path):
         # No config key feeds verify, so it takes no --config file.
         path = tmp_path / "campaign.json"
@@ -293,7 +322,7 @@ class TestVerify:
     def test_failure_exits_two(self, capsys, monkeypatch):
         import noma_mec.cli as cli_module
 
-        def fake_campaign(seed, count, tol=1e-10):
+        def fake_campaign(seed, count):
             return CampaignSummary(
                 seed=seed, count=count, max_rel_err=1.0,
                 max_dominance_violation=1.0, passed=False,
@@ -324,7 +353,7 @@ class TestHelpAndUsage:
             ("solve", ["--n", "--dm", "--dn", "--hm2", "--hn2", "--config"]),
             ("sweep", ["--from", "--to", "--steps"]),
             ("surface", ["--tn", "--p1max", "--p2max", "--resolution"]),
-            ("verify", ["--seed", "--count", "--tol"]),
+            ("verify", ["--seed", "--count"]),
         ],
     )
     def test_every_flag_documented(self, capsys, sub, flags):

@@ -58,6 +58,8 @@ CASES = [
     (["verify", "--count", "0"], None),
     (["verify", "--seed", "-1"], None),
     (["verify", "--tol", "inf"], None),
+    (["sweep", "--n", "15", "--dm", "20", "--dn", "30"], None),
+    (["solve", "--config", "{config}"], {"n": 10**400, "dm": 20, "dn": 25}),
     (["verify", "--count", "1000001"], None),
     (["sweep", "--n", "3", "--dm", "1", "--steps", "100000000000"], None),
     (["surface", "--n", "3", "--dm", "1", "--resolution", "10000000"], None),

@@ -47,8 +47,8 @@ def test_public_names_are_pinned():
     assert sorted(noma_mec.__all__) == [
         "CampaignSummary", "ComparisonTable", "ConfigError", "DeadlineOrderViolation",
         "EXP_CUTOFF", "EnergyReport", "FileUnreadable", "MissingKey", "NomaMecError",
-        "NonConvergence", "NonPositiveParameter", "OffloadScenario", "OracleResult",
-        "PowerSchedule", "Regime", "StrategyKind", "SurfaceGrid", "TimeExtensionOutOfRange",
+        "NonPositiveParameter", "OffloadScenario", "OracleResult", "PowerSchedule", "Regime",
+        "StrategyKind", "SurfaceGrid", "TimeExtensionOutOfRange",
         "TypeMismatch", "__version__", "classify_regime", "deadline_sweep", "energy_derivative",
         "energy_surface", "hybrid_energy", "hybrid_powers", "kkt_log_vars", "log_hybrid_energy",
         "log_oma_energy_n", "noma_oma_gap", "offloaded_nats", "oma_energy_n", "oma_power_m",

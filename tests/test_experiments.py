@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 import math
 import pickle
@@ -33,6 +32,7 @@ from noma_mec import (
     verification_campaign,
     __version__,
 )
+from conftest import numpy_exp_is_pinned
 from noma_mec.cli import run
 from noma_mec.experiments import (
     _CAMPAIGN_HIGHS,
@@ -46,7 +46,6 @@ from noma_mec.experiments import (
 from noma_mec.model import _MAX_ROWS
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
-NUMPY_EXP_FINGERPRINT = "c65323f58be31cb3"
 
 
 def reference_sweep():
@@ -531,12 +530,6 @@ class TestVerificationCampaign:
         with pytest.raises(NonPositiveParameter, match=message):
             call()
 
-    def test_coarser_oracle_tolerance_still_passes(self):
-        # GSS excess over the true minimum is quadratic in the bracket width,
-        # so even tol=1e-6 stays far inside the 1e-5 equivalence budget.
-        summary = verification_campaign(seed=42, count=25, tol=1e-6)
-        assert summary.passed
-
     @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
     @pytest.mark.parametrize("count", [1, 200])
     def test_vectorized_draw_matches_scalar_draws(self, seed, count):
@@ -573,17 +566,6 @@ class TestVerificationCampaign:
         assert "result=FAIL" in capsys.readouterr().out
         assert next(calls) == 2 * chunks
 
-    @pytest.mark.parametrize("tol", [2.0, 0.0, math.nan])
-    def test_bad_tol_refused_before_drawing(self, monkeypatch, tol):
-        import noma_mec.experiments as experiments_module
-
-        def no_columns(*args):
-            raise AssertionError("computed the closed forms of a campaign with a bad tol")
-
-        monkeypatch.setattr(experiments_module, "_strategy_columns", no_columns)
-        with pytest.raises(NonPositiveParameter, match=r"^tol must lie in \(0, 1\), got "):
-            verification_campaign(seed=42, count=_MAX_ROWS, tol=tol)
-
     @pytest.mark.parametrize("seed,count,max_rel_err", [
         (0, 1, "0.0"),
         (0, 200, "1.5585598911986403e-15"),
@@ -610,12 +592,8 @@ class TestVerificationCampaign:
         summary = verification_campaign(seed, count)
         assert (summary.seed, summary.count, summary.passed) == (seed, count, True)
         assert repr(summary.max_dominance_violation) == "0.0"
-        # The oracle's side of max_rel_err uses numpy's exp/expm1, whose last
-        # bits depend on the SIMD code numpy picks for the CPU; the pinned
-        # reprs hold where those functions give the pinning host's bits.
-        grid = np.linspace(-5.0, 60.0, 4001)
-        fingerprint = hashlib.sha256(np.exp(grid).tobytes() + np.expm1(grid).tobytes())
-        if fingerprint.hexdigest()[:16] == NUMPY_EXP_FINGERPRINT:
+        # The oracle's side of max_rel_err uses numpy's exp/expm1: see numpy_exp_is_pinned.
+        if numpy_exp_is_pinned():
             assert repr(summary.max_rel_err) == max_rel_err
         else:
             assert summary.max_rel_err <= 1e-12
