@@ -361,6 +361,18 @@ class TestHelpAndUsage:
         for flag in flags:
             assert flag in out
 
+    @pytest.mark.parametrize("sub,flag", [
+        ("solve", "--tol"), ("sweep", "--tol"), ("surface", "--tol"), ("verify", "--tol"),
+        # A sweep sets d_n through --from and --to.
+        ("sweep", "--dn"),
+    ])
+    def test_withdrawn_flag_refused(self, capsys, sub, flag):
+        _, out, _ = run_capture(capsys, [sub, "--help"])
+        assert flag not in out
+        code, out, err = run_capture(capsys, [sub, flag, "2"])
+        assert (code, out) == (1, "")
+        assert err.endswith(f"noma-mec: error: unrecognized arguments: {flag} 2\n")
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_capture(capsys, ["explode"])
         assert code == 1

@@ -566,6 +566,16 @@ class TestVerificationCampaign:
         assert "result=FAIL" in capsys.readouterr().out
         assert next(calls) == 2 * chunks
 
+    def test_tol_refused_before_drawing(self, monkeypatch):
+        import noma_mec.experiments as experiments_module
+
+        def no_columns(*args):
+            raise AssertionError("computed the closed forms of a campaign given a tol")
+
+        monkeypatch.setattr(experiments_module, "_strategy_columns", no_columns)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            verification_campaign(seed=42, count=_MAX_ROWS, tol=1e-10)
+
     @pytest.mark.parametrize("seed,count,max_rel_err", [
         (0, 1, "0.0"),
         (0, 200, "1.5585598911986403e-15"),

@@ -179,6 +179,11 @@ class TestOracleBatch:
         "scenarios, t_n",
         [
             _random_lanes(200, seed=3),
+            # Two lanes of one scenario at neighbouring extensions, both near alpha = 0.
+            ([ANCHOR, ANCHOR], [20.0, 19.9]),
+            # Two scenarios in scrambled order: each lane's result lands in its own slot.
+            ([ANCHOR, OTHER, ANCHOR, ANCHOR, OTHER, ANCHOR, ANCHOR],
+             [12.0, 9.0, 0.25, 20.0, 10.0, 15.0, 19.9]),
             # Saturating lanes mixed with ordinary ones, and a lane whose every split
             # saturates: the saturated entries are patched lane by lane.
             ([SATURATING, ANCHOR, SATURATING, PHASE2_SATURATING, OTHER, SATURATING,
@@ -287,6 +292,8 @@ class TestSaturatedSearch:
         (None, None),
         # A broken split rule: the objective's nonnegativity check raises mid-search.
         (lambda ops, alpha, *lane: (-alpha, alpha), NonPositiveParameter),
+        # A split rule that fails with an error of its own on the first call.
+        (lambda ops, alpha, *lane: 1 / 0, ZeroDivisionError),
     ])
     def test_caller_error_state_restored(self, monkeypatch, split_rule, error):
         if split_rule is not None:
@@ -323,6 +330,22 @@ class TestOracleJoint:
     def test_step_count_validated(self):
         with pytest.raises(NonPositiveParameter):
             oracle_joint(ANCHOR, t_steps=1)
+
+    def test_search_resolution_is_fixed(self):
+        # _STEPS is the first step count whose bracket on alpha is at most 1e-10 wide.
+        inv_phi, steps = noma_mec.oracle._INV_PHI, noma_mec.oracle._STEPS
+        assert inv_phi ** steps <= 1e-10 < inv_phi ** (steps - 1)
+        assert oracle_fixed_t(ANCHOR, 5.0).iterations == steps + 5
+
+    @pytest.mark.parametrize("call", [
+        lambda: oracle_batch(15.0, 20.0, 1.0, 5.0, tol=1e-10),
+        lambda: oracle_fixed_t(ANCHOR, 5.0, tol=1e-10),
+        lambda: oracle_joint(ANCHOR, tol=1e-10),
+    ], ids=["oracle_batch", "oracle_fixed_t", "oracle_joint"])
+    def test_tol_not_accepted(self, call):
+        # The search width is fixed; a caller's tol is refused, not ignored.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            call()
 
     @settings(max_examples=25, deadline=None)
     @given(s=hybrid_scenarios())
