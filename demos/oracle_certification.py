@@ -29,7 +29,7 @@ def main():
     print(f"  oracle      : {probe.energy:.12f}   ({probe.iterations} evaluations)")
     print(f"  rel. error  : {abs(probe.energy - closed) / closed:.3e}")
 
-    joint = oracle_joint(scenario, t_steps=256)
+    joint = oracle_joint(scenario)
     print("\njoint search over the extension grid:")
     print(f"  best t_n = {joint.t_n:.6f} (deadline budget is {scenario.d_n - scenario.d_m})")
     print(f"  energy   = {joint.energy:.12f}")

@@ -23,12 +23,9 @@ from .closed_form import (
 from .errors import (
     ConfigError,
     DeadlineOrderViolation,
-    FileUnreadable,
-    MissingKey,
     NomaMecError,
     NonPositiveParameter,
     TimeExtensionOutOfRange,
-    TypeMismatch,
 )
 from .experiments import (
     CampaignSummary,

@@ -22,7 +22,7 @@ import sys
 
 from ._version import __version__
 from .closed_form import oma_power_m
-from .errors import FileUnreadable, MissingKey, NomaMecError, TypeMismatch
+from .errors import ConfigError, NomaMecError, TimeExtensionOutOfRange
 from .experiments import (
     _fmt,
     deadline_sweep,
@@ -32,7 +32,7 @@ from .experiments import (
     render_sweep_csv,
     verification_campaign,
 )
-from .model import EnergyReport, validate_scenario
+from .model import EnergyReport, StrategyKind, validate_scenario
 from .strategy import select_strategy
 
 # One row per option: (flag, block, type, fixed default, help). The flag is also the
@@ -69,7 +69,7 @@ def _typed(key: str, value, kind: type):
     past the float range reads as an infinity, as the same digits do on the command line."""
     accepted, noun = ((int, float), "a number") if kind is float else (int, "an integer")
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise TypeMismatch(key, f'config key "{key}" must be {noun}, got {value!r}')
+        raise ConfigError(f'config key "{key}" must be {noun}, got {value!r}')
     try:
         return kind(value)
     except OverflowError:
@@ -87,11 +87,11 @@ def load_scenario_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise FileUnreadable(path, f"cannot read config file {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except ValueError as exc:   # bad JSON, bad UTF-8 or an integer too long to convert
-        raise FileUnreadable(path, f"config file {path!r} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise FileUnreadable(path, f"config file {path!r} must hold a JSON object")
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
 
     values = {}
     for flag, block, kind, _, _ in _OPTIONS:
@@ -99,7 +99,7 @@ def load_scenario_file(path: str) -> dict:
             continue
         section = raw.get(block, {}) if block in ("sweep", "surface") else raw
         if not isinstance(section, dict):
-            raise TypeMismatch(block, f'"{block}" must be an object')
+            raise ConfigError(f'"{block}" must be an object')
         if flag in section:
             values[flag] = _typed(flag, section[flag], kind)
     return values
@@ -108,9 +108,8 @@ def load_scenario_file(path: str) -> dict:
 def _required(options: dict, *keys: str) -> list[float]:
     for key in keys:
         if key not in options:
-            raise MissingKey(
-                key, f'missing required parameter "{key}" (pass --{key} or put it in --config)'
-            )
+            raise ConfigError(
+                f'missing required parameter "{key}" (pass --{key} or put it in --config)')
     return [options[key] for key in keys]
 
 
@@ -130,11 +129,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_solve(options: dict) -> int:
     scenario = _scenario(options)
     table = select_strategy(scenario)
-    chosen = {
-        table.hybrid.strategy: table.hybrid,
-        table.pure_noma.strategy: table.pure_noma,
-        table.oma.strategy: table.oma,
-    }[table.selected]
+    chosen = table.oma if table.selected is StrategyKind.OMA else table.hybrid
     lines = [
         f"# noma-mec {__version__} solve",
         f"nats={_fmt(scenario.nats)}",
@@ -170,6 +165,9 @@ def _cmd_surface(options: dict) -> int:
     _, dm = _required(options, "n", "dm")
     tn = options.get("tn", dm / 4.0)
     scenario = _scenario({"dn": dm + tn, **options})
+    if scenario.d_m + tn > scenario.d_n:   # not tn > d_n - d_m, which can round below a tiny tn
+        raise TimeExtensionOutOfRange(
+            f"dm + tn must be at most dn, got {scenario.d_m!r} + {tn!r} > {scenario.d_n!r}")
     grid = energy_surface(
         scenario,
         tn,

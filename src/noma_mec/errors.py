@@ -18,20 +18,4 @@ class TimeExtensionOutOfRange(NomaMecError, ValueError):
 
 
 class ConfigError(NomaMecError):
-    """Problem with a scenario configuration source. ``key`` names the offender."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(message)
-
-
-class MissingKey(ConfigError):
-    """A required scenario parameter was provided neither on the command line nor in the file."""
-
-
-class TypeMismatch(ConfigError):
-    """A scenario parameter has the wrong type (for example a string where a number is needed)."""
-
-
-class FileUnreadable(ConfigError):
-    """The scenario file cannot be opened or parsed. ``key`` holds the path."""
+    """A config file is unreadable, or an option is missing or mistyped; the message names which."""

@@ -156,7 +156,8 @@ def verification_campaign(seed: int, count: int) -> CampaignSummary:
         nats, d_m, d_n, _, h_n_sq = draws.T
         with np.errstate(all="ignore"):
             c = _strategy_columns(_EXACT, nats, d_m, d_n, h_n_sq)
-        _, _, e_oracle, _ = oracle_batch(nats, d_m, h_n_sq, c.t_star)
+        # The deadline budget, not the closed form's t_star (equal here: every d_n < 2 d_m).
+        _, _, e_oracle, _ = oracle_batch(nats, d_m, h_n_sq, d_n - d_m)
         # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a
         # non-finite error or excess reports FAIL instead of folding away.
         rel_err = np.abs(e_oracle - c.e_hybrid) / c.e_hybrid

@@ -31,13 +31,15 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NonPositiveParameter, TimeExtensionOutOfRange
-from .model import (_MAX_ROWS, _NUMPY, _SCALAR, OffloadScenario, PowerSchedule, _power,
-                    _require_in, _require_integer, _saturates, schedule_energy)
+from .model import (_NUMPY, _SCALAR, OffloadScenario, PowerSchedule, _power, _require_in,
+                    _saturates, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps per lane: the first k whose bracket on alpha, _INV_PHI**k wide, is at
 # most 1e-10 (_INV_PHI**47 = 1.51e-10, _INV_PHI**48 = 9.30e-11, far apart for rounding).
 _STEPS = 48
+# Extensions ``oracle_joint`` searches, evenly spaced on the deadline budget (0, d_n - d_m].
+_EXTENSIONS = 256
 
 
 OracleResult = namedtuple("OracleResult", "p_n1 p_n2 t_n energy iterations")
@@ -146,30 +148,27 @@ def oracle_fixed_t(scenario: OffloadScenario, t_n: float) -> OracleResult:
     return OracleResult(float(p_n1[0]), float(p_n2[0]), t_n, float(energy[0]), int(iterations[0]))
 
 
-def oracle_joint(scenario: OffloadScenario, t_steps: int = 256) -> OracleResult:
+def oracle_joint(scenario: OffloadScenario) -> OracleResult:
     """Joint search: minimize over alpha on a uniform extension grid and take the argmin.
 
-    The grid covers the deadline budget ``(0, d_n - d_m]`` with ``t_steps``
-    points including the right endpoint, searched as one ``oracle_batch``;
-    ``t_steps`` must be an integer in [2, 1,000,000] (NonPositiveParameter).
-    Past ``d_m`` a split's optimum is OMA over ``t_n``, so from
-    ``d_n == 2 d_m`` on the search lands on OMA over the whole budget. With
-    ``d_n == d_m`` the interval is empty and the split that carries the whole
-    task in the shared slot (pure NOMA) is returned directly. The last of equal
-    minima wins, so an all-inf search names the whole budget. ``iterations``
-    aggregates the evaluations of all grid searches.
+    The grid covers the deadline budget ``(0, d_n - d_m]`` with 256 points
+    including the right endpoint, searched as one ``oracle_batch``. Past
+    ``d_m`` a split's optimum is OMA over ``t_n``, so from ``d_n == 2 d_m`` on
+    the search lands on OMA over the whole budget. With ``d_n == d_m`` the
+    interval is empty and the split that carries the whole task in the shared
+    slot (pure NOMA) is returned directly. The last of equal minima wins, so an
+    all-inf search names the whole budget. ``iterations`` aggregates the
+    evaluations of all grid searches.
     """
-    _require_integer("t_steps", t_steps)
-    _require_in("t_steps", t_steps, 2, _MAX_ROWS)
     t_max = scenario.d_n - scenario.d_m
     if t_max == 0.0:
         # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.
         shared = split_schedule(scenario, scenario.d_m, 1.0)
         return OracleResult(shared.p_n1, shared.p_n2, 0.0, schedule_energy(scenario, shared), 0)
-    grid = t_max * np.arange(1, t_steps + 1) / t_steps
+    grid = t_max * np.arange(1, _EXTENSIONS + 1) / _EXTENSIONS
     p_n1, p_n2, energy, iterations = oracle_batch(
         scenario.nats, scenario.d_m, scenario.h_n_sq, grid
     )
-    best = t_steps - 1 - int(np.argmin(energy[::-1]))   # the last of equal minima
+    best = _EXTENSIONS - 1 - int(np.argmin(energy[::-1]))   # the last of equal minima
     return OracleResult(float(p_n1[best]), float(p_n2[best]), float(grid[best]),
                         float(energy[best]), int(iterations.sum()))

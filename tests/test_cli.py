@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import noma_mec
-from noma_mec import FileUnreadable, NomaMecError, TypeMismatch
+from noma_mec import ConfigError, NomaMecError
 from noma_mec.cli import _COMMANDS, _DEFAULTS, build_parser, load_scenario_file, run
 from noma_mec.experiments import CampaignSummary
 from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run, _with_config
@@ -127,25 +127,28 @@ class TestConfigFile:
             ({"n": 15, "dm": 20, "sweep": {"steps": 5.5}}, "steps", "an integer"),
         ]:
             config.write_text(json.dumps(document))
-            with pytest.raises(TypeMismatch) as excinfo:
+            with pytest.raises(ConfigError) as excinfo:
                 load_scenario_file(str(config))
-            assert excinfo.value.key == key
+            assert f'"{key}"' in str(excinfo.value)
             assert message in str(excinfo.value)
 
     def test_unreadable_file(self, tmp_path):
-        with pytest.raises(FileUnreadable):
-            load_scenario_file(str(tmp_path / "absent.json"))
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario_file(path)
+        assert repr(path) in str(excinfo.value)
 
     def test_malformed_json(self, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text("{not json")
-        with pytest.raises(FileUnreadable):
+        with pytest.raises(ConfigError) as excinfo:
             load_scenario_file(str(config))
+        assert repr(str(config)) in str(excinfo.value)
 
     def test_undecodable_file_is_invalid_input(self, capsys, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_bytes(b"\xff\xfe{}")   # a UTF-16 byte-order mark
-        with pytest.raises(FileUnreadable):
+        with pytest.raises(ConfigError):
             load_scenario_file(str(config))
         code, out, err = run_capture(capsys, ["solve", "--config", str(config)])
         assert code == 1
@@ -188,7 +191,7 @@ class TestConfigFile:
     def test_boolean_is_not_a_number(self, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"n": True, "dm": 20, "dn": 25}))
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(ConfigError, match='"n"'):
             load_scenario_file(str(config))
 
     def test_unknown_keys_ignored(self, tmp_path):
@@ -276,6 +279,23 @@ class TestSweepAndSurface:
         )
         assert code == 1
         assert "resolution" in err
+
+    def test_surface_extension_past_the_deadline_is_refused(self, capsys, tmp_path):
+        # d_n from a flag or from a config file: t_n past the budget d_n - d_m is named, exit 1.
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"n": 15, "dm": 20, "dn": 21}))
+        expected = (1, "", "error: dm + tn must be at most dn, got 20.0 + 10.0 > 21.0\n")
+        for source in (["--n", "15", "--dm", "20", "--dn", "21"], ["--config", str(config)]):
+            argv = ["surface", *source, "--tn", "10", "--resolution", "2"]
+            assert run_capture(capsys, argv) == expected
+
+    def test_surface_default_deadline_meets_the_budget(self, capsys):
+        # The default d_n is d_m + t_n, here rounded to d_m: d_n - d_m = 0.0 lies below t_n,
+        # but d_m + t_n rounds the same way and does not exceed d_n.
+        argv = ["surface", "--n", "15", "--dm", "20", "--tn", "1e-15", "--resolution", "2"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert run_capture(capsys, [*argv, "--dn", "20"]) == (code, out, err)
 
     def test_unwritable_output_path(self, capsys):
         code, _, err = run_capture(

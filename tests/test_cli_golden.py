@@ -43,6 +43,7 @@ CASES = [
       "--p2max", "1e308"], None),
     (["surface", "--n", "15", "--dm", "20", "--tn", "20", "--resolution", "4"], None),
     (["surface", "--n", "15", "--dm", "20", "--tn", "25", "--resolution", "4"], None),
+    (["surface", "--n", "15", "--dm", "20", "--dn", "21", "--tn", "10", "--resolution", "2"], None),
     (["verify", "--count", "25"], None),
     (["verify", "--seed", "7", "--count", "10"], None),
     (["sweep", "--n", "400", "--dm", "1", "--from", "1", "--to", "3", "--steps", "9",

@@ -21,7 +21,6 @@ from noma_mec import (
     offloaded_nats,
     oma_energy_n,
     oma_power_m,
-    oracle_joint,
     render_campaign_summary,
     render_surface_csv,
     render_sweep_csv,
@@ -492,9 +491,7 @@ class TestVerificationCampaign:
          r"^steps must lie in \[2, 1000000\], got 1000001$", "linspace"),
         (lambda resolution: energy_surface(ANCHOR, 5.0, resolution=resolution), 1000,
          r"^resolution must lie in \[2, 1000\], got 1001$", "linspace"),
-        (lambda t_steps: oracle_joint(ANCHOR, t_steps=t_steps), _MAX_ROWS,
-         r"^t_steps must lie in \[2, 1000000\], got 1000001$", "arange"),
-    ], ids=["sweep steps", "surface resolution", "joint t_steps"])
+    ], ids=["sweep steps", "surface resolution"])
     def test_rows_above_limit_rejected_before_allocating(self, monkeypatch, call, at_limit, message,
                                                          allocator):
         class Allocating(Exception):
@@ -521,10 +518,8 @@ class TestVerificationCampaign:
          r"^resolution must be an integer, got 3\.0$"),
         (lambda: energy_surface(ANCHOR, 5.0, resolution=True),
          r"^resolution must be an integer, got True$"),
-        # A fractional grid would search extensions past the deadline budget d_n - d_m.
-        (lambda: oracle_joint(ANCHOR, t_steps=2.5), r"^t_steps must be an integer, got 2\.5$"),
     ], ids=["seed True", "seed 1.0", "count True", "count 2.0", "steps 3.0", "steps True",
-            "resolution 3.0", "resolution True", "t_steps 2.5"])
+            "resolution 3.0", "resolution True"])
     def test_non_integer_seed_or_row_count_rejected(self, call, message):
         # A bool is an int to Python and a float reaches numpy, which raises TypeError.
         with pytest.raises(NonPositiveParameter, match=message):

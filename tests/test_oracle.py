@@ -31,7 +31,7 @@ from noma_mec import (
 )
 from noma_mec import PowerSchedule, log_oma_energy_n, oracle_batch
 from noma_mec.model import _NUMPY, EXP_CUTOFF
-from noma_mec.oracle import _INV_PHI, _split_lanes, _split_powers
+from noma_mec.oracle import _EXTENSIONS, _INV_PHI, _split_lanes, _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 # 1.382 nats/d_m > EXP_CUTOFF: both first inner points of the search saturate phase 1, an
@@ -310,14 +310,14 @@ class TestSaturatedSearch:
 
 class TestOracleJoint:
     def test_reference_scenario_lands_on_deadline_budget(self):
-        result = oracle_joint(ANCHOR, t_steps=100)
-        assert result.t_n == pytest.approx(5.0, abs=5.0 / 100)
+        result = oracle_joint(ANCHOR)
+        assert result.t_n == pytest.approx(5.0, abs=5.0 / _EXTENSIONS)
         assert result.energy == pytest.approx(35.66291, abs=1e-3)
 
     def test_tight_deadline(self):
         s = validate_scenario(15.0, 20.0, 21.0)
-        result = oracle_joint(s, t_steps=100)
-        assert result.t_n == pytest.approx(1.0, abs=1.0 / 100)
+        result = oracle_joint(s)
+        assert result.t_n == pytest.approx(1.0, abs=1.0 / _EXTENSIONS)
         assert result.energy == pytest.approx(hybrid_energy(s, 1.0), rel=1e-5)
 
     def test_degenerate_deadline_returns_pure_noma(self):
@@ -327,32 +327,30 @@ class TestOracleJoint:
         assert result.p_n2 == 0.0
         assert result.energy == hybrid_energy(s, 0.0)
 
-    def test_step_count_validated(self):
-        with pytest.raises(NonPositiveParameter):
-            oracle_joint(ANCHOR, t_steps=1)
-
     def test_search_resolution_is_fixed(self):
         # _STEPS is the first step count whose bracket on alpha is at most 1e-10 wide.
         inv_phi, steps = noma_mec.oracle._INV_PHI, noma_mec.oracle._STEPS
         assert inv_phi ** steps <= 1e-10 < inv_phi ** (steps - 1)
         assert oracle_fixed_t(ANCHOR, 5.0).iterations == steps + 5
 
-    @pytest.mark.parametrize("call", [
-        lambda: oracle_batch(15.0, 20.0, 1.0, 5.0, tol=1e-10),
-        lambda: oracle_fixed_t(ANCHOR, 5.0, tol=1e-10),
-        lambda: oracle_joint(ANCHOR, tol=1e-10),
-    ], ids=["oracle_batch", "oracle_fixed_t", "oracle_joint"])
-    def test_tol_not_accepted(self, call):
-        # The search width is fixed; a caller's tol is refused, not ignored.
-        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+    @pytest.mark.parametrize("call, keyword", [
+        (lambda: oracle_batch(15.0, 20.0, 1.0, 5.0, tol=1e-10), "tol"),
+        (lambda: oracle_fixed_t(ANCHOR, 5.0, tol=1e-10), "tol"),
+        (lambda: oracle_joint(ANCHOR, tol=1e-10), "tol"),
+        (lambda: oracle_joint(ANCHOR, t_steps=16), "t_steps"),
+    ], ids=["oracle_batch", "oracle_fixed_t", "oracle_joint", "oracle_joint t_steps"])
+    def test_tol_not_accepted(self, call, keyword):
+        # The search width and the extension grid are fixed; a caller's value is refused,
+        # not ignored.
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
             call()
 
     @settings(max_examples=25, deadline=None)
     @given(s=hybrid_scenarios())
     def test_boundary_optimum(self, s):
         t_max = min(s.d_n - s.d_m, s.d_m)
-        result = oracle_joint(s, t_steps=64)
-        assert result.t_n >= t_max * (1.0 - 1.0 / 64) - 1e-12
+        result = oracle_joint(s)
+        assert result.t_n >= t_max * (1.0 - 1.0 / _EXTENSIONS) - 1e-12
 
     def test_certifies_the_selected_strategy_in_every_regime(self):
         # Every 4th corpus scenario: 75 per regime. Past d_m a split's optimum is OMA over
@@ -360,7 +358,7 @@ class TestOracleJoint:
         sample = identity_corpus()[::4]
         assert {classify_regime(s) for s in sample} == set(Regime)
         for s in sample:
-            result, table = oracle_joint(s, t_steps=16), select_strategy(s)
+            result, table = oracle_joint(s), select_strategy(s)
             row = table.oma if table.selected is StrategyKind.OMA else table.hybrid
             if math.isinf(row.energy):
                 assert result.energy == math.inf
@@ -375,7 +373,7 @@ class TestOracleJoint:
     def test_all_inf_search_names_the_budget(self):
         # nats/d_m = 800 saturates phase 1 at every alpha > 0 and nats/t_n >= 1,600 phase 2 at
         # alpha = 0: every grid energy is inf, and of equal minima the longest extension wins.
-        result = oracle_joint(validate_scenario(800.0, 1.0, 1.5), 16)
+        result = oracle_joint(validate_scenario(800.0, 1.0, 1.5))
         assert result.energy == math.inf
         assert result.t_n == 0.5
 
@@ -418,6 +416,20 @@ class TestImportBoundary:
         modules = {part for name in imported for part in name.split(".")}
         assert not modules & {"closed_form", "strategy"}, modules
         assert not [name for name in names | imported if "capped_extension" in name]
+
+    def test_campaign_hands_the_oracle_no_closed_form(self):
+        # The campaign's oracle search takes its extensions from the draws, so the certificate
+        # reads nothing the closed forms computed: no name bound to _strategy_columns' result.
+        tree = ast.parse(pathlib.Path(noma_mec.experiments.__file__).read_text())
+        (campaign,) = (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                       and node.name == "verification_campaign")
+        columns = {target.id for node in ast.walk(campaign) if isinstance(node, ast.Assign)
+                   and "_strategy_columns" in ast.unparse(node.value)
+                   for target in node.targets}
+        (search,) = (node for node in ast.walk(campaign) if isinstance(node, ast.Call)
+                     and ast.unparse(node.func) == "oracle_batch")
+        assert columns
+        assert not {node.id for node in ast.walk(search) if isinstance(node, ast.Name)} & columns
 
     @pytest.mark.parametrize("module", [noma_mec.closed_form, noma_mec.oracle])
     def test_power_rules_written_only_in_model(self, module):
