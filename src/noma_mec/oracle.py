@@ -13,14 +13,14 @@ The split rule is written once, elementwise, over ``model``'s rate-to-power
 rules and the operations table its caller names: ``split_schedule`` runs it on
 floats with ``model._SCALAR`` (``math``'s ``exp``/``expm1``), ``oracle_batch``
 on numpy arrays with ``model._NUMPY`` (numpy's), a few ulp apart. The search
-takes one lane per (scenario, extension) pair, each the same ``_STEPS`` steps:
-a golden-section search for a given final bracket takes a number of steps
-fixed in advance (Kiefer, "Sequential minimax search for a maximum", Proc. AMS
-1953). A step pays only for what depends on alpha: a lane's ``nats/d_m`` and
-its ``exp`` are computed once, and saturation is patched only where it occurs.
-A batch tests a phase for saturation only if some lane can reach the cutoff:
-``alpha`` lies in [0, 1], so ``y1 <= nats/d_m`` and ``y2 <= nats/t_n`` in
-floats too, rounding being monotone.
+takes one lane per (scenario, extension) pair, each the same ``_STEPS``
+golden-section steps, a count fixed in advance by the final bracket (Kiefer,
+"Sequential minimax search for a maximum", Proc. AMS 1953), so all lanes share
+one bracket width. A step compares splits by the sum of their phase energies,
+each one ``_power`` with the phase length folded into the gain, over lane
+constants computed once; saturation is patched only where it occurs. A batch
+tests a phase for saturation only if some lane can reach the cutoff: ``alpha``
+lies in [0, 1], so ``y1 <= nats/d_m`` and ``y2 <= nats/t_n`` in floats too.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
     The lane arrays (or floats) ``nats``, ``d_m``, ``h_n_sq`` and ``t_n``
     broadcast against each other in one dimension: one scenario over a grid
     of extensions, or one extension per scenario. Each lane runs its own
-    golden-section search on alpha in [0, 1]: it keeps its own bracket and
-    takes ``_STEPS`` steps, after which the bracket is at most 1e-10 wide, so
-    its result is that of a search of that lane alone.
-    Returns one-dimensional arrays ``(p_n1, p_n2, energy, iterations)``, one
-    entry per lane; ``iterations`` counts a lane's objective evaluations, the
-    same ``_STEPS + 5`` for every lane.
+    golden-section search on alpha in [0, 1]: ``_STEPS`` steps leave a bracket
+    at most 1e-10 wide, a width all lanes share, and a lane's result is that
+    of a search of that lane alone. Returns one-dimensional arrays ``(p_n1,
+    p_n2, energy, iterations)``, one entry per lane; ``iterations`` counts a
+    lane's objective evaluations, the same ``_STEPS + 5`` for every lane.
 
     Every lane field must be positive and finite, ``t_n`` too, as in
     ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
@@ -103,40 +102,42 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         raise error(f"{('nats', 'd_m', 'h_n_sq', 't_n')[i]} must be a positive finite"
                     f" number, got {float(fields[i, k])!r} in lane {k}")
 
-    def objective(alpha, nats, d_m, h_n_sq, t_n, *constants):
-        """(energy, p_n1, p_n2) of the splits ``alpha`` in the given lanes."""
-        p_n1, p_n2 = _split_powers(_NUMPY, alpha, nats, d_m, h_n_sq, t_n, *constants, can_saturate)
-        if not (np.minimum(p_n1, p_n2) >= 0.0).all():   # as PowerSchedule checks a schedule
+    def nonnegative(a, b):   # as PowerSchedule checks a schedule's powers
+        if not (np.minimum(a, b) >= 0.0).all():
             raise NonPositiveParameter("split powers must be nonnegative")
-        return d_m * p_n1 + t_n * p_n2, p_n1, p_n2
+        return a, b
+
+    def split_energy(alpha):   # phase energies: power times length is _power over h/length
+        return np.add(*nonnegative(
+            _power(_NUMPY, alpha * rate_dm, h_per_dm, rate_dm, exp_rate_dm, can_saturate[0]),
+            _power(_NUMPY, (1.0 - alpha) * rate_tn, h_per_tn, can_saturate=can_saturate[1])))
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
         lanes = _split_lanes(_NUMPY, *lanes)   # adds nats/d_m and its exp
+        rate_dm, exp_rate_dm, rate_tn = lanes[4], lanes[5], nats / t_n
+        h_per_dm, h_per_tn = h_n_sq / d_m, h_n_sq / t_n
         # Phase 1 can saturate only if it does at alpha = 1 (y1 = nats/d_m), phase 2 at alpha = 0.
-        can_saturate = (np.count_nonzero(_saturates(lanes[4], lanes[4])),
-                        np.count_nonzero(_saturates(nats / t_n)))
-        lo, hi = np.zeros(t_n.size), np.ones(t_n.size)
-        inner_lo, inner_hi = hi - _INV_PHI, lo + _INV_PHI
-        f_lo, f_hi = objective(inner_lo, *lanes)[0], objective(inner_hi, *lanes)[0]
+        can_saturate = (np.count_nonzero(_saturates(rate_dm, rate_dm)),
+                        np.count_nonzero(_saturates(rate_tn)))
+        # Brackets [lo, lo + width], with f_lo, f_hi at lo + (1 - _INV_PHI, _INV_PHI) * width.
+        lo, width = np.zeros(t_n.size), 1.0
+        f_lo, f_hi = split_energy(lo + (1.0 - _INV_PHI)), split_energy(lo + _INV_PHI)
         for _ in range(_STEPS):
-            # Where f_lo < f_hi the minimum lies left of inner_hi: drop the right part,
-            # inner_lo becomes inner_hi and a new inner_lo is probed. Otherwise drop
-            # the left part, inner_hi becomes inner_lo and a new inner_hi is probed.
-            # Also left where phase 1 saturates at inner_lo (``_saturates`` on y1), as at
-            # every larger alpha: an inf/inf tie there has its minimum left.
+            # Keep the left part where f_lo < f_hi or where phase 1 saturates at the lower inner
+            # point, as at every larger alpha (an inf/inf tie); else the right part: lo moves up.
             left = f_lo < f_hi
-            if can_saturate[0]:   # lanes[4] is nats/d_m
-                left |= _saturates(inner_lo * nats / d_m, lanes[4])
-            lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
-            step = _INV_PHI * (hi - lo)
-            probe = np.where(left, hi - step, lo + step)
-            f_probe = objective(probe, *lanes)[0]
-            inner_lo, inner_hi = np.where(left, probe, inner_hi), np.where(left, inner_lo, probe)
+            if can_saturate[0]:
+                left |= _saturates((lo + (1.0 - _INV_PHI) * width) * rate_dm, rate_dm)
+            lo = np.where(left, lo, lo + (1.0 - _INV_PHI) * width)
+            width *= _INV_PHI
+            f_probe = split_energy(lo + np.where(left, (1.0 - _INV_PHI) * width, _INV_PHI * width))
             f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
 
-        # Two evaluations open the search, one per step, three score the last bracket.
+        # 2 + _STEPS + 3 evaluations. The right end rounds past 1 if every step goes right.
+        hi = np.minimum(lo + width, 1.0)
         candidates = np.stack((lo, 0.5 * (lo + hi), hi))
-        energies, p_n1, p_n2 = objective(candidates, *lanes)
+        p_n1, p_n2 = nonnegative(*_split_powers(_NUMPY, candidates, *lanes, can_saturate))
+        energies = d_m * p_n1 + t_n * p_n2
         best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
         return (p_n1[best, lane], p_n2[best, lane], energies[best, lane],
                 np.full(t_n.size, _STEPS + 5))
@@ -166,9 +167,8 @@ def oracle_joint(scenario: OffloadScenario) -> OracleResult:
         shared = split_schedule(scenario, scenario.d_m, 1.0)
         return OracleResult(shared.p_n1, shared.p_n2, 0.0, schedule_energy(scenario, shared), 0)
     grid = t_max * np.arange(1, _EXTENSIONS + 1) / _EXTENSIONS
-    p_n1, p_n2, energy, iterations = oracle_batch(
-        scenario.nats, scenario.d_m, scenario.h_n_sq, grid
-    )
+    p_n1, p_n2, energy, iterations = oracle_batch(scenario.nats, scenario.d_m,
+                                                  scenario.h_n_sq, grid)
     best = _EXTENSIONS - 1 - int(np.argmin(energy[::-1]))   # the last of equal minima
     return OracleResult(float(p_n1[best]), float(p_n2[best]), float(grid[best]),
                         float(energy[best]), int(iterations.sum()))

@@ -561,6 +561,64 @@ class TestVerificationCampaign:
         assert "result=FAIL" in capsys.readouterr().out
         assert next(calls) == 2 * chunks
 
+    @pytest.mark.parametrize("delta, passed", [
+        (1e-5 * (1.0 + 1e-6), False), (1e-5 * (1.0 - 1e-6), True),
+        (-1e-5 * (1.0 + 1e-6), False), (-1e-5 * (1.0 - 1e-6), True),
+    ], ids=["above", "below", "above, oracle low", "below, oracle low"])
+    def test_relative_error_gate_at_its_edge(self, monkeypatch, capsys, delta, passed):
+        # One oracle lane at e_hybrid * (1 + delta), just past or just inside the campaign's
+        # 1e-5 gate; every other lane agrees with the closed forms to rounding.
+        import noma_mec.experiments as experiments_module
+
+        real_columns, real_batch = experiments_module._strategy_columns, experiments_module.oracle_batch
+        hybrid = []
+
+        def recorded_columns(*args):
+            columns = real_columns(*args)
+            hybrid.append(columns.e_hybrid)
+            return columns
+
+        def off_lane_batch(*args):
+            p_n1, p_n2, energy, iterations = real_batch(*args)
+            energy[3] = hybrid[-1][3] * (1.0 + delta)
+            return p_n1, p_n2, energy, iterations
+
+        monkeypatch.setattr(experiments_module, "_strategy_columns", recorded_columns)
+        monkeypatch.setattr(experiments_module, "oracle_batch", off_lane_batch)
+        summary = verification_campaign(seed=42, count=10)
+        assert summary.max_rel_err == pytest.approx(abs(delta), rel=1e-9)
+        assert (summary.max_rel_err <= 1e-5) is passed
+        assert summary.passed is passed
+        assert run(["verify", "--seed", "42", "--count", "10"]) == (0 if passed else 2)
+        assert f"result={'PASS' if passed else 'FAIL'}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("column", ["e_pure", "e_oma"])
+    @pytest.mark.parametrize("excess, passed", [(1e-9 * (1.0 + 1e-6), False),
+                                                (1e-9 * (1.0 - 1e-6), True)], ids=["above", "below"])
+    def test_dominance_gate_at_its_edge(self, monkeypatch, capsys, column, excess, passed):
+        # One rival strategy made cheaper than the hybrid schedule by ``excess``, just past or
+        # just inside the campaign's 1e-9 gate, in the lane of least hybrid energy, where the
+        # difference rounds least.
+        import noma_mec.experiments as experiments_module
+
+        real_columns = experiments_module._strategy_columns
+
+        def cheaper_rival(*args):
+            columns = real_columns(*args)
+            k = int(np.argmin(columns.e_hybrid))
+            rival = np.array(getattr(columns, column), dtype=float)
+            rival[k] = columns.e_hybrid[k] - excess
+            return columns._replace(**{column: rival})
+
+        monkeypatch.setattr(experiments_module, "_strategy_columns", cheaper_rival)
+        summary = verification_campaign(seed=42, count=10)
+        # The lane's e_hybrid is about 1.3, so its excess is off by at most 1.1e-16.
+        assert summary.max_dominance_violation == pytest.approx(excess, rel=1e-6, abs=0.0)
+        assert (summary.max_dominance_violation <= 1e-9) is passed
+        assert summary.passed is passed
+        assert run(["verify", "--seed", "42", "--count", "10"]) == (0 if passed else 2)
+        assert f"result={'PASS' if passed else 'FAIL'}" in capsys.readouterr().out
+
     def test_tol_refused_before_drawing(self, monkeypatch):
         import noma_mec.experiments as experiments_module
 
@@ -571,28 +629,33 @@ class TestVerificationCampaign:
         with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
             verification_campaign(seed=42, count=_MAX_ROWS, tol=1e-10)
 
-    @pytest.mark.parametrize("seed,count,max_rel_err", [
+    # (seed, count, max_rel_err) of campaigns that pass; the ids name seed and count only, so a
+    # re-pinned value keeps its test's name.
+    PINNED = [
         (0, 1, "0.0"),
-        (0, 200, "1.5585598911986403e-15"),
+        (0, 200, "2.0101079125828073e-15"),
         (42, 1, "0.0"),
-        (42, 200, "1.482412645510839e-15"),
+        (42, 200, "2.2607450124600564e-15"),
         (2**32 - 1, 1, "2.433605359658634e-16"),
-        (2**32 - 1, 200, "9.99216788342013e-16"),
+        (2**32 - 1, 200, "1.386158239941175e-15"),
         # Certified 4,096 scenarios at a time: one chunk, exactly one, one more, two and one.
-        (0, 4095, "3.578848984872027e-15"),
-        (0, 4096, "3.578848984872027e-15"),
-        (0, 4097, "3.578848984872027e-15"),
-        (0, 8193, "4.5422337499051566e-15"),
-        (42, 4095, "5.335808201177592e-15"),
-        (42, 4096, "5.335808201177592e-15"),
-        (42, 4097, "5.335808201177592e-15"),
-        (42, 8193, "5.335808201177592e-15"),
-        (2**32 - 1, 4095, "8.845907640067282e-15"),
-        (2**32 - 1, 4096, "8.845907640067282e-15"),
-        (2**32 - 1, 4097, "8.845907640067282e-15"),
-        (2**32 - 1, 8193, "8.845907640067282e-15"),
-        (42, 100_000, "7.721396954728562e-15"),
-    ])
+        (0, 4095, "3.2812178737486924e-15"),
+        (0, 4096, "3.2812178737486924e-15"),
+        (0, 4097, "3.2812178737486924e-15"),
+        (0, 8193, "5.797525853045325e-15"),
+        (42, 4095, "5.42460960854414e-15"),
+        (42, 4096, "5.42460960854414e-15"),
+        (42, 4097, "5.42460960854414e-15"),
+        (42, 8193, "5.42460960854414e-15"),
+        (2**32 - 1, 4095, "1.2115047420092147e-14"),
+        (2**32 - 1, 4096, "1.2115047420092147e-14"),
+        (2**32 - 1, 4097, "1.2115047420092147e-14"),
+        (2**32 - 1, 8193, "1.2115047420092147e-14"),
+        (42, 100_000, "8.017202068863654e-15"),
+    ]
+    PINNED_IDS = [f"{seed}-{count}" for seed, count, _ in PINNED]
+
+    @pytest.mark.parametrize("seed,count,max_rel_err", PINNED, ids=PINNED_IDS)
     def test_pinned_summaries(self, seed, count, max_rel_err):
         summary = verification_campaign(seed, count)
         assert (summary.seed, summary.count, summary.passed) == (seed, count, True)
@@ -602,6 +665,13 @@ class TestVerificationCampaign:
             assert repr(summary.max_rel_err) == max_rel_err
         else:
             assert summary.max_rel_err <= 1e-12
+
+    @pytest.mark.parametrize("seed,count,max_rel_err", PINNED, ids=PINNED_IDS)
+    def test_pinned_campaigns_agree_to_rounding(self, seed, count, max_rel_err):
+        # On every host, numpy's exp/expm1 bits aside: the oracle and the closed forms agree
+        # to a few ulp, eight orders of magnitude inside the campaign's 1e-5 gate.
+        summary = verification_campaign(seed, count)
+        assert summary.passed and summary.max_rel_err <= 1e-13
 
     def test_summary_rendering(self):
         summary = verification_campaign(seed=42, count=10)

@@ -239,11 +239,37 @@ class TestOracleBatch:
             alone = oracle_fixed_t(validate_scenario(n, m, m + t), t)
             seen = (alone.p_n1, alone.p_n2, alone.energy, alone.iterations)
             assert [np.array([v]).tobytes() for v in seen] == [a[k:k + 1].tobytes() for a in batch]
-        # The same batch with both tests run in every step gives the same bits.
-        real = _split_powers
-        monkeypatch.setattr("noma_mec.oracle._split_powers",
-                            lambda ops, alpha, *lane: real(ops, alpha, *lane[:6]))
+        # The same batch with both tests run in every evaluation gives the same bits.
+        real = noma_mec.oracle._power
+        monkeypatch.setattr("noma_mec.oracle._power",
+                            lambda ops, y, h_sq, rate_dm=0.0, exp_rate_dm=None, can_saturate=True:
+                            real(ops, y, h_sq, rate_dm, exp_rate_dm))
         assert [a.tobytes() for a in oracle_batch(nats, d_m, 1.0, t_n)] == bits
+
+    # Every lane's bracket is [lo, lo + width] with one width for all lanes, and where every
+    # step goes right lo + width rounds past 1 at some step counts (to 1 + 2**-52 after 44).
+    @pytest.mark.parametrize("steps", [44, noma_mec.oracle._STEPS])
+    def test_bracket_ends_stay_in_the_unit_interval(self, monkeypatch, steps):
+        monkeypatch.setattr(noma_mec.oracle, "_STEPS", steps)
+        real, candidates = _split_powers, []
+
+        def recorded(ops, alpha, *lane):
+            candidates.append(alpha)
+            return real(ops, alpha, *lane)
+
+        monkeypatch.setattr(noma_mec.oracle, "_split_powers", recorded)
+        # t_n = 1e-100 d_m: phase 2 saturates at every alpha short of 1, so every step goes
+        # right. t_n = 2 d_m: the optimum is OMA at alpha = 0, so every step goes left.
+        t_n = np.array([1e-100 * ANCHOR.d_m, 2.0 * ANCHOR.d_m])
+        p_n1, p_n2, energy, iterations = oracle_batch(ANCHOR.nats, ANCHOR.d_m, ANCHOR.h_n_sq, t_n)
+        assert np.isfinite(energy).all() and (iterations == steps + 5).all()
+        assert energy[0] == pytest.approx(hybrid_energy(ANCHOR, 0.0), rel=1e-12)
+        assert energy[1] == pytest.approx(oma_energy_n(ANCHOR, t_n[1]), rel=1e-12)
+        scored = np.concatenate([np.ravel(alpha) for alpha in candidates])
+        assert ((0.0 <= scored) & (scored <= 1.0)).all() and scored.max() == 1.0
+        for k, t in enumerate(t_n):
+            alone = oracle_batch(ANCHOR.nats, ANCHOR.d_m, ANCHOR.h_n_sq, t)
+            assert [a.tolist() for a in alone] == [[p_n1[k]], [p_n2[k]], [energy[k]], [steps + 5]]
 
     @given(alpha=st.floats(0.0, 1.0), nats=POSITIVE, d_m=POSITIVE, t_n=POSITIVE)
     def test_split_exponents_bounded_by_their_alpha_ends(self, alpha, nats, d_m, t_n):
@@ -288,16 +314,16 @@ class TestSaturatedSearch:
             assert oracle_joint(s).energy == math.inf
 
 
-    @pytest.mark.parametrize("split_rule, error", [
+    @pytest.mark.parametrize("power_rule, error", [
         (None, None),
-        # A broken split rule: the objective's nonnegativity check raises mid-search.
-        (lambda ops, alpha, *lane: (-alpha, alpha), NonPositiveParameter),
-        # A split rule that fails with an error of its own on the first call.
-        (lambda ops, alpha, *lane: 1 / 0, ZeroDivisionError),
+        # A broken power rule: the objective's nonnegativity check raises mid-search.
+        (lambda ops, y, *rest, **kwargs: -y, NonPositiveParameter),
+        # A power rule that fails with an error of its own on the first call.
+        (lambda *args, **kwargs: 1 / 0, ZeroDivisionError),
     ])
-    def test_caller_error_state_restored(self, monkeypatch, split_rule, error):
-        if split_rule is not None:
-            monkeypatch.setattr("noma_mec.oracle._split_powers", split_rule)
+    def test_caller_error_state_restored(self, monkeypatch, power_rule, error):
+        if power_rule is not None:
+            monkeypatch.setattr("noma_mec.oracle._power", power_rule)
         # A caller's state unlike both numpy's default and the search's own, so that a
         # state leaked by any earlier search shows too.
         with np.errstate(over="raise", invalid="raise"):
@@ -382,7 +408,7 @@ class TestPinnedBits:
     # One sha256 over the oracle's lane outputs: every bit of p_n1, p_n2, energy and
     # iterations of 30 seeded 200-lane batches (every third with nats x30, so that lanes
     # saturate) and of four joint searches, one of them all-inf.
-    DIGEST = "ebd5d905e5b3cc70ba860c7bc213b999a5c632f6d01a1c5c38e77f18faac96d4"
+    DIGEST = "cc9ba6a6e0f88c54eb0194ce53838be0cce4bd5e9a437a8293328792f9fa23ca"
 
     def test_lane_outputs_pinned(self):
         digest = hashlib.sha256()
