@@ -26,7 +26,7 @@ def main():
     probe = oracle_fixed_t(scenario, t_star)
     print("fixed-extension search (golden section over the task split):")
     print(f"  closed form : {closed:.12f}")
-    print(f"  oracle      : {probe.energy:.12f}   ({probe.iterations} evaluations)")
+    print(f"  oracle      : {probe.energy:.12f}   (alpha bracket at most 1e-10 wide)")
     print(f"  rel. error  : {abs(probe.energy - closed) / closed:.3e}")
 
     joint = oracle_joint(scenario)

@@ -30,7 +30,6 @@ SURFACE_COLUMNS = "p1,p2,energy,feasible,kind"
 # Campaign draw ranges: task size, shared slot, d_n / d_m - 1, both gains.
 _CAMPAIGN_LOWS = (1.0, 1.0, 1e-3, 0.1, 0.1)
 _CAMPAIGN_HIGHS = (40.0, 50.0, 1.0 - 1e-3, 10.0, 10.0)
-_KIND_TEXT = {kind: kind.value for kind in StrategyKind}
 _CHUNK_ROWS = 4096   # sweep rows rendered or campaign scenarios certified at a time
 # Boundary surface samples whose true offloaded total equals the task size can
 # round a few ulp short; the feasibility mask keeps them.
@@ -157,7 +156,7 @@ def verification_campaign(seed: int, count: int) -> CampaignSummary:
         with np.errstate(all="ignore"):
             c = _strategy_columns(_EXACT, nats, d_m, d_n, h_n_sq)
         # The deadline budget, not the closed form's t_star (equal here: every d_n < 2 d_m).
-        _, _, e_oracle, _ = oracle_batch(nats, d_m, h_n_sq, d_n - d_m)
+        _, _, e_oracle = oracle_batch(nats, d_m, h_n_sq, d_n - d_m)
         # np.max and np.maximum propagate NaN, and NaN fails both bounds, so a
         # non-finite error or excess reports FAIL instead of folding away.
         rel_err = np.abs(e_oracle - c.e_hybrid) / c.e_hybrid
@@ -213,7 +212,7 @@ def render_sweep_csv(
     lines.append(SWEEP_COLUMNS)
     for start in range(0, len(rows), _CHUNK_ROWS):
         *floats, kinds = _columns(rows[start:start + _CHUNK_ROWS])
-        cells = [*map(_run_cells, floats), _run_cells(kinds, _KIND_TEXT.__getitem__)]
+        cells = [*map(_run_cells, floats), _run_cells(kinds, _fmt)]
         lines.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(lines) + "\n"
 

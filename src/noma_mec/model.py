@@ -130,12 +130,6 @@ class OffloadScenario:
                 f"deadlines must satisfy d_m <= d_n, got d_m={self.d_m}, d_n={self.d_n}"
             )
 
-    @property
-    def capped_extension(self) -> float:
-        """Solo extension of the hybrid optimum, ``min(d_n - d_m, d_m)``: the
-        deadline budget, capped at ``d_m``, where the shared-slot power is zero."""
-        return _capped_extension(_SCALAR, self.d_m, self.d_n)
-
 
 @dataclass(frozen=True)
 class PowerSchedule:

@@ -42,23 +42,17 @@ _STEPS = 48
 _EXTENSIONS = 256
 
 
-OracleResult = namedtuple("OracleResult", "p_n1 p_n2 t_n energy iterations")
-OracleResult.__doc__ = "Numerically found minimum: powers, extension, energy, search effort."
+OracleResult = namedtuple("OracleResult", "p_n1 p_n2 t_n energy")
+OracleResult.__doc__ = "Numerically found minimum: powers, extension and energy."
 
 
-def _split_lanes(ops, nats, d_m, h_n_sq, t_n):
-    """``_split_powers``'s arguments after alpha: the lane fields, ``nats/d_m`` and its ``exp``."""
-    rate_dm = nats / d_m
-    return nats, d_m, h_n_sq, t_n, rate_dm, ops.exp(rate_dm)
-
-
-def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, rate_dm, exp_rate_dm,
-                  can_saturate=(True, True)):
+def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, can_saturate=(True, True)):
     """``split_schedule``'s powers, elementwise, with ``_SCALAR`` or ``_NUMPY``: the same steps,
     so the two differ only where numpy's ``exp``/``expm1`` differ; arrays need ``np.errstate``."""
+    rate_dm = nats / d_m
     y1 = alpha * nats / d_m
     y2 = (1.0 - alpha) * nats / t_n
-    return (_power(ops, y1, h_n_sq, rate_dm, exp_rate_dm, can_saturate[0]),
+    return (_power(ops, y1, h_n_sq, rate_dm, ops.exp(rate_dm), can_saturate[0]),
             _power(ops, y2, h_n_sq, can_saturate=can_saturate[1]))
 
 
@@ -68,11 +62,11 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
     and finite (TimeExtensionOutOfRange), ``alpha`` in [0, 1] (NonPositiveParameter)."""
     _require_in("t_n", t_n, 0, math.inf, "()", TimeExtensionOutOfRange)
     _require_in("alpha", alpha, 0, 1)
-    lane = _split_lanes(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
-    return PowerSchedule(*_split_powers(_SCALAR, alpha, *lane), t_n=t_n)
+    return PowerSchedule(*_split_powers(_SCALAR, alpha, scenario.nats, scenario.d_m,
+                                        scenario.h_n_sq, t_n), t_n=t_n)
 
 
-def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the constraint-split energy over ``alpha`` for many searches at once.
 
     The lane arrays (or floats) ``nats``, ``d_m``, ``h_n_sq`` and ``t_n``
@@ -81,8 +75,8 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
     golden-section search on alpha in [0, 1]: ``_STEPS`` steps leave a bracket
     at most 1e-10 wide, a width all lanes share, and a lane's result is that
     of a search of that lane alone. Returns one-dimensional arrays ``(p_n1,
-    p_n2, energy, iterations)``, one entry per lane; ``iterations`` counts a
-    lane's objective evaluations, the same ``_STEPS + 5`` for every lane.
+    p_n2, energy)``, one entry per lane. The search effort is fixed: every
+    lane takes ``_STEPS + 5`` objective evaluations.
 
     Every lane field must be positive and finite, ``t_n`` too, as in
     ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
@@ -113,8 +107,8 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
             _power(_NUMPY, (1.0 - alpha) * rate_tn, h_per_tn, can_saturate=can_saturate[1])))
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
-        lanes = _split_lanes(_NUMPY, *lanes)   # adds nats/d_m and its exp
-        rate_dm, exp_rate_dm, rate_tn = lanes[4], lanes[5], nats / t_n
+        rate_dm, rate_tn = nats / d_m, nats / t_n
+        exp_rate_dm = np.exp(rate_dm)
         h_per_dm, h_per_tn = h_n_sq / d_m, h_n_sq / t_n
         # Phase 1 can saturate only if it does at alpha = 1 (y1 = nats/d_m), phase 2 at alpha = 0.
         can_saturate = (np.count_nonzero(_saturates(rate_dm, rate_dm)),
@@ -136,17 +130,17 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         # 2 + _STEPS + 3 evaluations. The right end rounds past 1 if every step goes right.
         hi = np.minimum(lo + width, 1.0)
         candidates = np.stack((lo, 0.5 * (lo + hi), hi))
-        p_n1, p_n2 = nonnegative(*_split_powers(_NUMPY, candidates, *lanes, can_saturate))
+        p_n1, p_n2 = nonnegative(*_split_powers(_NUMPY, candidates, nats, d_m, h_n_sq, t_n,
+                                                can_saturate))
         energies = d_m * p_n1 + t_n * p_n2
         best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
-        return (p_n1[best, lane], p_n2[best, lane], energies[best, lane],
-                np.full(t_n.size, _STEPS + 5))
+        return p_n1[best, lane], p_n2[best, lane], energies[best, lane]
 
 
 def oracle_fixed_t(scenario: OffloadScenario, t_n: float) -> OracleResult:
     """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
-    p_n1, p_n2, energy, iterations = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
-    return OracleResult(float(p_n1[0]), float(p_n2[0]), t_n, float(energy[0]), int(iterations[0]))
+    p_n1, p_n2, energy = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
+    return OracleResult(float(p_n1[0]), float(p_n2[0]), t_n, float(energy[0]))
 
 
 def oracle_joint(scenario: OffloadScenario) -> OracleResult:
@@ -158,17 +152,15 @@ def oracle_joint(scenario: OffloadScenario) -> OracleResult:
     the search lands on OMA over the whole budget. With ``d_n == d_m`` the
     interval is empty and the split that carries the whole task in the shared
     slot (pure NOMA) is returned directly. The last of equal minima wins, so an
-    all-inf search names the whole budget. ``iterations`` aggregates the
-    evaluations of all grid searches.
+    all-inf search names the whole budget.
     """
     t_max = scenario.d_n - scenario.d_m
     if t_max == 0.0:
         # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.
         shared = split_schedule(scenario, scenario.d_m, 1.0)
-        return OracleResult(shared.p_n1, shared.p_n2, 0.0, schedule_energy(scenario, shared), 0)
+        return OracleResult(shared.p_n1, shared.p_n2, 0.0, schedule_energy(scenario, shared))
     grid = t_max * np.arange(1, _EXTENSIONS + 1) / _EXTENSIONS
-    p_n1, p_n2, energy, iterations = oracle_batch(scenario.nats, scenario.d_m,
-                                                  scenario.h_n_sq, grid)
+    p_n1, p_n2, energy = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, grid)
     best = _EXTENSIONS - 1 - int(np.argmin(energy[::-1]))   # the last of equal minima
     return OracleResult(float(p_n1[best]), float(p_n2[best]), float(grid[best]),
-                        float(energy[best]), int(iterations.sum()))
+                        float(energy[best]))

@@ -234,7 +234,7 @@ class TestPureNomaEnergy:
 class TestOptimalTimeExtension:
     def test_hybrid_case(self):
         table = select_strategy(ANCHOR)
-        assert table.t_star == ANCHOR.capped_extension == 5.0
+        assert table.t_star == min(ANCHOR.d_n - ANCHOR.d_m, ANCHOR.d_m) == 5.0
         assert table.regime is Regime.HYBRID
 
     def test_equal_deadlines(self):

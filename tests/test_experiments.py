@@ -256,7 +256,7 @@ class TestViewsAgree:
                        oma_energy_n(s, s.d_n - s.d_m), oma_energy_n(s, t_n)]
             split = split_schedule(s, d_m, frac)
             values += [split.p_n1, split.p_n2, schedule_energy(s, split), offloaded_nats(s, split),
-                       *kkt_log_vars(s, t_n), s.capped_extension, oma_power_m(s),
+                       *kkt_log_vars(s, t_n), oma_power_m(s),
                        energy_derivative(s, t_n)]
         assert all(type(v) is float for v in values)
 
@@ -433,6 +433,21 @@ class TestSurfaceExport:
     def test_origin_record_infeasible(self):
         assert surface_data_lines(20)[0] == "0.0,0.0,0.0,false,grid"
 
+    def test_feasibility_slack_at_its_edge(self, monkeypatch):
+        # A sample 1e-10 short of the task size lies past FEASIBILITY_SLACK (1e-12) and reads
+        # infeasible; one 1e-13 short lies inside it and reads feasible.
+        import noma_mec.experiments as experiments_module
+
+        real = experiments_module._offloaded
+
+        def edge_offloaded(*args):
+            offloaded = real(*args)
+            offloaded[0, :2] = [(1.0 - 1e-10) * ANCHOR.nats, (1.0 - 1e-13) * ANCHOR.nats]
+            return offloaded
+
+        monkeypatch.setattr(experiments_module, "_offloaded", edge_offloaded)
+        assert energy_surface(ANCHOR, 5.0, resolution=4).feasible[0, :2].tolist() == [False, True]
+
     def test_rows_follow_grid_order(self):
         grid = energy_surface(ANCHOR, 5.0, resolution=7)
         lines = surface_data_lines(7)
@@ -548,10 +563,10 @@ class TestVerificationCampaign:
         chunks, calls = -(-count // _CHUNK_ROWS), itertools.count()
 
         def nan_lane_batch(*args, **kwargs):
-            p_n1, p_n2, energy, iterations = real_batch(*args, **kwargs)
+            p_n1, p_n2, energy = real_batch(*args, **kwargs)
             if next(calls) % chunks == chunk:   # each campaign's own chunk ``chunk``
                 energy[3] = math.nan
-            return p_n1, p_n2, energy, iterations
+            return p_n1, p_n2, energy
 
         monkeypatch.setattr(experiments_module, "oracle_batch", nan_lane_batch)
         summary = verification_campaign(seed=42, count=count)
@@ -579,9 +594,9 @@ class TestVerificationCampaign:
             return columns
 
         def off_lane_batch(*args):
-            p_n1, p_n2, energy, iterations = real_batch(*args)
+            p_n1, p_n2, energy = real_batch(*args)
             energy[3] = hybrid[-1][3] * (1.0 + delta)
-            return p_n1, p_n2, energy, iterations
+            return p_n1, p_n2, energy
 
         monkeypatch.setattr(experiments_module, "_strategy_columns", recorded_columns)
         monkeypatch.setattr(experiments_module, "oracle_batch", off_lane_batch)

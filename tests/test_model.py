@@ -10,12 +10,16 @@ from noma_mec import (
     NonPositiveParameter,
     OffloadScenario,
     PowerSchedule,
+    hybrid_energy,
     hybrid_powers,
     offloaded_nats,
+    oma_energy_n,
+    oracle_batch,
     schedule_energy,
+    select_strategy,
     validate_scenario,
 )
-from noma_mec.model import _EXACT, _SCALAR
+from noma_mec.model import _EXACT, _NUMPY, _SCALAR, _power, _require_in
 
 ANCHOR = validate_scenario(nats=15.0, d_m=20.0, d_n=25.0, h_m_sq=1.0, h_n_sq=1.0)
 
@@ -48,11 +52,32 @@ class TestValidation:
     def test_equal_deadlines_allowed(self):
         s = validate_scenario(15, 20, 20)
         assert s.d_n == s.d_m
-        assert s.capped_extension == 0.0
+        assert select_strategy(s).t_star == 0.0
 
     def test_capped_extension(self):
-        assert ANCHOR.capped_extension == 5.0
-        assert validate_scenario(15, 20, 50).capped_extension == 20.0
+        # The hybrid optimum's extension is the deadline budget d_n - d_m, capped at d_m.
+        assert select_strategy(ANCHOR).t_star == 5.0
+        assert select_strategy(validate_scenario(15, 20, 50)).t_star == 20.0
+
+    def test_gains_default_to_one(self):
+        # Gains are normalized to unit noise power: an omitted gain is 1, in both constructors.
+        for s in (OffloadScenario(15.0, 20.0, 25.0), validate_scenario(15, 20, 25)):
+            assert (s.h_m_sq, s.h_n_sq) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("ends, accepted", [
+        ("[]", [0.0, 0.5, 1.0]), ("()", [0.5]), ("(]", [0.5, 1.0]), ("[)", [0.0, 0.5]),
+    ])
+    def test_interval_ends(self, ends, accepted):
+        # [0, 1] with each end closed or open: exactly the listed values pass, NaN never.
+        values = [math.nextafter(0.0, -1.0), 0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), math.nan]
+        passed = []
+        for value in values:
+            try:
+                _require_in("x", value, 0, 1, ends)
+                passed.append(value)
+            except NonPositiveParameter:
+                pass
+        assert passed == accepted
 
     def test_schedule_rejects_negative_power(self):
         with pytest.raises(NonPositiveParameter):
@@ -94,6 +119,11 @@ class TestOffloadedNats:
     def test_zero_power_offloads_nothing(self):
         assert offloaded_nats(ANCHOR, PowerSchedule(0.0, 0.0, 0.0)) == 0.0
         assert offloaded_nats(ANCHOR, PowerSchedule(0.0, 0.0, 5.0)) == 0.0
+
+    def test_zero_extension_carries_nothing_at_any_power(self):
+        # A zero-length phase carries 0 nats, also at an infinite power (0 * log1p(inf) is NaN).
+        p = PowerSchedule(p_n1=1.0, p_n2=math.inf, t_n=0.0)
+        assert offloaded_nats(ANCHOR, p) == ANCHOR.d_m * math.log1p(math.exp(-ANCHOR.nats / ANCHOR.d_m))
 
     def test_constraint_active_at_optimum(self):
         p = PowerSchedule(*hybrid_powers(ANCHOR, 5.0), t_n=5.0)
@@ -143,3 +173,33 @@ class TestOperationTables:
         for name in ("any", "all"):
             got, scalar = getattr(_EXACT, name), getattr(_SCALAR, name)
             assert [got(c) for c in cond] == [scalar(c) for c in cond.tolist()], name
+
+
+class TestPowerRule:
+    def test_saturated_zero_rate_carries_no_power(self):
+        # Phase 1 at y1 = 0 with nats/d_m past the cutoff _saturates, yet no rate takes no
+        # power; on arrays exp(nats/d_m) * expm1(0) would read inf * 0 = NaN.
+        assert _power(_SCALAR, 0.0, 1.0, 800.0, math.exp(700.0)) == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _power(_NUMPY, np.array([0.0]), 1.0, 800.0, np.exp(800.0)).tolist() == [0.0]
+
+    def test_only_saturated_elements_are_patched(self):
+        power = _power(_EXACT, np.array([1.0, 0.0, 800.0]), 2.0)
+        assert power.tolist() == [math.expm1(1.0) / 2.0, 0.0, math.inf]
+
+
+class TestExpCutoff:
+    # An exponent of 700 (EXP_CUTOFF) is still finite and one ulp past it saturates to inf, in
+    # each rule that tests it: a solo phase (y = nats/t_n), the shared slot (nats/d_m + y1 =
+    # 2 nats/d_m at pure NOMA) and an oracle lane, whose optimum is alpha = 0 (y2 = nats/t_n).
+    @pytest.mark.parametrize("energy, edge", [
+        (lambda nats: oma_energy_n(validate_scenario(nats, 1.0, 2.0), 1.0), 700.0),
+        (lambda nats: hybrid_energy(validate_scenario(nats, 1.0, 1.0), 0.0), 350.0),
+        (lambda nats: float(oracle_batch(nats, 1.0, 1.0, 1.0)[2][0]), 700.0),
+    ], ids=["oma_energy_n", "hybrid_energy shared slot", "oracle_batch lane"])
+    def test_cutoff_is_finite_and_one_ulp_past_is_inf(self, energy, edge):
+        assert energy(edge) == pytest.approx(math.expm1(700.0), rel=1e-15)
+        assert energy(math.nextafter(edge, math.inf)) == math.inf
+
+    def test_cutoff_energy_pinned(self):
+        assert oma_energy_n(validate_scenario(700, 1, 2), 1.0) == 1.0142320547350045e+304

@@ -31,7 +31,7 @@ from noma_mec import (
 )
 from noma_mec import PowerSchedule, log_oma_energy_n, oracle_batch
 from noma_mec.model import _NUMPY, EXP_CUTOFF
-from noma_mec.oracle import _EXTENSIONS, _INV_PHI, _split_lanes, _split_powers
+from noma_mec.oracle import _EXTENSIONS, _INV_PHI, _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 # 1.382 nats/d_m > EXP_CUTOFF: both first inner points of the search saturate phase 1, an
@@ -123,7 +123,7 @@ class TestOracleFixedT:
         # them have a finite optimum (nats/d_m in 520-694), and an inf/inf tie that moved
         # right read inf there.
         corpus = [s for s in identity_corpus() if s.d_n > s.d_m]
-        t_star = [s.capped_extension for s in corpus]
+        t_star = [select_strategy(s).t_star for s in corpus]
         closed = np.array([hybrid_energy(s, t) for s, t in zip(corpus, t_star)])
         energy = oracle_batch(*_lane_arrays(corpus), t_star)[2]
         finite = np.isfinite(closed)
@@ -162,6 +162,25 @@ def _lane_arrays(scenarios):
     return [np.array([getattr(s, name) for s in scenarios]) for name in ("nats", "d_m", "h_n_sq")]
 
 
+def _power_calls(monkeypatch, search, *args):
+    """``search(*args)`` and the number of ``_power`` calls it made. A search's effort is
+    fixed: two per objective evaluation (one per phase), for the two first inner points and
+    one probe per step, then two to score every lane's three final candidates at once."""
+    real, calls = noma_mec.oracle._power, []
+
+    def counted(*power_args, **kwargs):
+        calls.append(None)
+        return real(*power_args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(noma_mec.oracle, "_power", counted)
+        return search(*args), len(calls)
+
+
+def _effort(steps):
+    return 2 * (steps + 2) + 2
+
+
 OTHER = validate_scenario(3.0, 10.0, 19.0, 1.0, 4.0)
 # Phase 1 saturates once nats/d_m + y1 passes EXP_CUTOFF (nats/d_m = 600 > 350); phase 2
 # saturates where y2 does, which at t_n = 0.5 (nats/t_n = 1200 > 700) it can.
@@ -172,13 +191,14 @@ PHASE2_SATURATING = validate_scenario(30.0, 20.0, 25.0)
 # alpha near 0.765, where rate_dm + y1 lies just past EXP_CUTOFF.
 NEAR_CUTOFF = validate_scenario(400.0, 1.0, 1.5)
 ONE_SATURATING = _random_lanes(20, seed=7)
+RANDOM_LANES = _random_lanes(200, seed=3)
 
 
 class TestOracleBatch:
     @pytest.mark.parametrize(
         "scenarios, t_n",
         [
-            _random_lanes(200, seed=3),
+            RANDOM_LANES,
             # Two lanes of one scenario at neighbouring extensions, both near alpha = 0.
             ([ANCHOR, ANCHOR], [20.0, 19.9]),
             # Two scenarios in scrambled order: each lane's result lands in its own slot.
@@ -197,14 +217,48 @@ class TestOracleBatch:
              [*ONE_SATURATING[1][:10], 0.5, *ONE_SATURATING[1][10:]]),
         ],
     )
-    def test_each_lane_is_its_own_search(self, scenarios, t_n):
-        p_n1, p_n2, energy, iterations = oracle_batch(*_lane_arrays(scenarios), np.array(t_n))
-        assert set(iterations.tolist()) == {53}
+    def test_each_lane_is_its_own_search(self, monkeypatch, scenarios, t_n):
+        (p_n1, p_n2, energy), calls = _power_calls(monkeypatch, oracle_batch,
+                                                   *_lane_arrays(scenarios), np.array(t_n))
+        assert calls == _effort(noma_mec.oracle._STEPS)
         for k, (s, t) in enumerate(zip(scenarios, t_n)):
             alone = oracle_fixed_t(s, t)
-            assert (p_n1[k], p_n2[k], energy[k], iterations[k]) == (
-                alone.p_n1, alone.p_n2, alone.energy, alone.iterations
-            )
+            assert (p_n1[k], p_n2[k], energy[k]) == (alone.p_n1, alone.p_n2, alone.energy)
+
+    @pytest.mark.parametrize("lanes", [
+        (15.0, 20.0, 1.0, 5.0),
+        (*_lane_arrays(RANDOM_LANES[0]), np.array(RANDOM_LANES[1])),
+        (600.0, 1.0, 1.0, 0.5),   # both phases can saturate: the patched rule, same call count
+    ], ids=["1 lane", "200 lanes", "saturating"])
+    def test_search_effort_is_fixed(self, monkeypatch, lanes):
+        # Every batch, whatever its lane count, runs the same _STEPS steps: 102 _power calls.
+        _, calls = _power_calls(monkeypatch, oracle_batch, *lanes)
+        assert calls == _effort(noma_mec.oracle._STEPS) == 102
+
+    def test_search_opens_at_the_golden_points_and_ties_test_the_lower_one(self, monkeypatch):
+        # PHASE1_TIE's first inner points both saturate phase 1. The search opens at alpha =
+        # 1 - _INV_PHI and _INV_PHI, and each step's inf/inf tie rule asks whether phase 1
+        # saturates at the lower inner point: an exponent some evaluation used, to rounding.
+        real_power, real_saturates = noma_mec.oracle._power, noma_mec.oracle._saturates
+        evaluated, tested = [], []
+
+        def power(ops, y, *rest, **kwargs):
+            if len(rest) >= 3:   # the shared slot: the gain, nats/d_m and its exp follow y
+                evaluated.extend(np.ravel(y).tolist())
+            return real_power(ops, y, *rest, **kwargs)
+
+        def saturates(y, *rest):
+            tested.append(float(np.ravel(y)[0]))
+            return real_saturates(y, *rest)
+
+        monkeypatch.setattr(noma_mec.oracle, "_power", power)
+        monkeypatch.setattr(noma_mec.oracle, "_saturates", saturates)
+        oracle_batch(PHASE1_TIE.nats, PHASE1_TIE.d_m, PHASE1_TIE.h_n_sq, 0.9)
+        rate_dm = PHASE1_TIE.nats / PHASE1_TIE.d_m
+        assert evaluated[:2] == [(1.0 - _INV_PHI) * rate_dm, _INV_PHI * rate_dm]
+        ties = tested[2:]   # after the two batch-wide saturation bounds
+        assert len(ties) == noma_mec.oracle._STEPS
+        assert all(min(abs(y - e) for e in evaluated) <= 1e-12 * y for y in ties)
 
     @pytest.mark.parametrize("bad_t_n", [0.0, math.inf, math.nan])
     def test_one_out_of_range_lane_raises(self, bad_t_n):
@@ -237,7 +291,7 @@ class TestOracleBatch:
         bits = [a.tobytes() for a in batch]
         for k, (n, m, t) in enumerate(lanes):
             alone = oracle_fixed_t(validate_scenario(n, m, m + t), t)
-            seen = (alone.p_n1, alone.p_n2, alone.energy, alone.iterations)
+            seen = (alone.p_n1, alone.p_n2, alone.energy)
             assert [np.array([v]).tobytes() for v in seen] == [a[k:k + 1].tobytes() for a in batch]
         # The same batch with both tests run in every evaluation gives the same bits.
         real = noma_mec.oracle._power
@@ -261,15 +315,16 @@ class TestOracleBatch:
         # t_n = 1e-100 d_m: phase 2 saturates at every alpha short of 1, so every step goes
         # right. t_n = 2 d_m: the optimum is OMA at alpha = 0, so every step goes left.
         t_n = np.array([1e-100 * ANCHOR.d_m, 2.0 * ANCHOR.d_m])
-        p_n1, p_n2, energy, iterations = oracle_batch(ANCHOR.nats, ANCHOR.d_m, ANCHOR.h_n_sq, t_n)
-        assert np.isfinite(energy).all() and (iterations == steps + 5).all()
+        (p_n1, p_n2, energy), calls = _power_calls(monkeypatch, oracle_batch, ANCHOR.nats,
+                                                   ANCHOR.d_m, ANCHOR.h_n_sq, t_n)
+        assert np.isfinite(energy).all() and calls == _effort(steps)
         assert energy[0] == pytest.approx(hybrid_energy(ANCHOR, 0.0), rel=1e-12)
         assert energy[1] == pytest.approx(oma_energy_n(ANCHOR, t_n[1]), rel=1e-12)
         scored = np.concatenate([np.ravel(alpha) for alpha in candidates])
         assert ((0.0 <= scored) & (scored <= 1.0)).all() and scored.max() == 1.0
         for k, t in enumerate(t_n):
             alone = oracle_batch(ANCHOR.nats, ANCHOR.d_m, ANCHOR.h_n_sq, t)
-            assert [a.tolist() for a in alone] == [[p_n1[k]], [p_n2[k]], [energy[k]], [steps + 5]]
+            assert [a.tolist() for a in alone] == [[p_n1[k]], [p_n2[k]], [energy[k]]]
 
     @given(alpha=st.floats(0.0, 1.0), nats=POSITIVE, d_m=POSITIVE, t_n=POSITIVE)
     def test_split_exponents_bounded_by_their_alpha_ends(self, alpha, nats, d_m, t_n):
@@ -290,7 +345,7 @@ class TestOracleBatch:
         # One lane, every argument an array, as oracle_batch evaluates the rule.
         alpha, *lane = [np.array([v]) for v in (alpha, s.nats, s.d_m, s.h_n_sq, t_n)]
         with np.errstate(over="ignore", invalid="ignore"):
-            p_n1, p_n2 = _split_powers(_NUMPY, alpha, *_split_lanes(_NUMPY, *lane))
+            p_n1, p_n2 = _split_powers(_NUMPY, alpha, *lane)
         array = (s.d_m * p_n1 + t_n * p_n2)[0]
         if math.isinf(scalar):
             assert array == scalar
@@ -320,6 +375,10 @@ class TestSaturatedSearch:
         (lambda ops, y, *rest, **kwargs: -y, NonPositiveParameter),
         # A power rule that fails with an error of its own on the first call.
         (lambda *args, **kwargs: 1 / 0, ZeroDivisionError),
+        # A power rule negative in the solo phase only: one negative phase fails the check.
+        pytest.param(lambda ops, y, h_sq, rate_dm=0.0, exp_rate_dm=None, can_saturate=True:
+                     -y if exp_rate_dm is None else y, NonPositiveParameter,
+                     id="solo phase negative"),
     ])
     def test_caller_error_state_restored(self, monkeypatch, power_rule, error):
         if power_rule is not None:
@@ -353,11 +412,11 @@ class TestOracleJoint:
         assert result.p_n2 == 0.0
         assert result.energy == hybrid_energy(s, 0.0)
 
-    def test_search_resolution_is_fixed(self):
+    def test_search_resolution_is_fixed(self, monkeypatch):
         # _STEPS is the first step count whose bracket on alpha is at most 1e-10 wide.
         inv_phi, steps = noma_mec.oracle._INV_PHI, noma_mec.oracle._STEPS
         assert inv_phi ** steps <= 1e-10 < inv_phi ** (steps - 1)
-        assert oracle_fixed_t(ANCHOR, 5.0).iterations == steps + 5
+        assert _power_calls(monkeypatch, oracle_fixed_t, ANCHOR, 5.0)[1] == _effort(steps)
 
     @pytest.mark.parametrize("call, keyword", [
         (lambda: oracle_batch(15.0, 20.0, 1.0, 5.0, tol=1e-10), "tol"),
@@ -405,26 +464,27 @@ class TestOracleJoint:
 
 
 class TestPinnedBits:
-    # One sha256 over the oracle's lane outputs: every bit of p_n1, p_n2, energy and
-    # iterations of 30 seeded 200-lane batches (every third with nats x30, so that lanes
-    # saturate) and of four joint searches, one of them all-inf.
-    DIGEST = "cc9ba6a6e0f88c54eb0194ce53838be0cce4bd5e9a437a8293328792f9fa23ca"
+    # One sha256 over the oracle's lane outputs: every bit of p_n1, p_n2 and energy of 30
+    # seeded 200-lane batches (every third with nats x30, so that lanes saturate) and of the
+    # four fields of four joint searches, one of them all-inf. Each search is one batch.
+    DIGEST = "1fcf94212e23a1914071f1470d600ea5b5a27333afc203bece7cc4e772d49380"
 
-    def test_lane_outputs_pinned(self):
+    def test_lane_outputs_pinned(self, monkeypatch):
         digest = hashlib.sha256()
         for seed in range(30):
             rng = np.random.default_rng(seed)
             nats, d_m, frac, h_n_sq, t_frac = rng.uniform((1.0, 1.0, 1e-3, 0.1, 1e-3),
                                                           (40.0, 50.0, 1.0, 10.0, 1.0), (200, 5)).T
-            outputs = oracle_batch(nats * (30.0 if seed % 3 == 0 else 1.0), d_m, h_n_sq,
-                                   d_m * frac * t_frac)
-            assert outputs[3].tolist() == [53] * 200
+            outputs, calls = _power_calls(monkeypatch, oracle_batch,
+                                          nats * (30.0 if seed % 3 == 0 else 1.0), d_m, h_n_sq,
+                                          d_m * frac * t_frac)
+            assert calls == _effort(noma_mec.oracle._STEPS)
             digest.update(b"".join(a.tobytes() for a in outputs))
         for s in (ANCHOR, validate_scenario(15.0, 20.0, 21.0), validate_scenario(15.0, 20.0, 50.0),
                   validate_scenario(800.0, 1.0, 1.5)):
-            result = oracle_joint(s)
-            assert result.iterations == 256 * 53
-            digest.update(np.array(result[:4]).tobytes() + np.array(result[4:]).tobytes())
+            result, calls = _power_calls(monkeypatch, oracle_joint, s)
+            assert calls == _effort(noma_mec.oracle._STEPS)
+            digest.update(np.array(result).tobytes())
         if numpy_exp_is_pinned():
             assert digest.hexdigest() == self.DIGEST
 
@@ -510,7 +570,7 @@ class TestEnergySurface:
     @example(validate_scenario(1e308, 1e-10, 1.5e-10), 1.0, {"p1_max": 3.0, "p2_max": 5.0})
     @settings(max_examples=50, deadline=None)
     def test_energy_matrix_matches_objective(self, s, frac, ranges):
-        t_n = frac * s.capped_extension
+        t_n = frac * min(s.d_n - s.d_m, s.d_m)   # the capped extension
         grid = energy_surface(s, t_n, resolution=40, **ranges)
         expected = s.d_m * grid.p1_axis[:, None] + t_n * grid.p2_axis[None, :]
         assert np.array_equal(grid.energy, expected)
