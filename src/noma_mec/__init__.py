@@ -20,13 +20,6 @@ from .closed_form import (
     oma_energy_n,
     oma_power_m,
 )
-from .errors import (
-    ConfigError,
-    DeadlineOrderViolation,
-    NomaMecError,
-    NonPositiveParameter,
-    TimeExtensionOutOfRange,
-)
 from .experiments import (
     CampaignSummary,
     SurfaceGrid,
@@ -40,6 +33,7 @@ from .experiments import (
 from .model import (
     EXP_CUTOFF,
     EnergyReport,
+    NomaMecError,
     OffloadScenario,
     PowerSchedule,
     StrategyKind,

@@ -22,7 +22,6 @@ import sys
 
 from ._version import __version__
 from .closed_form import oma_power_m
-from .errors import ConfigError, NomaMecError, TimeExtensionOutOfRange
 from .experiments import (
     _fmt,
     deadline_sweep,
@@ -32,7 +31,7 @@ from .experiments import (
     render_sweep_csv,
     verification_campaign,
 )
-from .model import EnergyReport, StrategyKind, validate_scenario
+from .model import EnergyReport, NomaMecError, StrategyKind, validate_scenario
 from .strategy import select_strategy
 
 # One row per option: (flag, block, type, fixed default, help). The flag is also the
@@ -69,7 +68,7 @@ def _typed(key: str, value, kind: type):
     past the float range reads as an infinity, as the same digits do on the command line."""
     accepted, noun = ((int, float), "a number") if kind is float else (int, "an integer")
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f'config key "{key}" must be {noun}, got {value!r}')
+        raise NomaMecError(f'config key "{key}" must be {noun}, got {value!r}')
     try:
         return kind(value)
     except OverflowError:
@@ -87,11 +86,11 @@ def load_scenario_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raise NomaMecError(f"cannot read config file {path!r}: {exc}") from exc
     except ValueError as exc:   # bad JSON, bad UTF-8 or an integer too long to convert
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        raise NomaMecError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
+        raise NomaMecError(f"config file {path!r} must hold a JSON object")
 
     values = {}
     for flag, block, kind, _, _ in _OPTIONS:
@@ -99,7 +98,7 @@ def load_scenario_file(path: str) -> dict:
             continue
         section = raw.get(block, {}) if block in ("sweep", "surface") else raw
         if not isinstance(section, dict):
-            raise ConfigError(f'"{block}" must be an object')
+            raise NomaMecError(f'"{block}" must be an object')
         if flag in section:
             values[flag] = _typed(flag, section[flag], kind)
     return values
@@ -108,7 +107,7 @@ def load_scenario_file(path: str) -> dict:
 def _required(options: dict, *keys: str) -> list[float]:
     for key in keys:
         if key not in options:
-            raise ConfigError(
+            raise NomaMecError(
                 f'missing required parameter "{key}" (pass --{key} or put it in --config)')
     return [options[key] for key in keys]
 
@@ -164,9 +163,11 @@ def _cmd_sweep(options: dict) -> int:
 def _cmd_surface(options: dict) -> int:
     _, dm = _required(options, "n", "dm")
     tn = options.get("tn", dm / 4.0)
-    scenario = _scenario({"dn": dm + tn, **options})
-    if scenario.d_m + tn > scenario.d_n:   # not tn > d_n - d_m, which can round below a tiny tn
-        raise TimeExtensionOutOfRange(
+    # The CSV prints no d_n: without --dn the scenario takes d_m, and energy_surface checks tn.
+    scenario = _scenario({"dn": dm, **options})
+    # A sum, not tn > d_n - d_m, which can round below a tiny tn whose dn was given as dm + tn.
+    if "dn" in options and scenario.d_m + tn > scenario.d_n:
+        raise NomaMecError(
             f"dm + tn must be at most dn, got {scenario.d_m!r} + {tn!r} > {scenario.d_n!r}")
     grid = energy_surface(
         scenario,

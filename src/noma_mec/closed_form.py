@@ -22,13 +22,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import NonPositiveParameter, TimeExtensionOutOfRange
-from .model import _SCALAR, OffloadScenario, _phase_energies, _power, _require_in, _saturates
+from .model import (_SCALAR, NomaMecError, OffloadScenario, _phase_energies, _power, _require_in,
+                    _saturates)
 
 
 def _log_rates(ops, nats, d_m, t_n):
-    """(y1, y2) of the fixed-extension optimum, elementwise; raises NonPositiveParameter,
-    naming the first bad element, where one is negative or NaN."""
+    """(y1, y2) of the fixed-extension optimum, elementwise; raises NomaMecError, naming the
+    first bad element, where one is negative or NaN."""
     rate_dm = nats / d_m
     y2 = 2.0 * nats / (d_m + t_n)
     # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
@@ -37,7 +37,7 @@ def _log_rates(ops, nats, d_m, t_n):
     ok = (y1 >= 0.0) & (y2 >= 0.0)
     if not ops.all(ok):
         y1, y2 = (float(np.broadcast_to(y, np.shape(ok)).flat[np.argmin(ok)]) for y in (y1, y2))
-        raise NonPositiveParameter(f"log-domain rates must be nonnegative, got ({y1!r}, {y2!r})")
+        raise NomaMecError(f"log-domain rates must be nonnegative, got ({y1!r}, {y2!r})")
     return y1, y2
 
 
@@ -47,7 +47,7 @@ LogRates = namedtuple("LogRates", "y1 y2")
 def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> LogRates:
     """Optimal log-domain rates (y1, y2) for a fixed extension ``t_n`` in [0, d_m]: the coupling
     ``y2 - y1 == nats / d_m`` holds bit for bit, ``d_m * y1 + t_n * y2 == nats`` to a few ulp."""
-    _require_in("t_n", t_n, 0, scenario.d_m, error=TimeExtensionOutOfRange)
+    _require_in("t_n", t_n, 0, scenario.d_m)
     return LogRates(*_log_rates(_SCALAR, scenario.nats, scenario.d_m, t_n))
 
 
@@ -84,7 +84,7 @@ def _optimum_at(scenario: OffloadScenario, t_n: float) -> tuple[float, float, fl
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
     """Optimal powers (p_n1, p_n2) for a fixed extension ``t_n`` in [0, d_m], meeting the rate
     constraint with equality; ``p_n1`` is the pure-NOMA power at 0 and exactly 0 at ``d_m``."""
-    _require_in("t_n", t_n, 0, scenario.d_m, error=TimeExtensionOutOfRange)
+    _require_in("t_n", t_n, 0, scenario.d_m)
     p_n1, p_n2 = _hybrid_powers(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return float(p_n1), float(p_n2)
 
@@ -103,13 +103,13 @@ def oma_power_m(scenario: OffloadScenario) -> float:
 
 def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """User n's energy when it offloads everything in a dedicated slot of length ``slot``,
-    finite and nonnegative (TimeExtensionOutOfRange otherwise).
+    finite and nonnegative (NomaMecError otherwise).
 
     Returns ``inf`` at ``slot == 0`` (no finite power completes the task) and
     when the required power overflows; ``log_oma_energy_n`` stays finite in
     the latter case.
     """
-    _require_in("slot", slot, 0, math.inf, "[)", TimeExtensionOutOfRange)
+    _require_in("slot", slot, 0, math.inf, "[)")
     return float(_oma_energy(_SCALAR, scenario.nats, scenario.h_n_sq, slot))
 
 
@@ -153,7 +153,7 @@ def log_hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
 
 def log_oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """ln of ``oma_energy_n``; +inf at ``slot == 0``. The slot must be finite and nonnegative."""
-    _require_in("slot", slot, 0, math.inf, "[)", TimeExtensionOutOfRange)
+    _require_in("slot", slot, 0, math.inf, "[)")
     if slot == 0.0:
         return math.inf
     return math.log(slot) + _log_expm1(scenario.nats / slot) - math.log(scenario.h_n_sq)

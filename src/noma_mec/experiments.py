@@ -18,9 +18,8 @@ import numpy as np
 
 from ._version import __version__
 from .closed_form import _optimum_at, hybrid_powers
-from .errors import NonPositiveParameter, TimeExtensionOutOfRange
-from .model import (_EXACT, _MAX_ROWS, _NUMPY, OffloadScenario, StrategyKind, _offloaded,
-                    _phase_energies, _require_in, _require_integer, validate_scenario)
+from .model import (_EXACT, _MAX_ROWS, _NUMPY, NomaMecError, OffloadScenario, StrategyKind,
+                    _offloaded, _phase_energies, _require_in, _require_integer, validate_scenario)
 from .oracle import oracle_batch
 from .strategy import _strategy_columns
 
@@ -116,11 +115,10 @@ def deadline_sweep(
     # The fields first, so that a bad d_m is named; the order and finiteness checks then cover d_n.
     scenario = validate_scenario(nats, d_m, d_m, h_m_sq, h_n_sq)
     if not (d_m <= d_n_from < d_n_to):
-        raise NonPositiveParameter(
-            f"need d_m <= d_n_from < d_n_to, got d_m={d_m}, from={d_n_from}, to={d_n_to}"
-        )
+        raise NomaMecError(
+            f"need d_m <= d_n_from < d_n_to, got d_m={d_m}, from={d_n_from}, to={d_n_to}")
     if not math.isfinite(d_n_to):
-        raise NonPositiveParameter(f"d_n_to must be finite, got {d_n_to!r}")
+        raise NomaMecError(f"d_n_to must be finite, got {d_n_to!r}")
     d_n = np.linspace(d_n_from, d_n_to, steps)
     with np.errstate(all="ignore"):
         c = _strategy_columns(_EXACT, scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
@@ -143,7 +141,7 @@ def verification_campaign(seed: int, count: int) -> CampaignSummary:
     _require_in("count", count, 1, _MAX_ROWS)
     _require_integer("seed", seed)
     if seed < 0:
-        raise NonPositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
+        raise NomaMecError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     max_rel_err = max_violation = 0.0
     for start in range(0, count, _CHUNK_ROWS):
@@ -236,12 +234,11 @@ def energy_surface(
     stays on the lattice, in its ``p1 == 0`` row. With hand-picked ranges the
     optimum generally falls between samples and the cheapest feasible sample can
     sit a few cells away along the constraint boundary. ``t_n`` must be positive
-    and finite (TimeExtensionOutOfRange). Both ranges must be positive and
-    finite, defaults included (a saturated closed-form or pure-NOMA power gives
-    an infinite one), and ``resolution`` an integer in [2, 1000], at most
-    1,000,000 samples; otherwise NonPositiveParameter is raised.
+    and finite, both ranges too, defaults included (a saturated closed-form or
+    pure-NOMA power gives an infinite one), and ``resolution`` an integer in
+    [2, 1000], at most 1,000,000 samples; otherwise NomaMecError is raised.
     """
-    _require_in("t_n", t_n, 0, math.inf, "()", TimeExtensionOutOfRange)
+    _require_in("t_n", t_n, 0, math.inf, "()")
     _require_integer("resolution", resolution)
     _require_in("resolution", resolution, 2, math.isqrt(_MAX_ROWS))
     if p1_max is None or p2_max is None:

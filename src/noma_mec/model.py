@@ -21,8 +21,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DeadlineOrderViolation, NonPositiveParameter
-
 # The most rows one command may produce: sweep samples, surface samples or campaign
 # scenarios. A campaign certifies 4,096 at a time and peaks at about 37 MB at this limit.
 _MAX_ROWS = 1_000_000
@@ -32,24 +30,29 @@ _MAX_ROWS = 1_000_000
 EXP_CUTOFF = 700.0
 
 
+class NomaMecError(ValueError):
+    """The one error this package raises: an input outside the model's domain or an unusable
+    config file. The message names the parameter or the file and what it missed."""
+
+
 def _require_positive(name: str, value: float) -> None:
     # NaN fails both comparisons, so it is rejected here as well.
     if not (value > 0.0) or math.isinf(value):
-        raise NonPositiveParameter(f"{name} must be a positive finite number, got {value!r}")
+        raise NomaMecError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def _require_integer(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):   # bool is an int
-        raise NonPositiveParameter(f"{name} must be an integer, got {value!r}")
+        raise NomaMecError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_in(name: str, value, low, high, ends: str = "[]", error=NonPositiveParameter) -> None:
-    """Raise ``error`` unless ``value`` lies between ``low`` and ``high``, each end closed
+def _require_in(name: str, value, low, high, ends: str = "[]") -> None:
+    """Raise ``NomaMecError`` unless ``value`` lies between ``low`` and ``high``, each end closed
     (``[``, ``]``) or open (``(``, ``)``) as ``ends`` says. NaN lies in no interval."""
     above = low < value if ends[0] == "(" else low <= value
     below = value < high if ends[1] == ")" else value <= high
     if not (above and below):
-        raise error(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+        raise NomaMecError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
 
 
 def _per_element(fn, cap=EXP_CUTOFF):
@@ -126,9 +129,8 @@ class OffloadScenario:
         _require_positive("h_m_sq", self.h_m_sq)
         _require_positive("h_n_sq", self.h_n_sq)
         if self.d_n < self.d_m:
-            raise DeadlineOrderViolation(
-                f"deadlines must satisfy d_m <= d_n, got d_m={self.d_m}, d_n={self.d_n}"
-            )
+            raise NomaMecError(
+                f"deadlines must satisfy d_m <= d_n, got d_m={self.d_m}, d_n={self.d_n}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,8 @@ def validate_scenario(
 ) -> OffloadScenario:
     """Build a validated scenario from raw numbers.
 
-    Raises NonPositiveParameter for degenerate sizes, deadlines or gains, and
-    DeadlineOrderViolation when ``d_n < d_m``.
+    Raises NomaMecError for degenerate sizes, deadlines or gains, and when
+    ``d_n < d_m``.
     """
     return OffloadScenario(
         nats=float(nats),

@@ -30,9 +30,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import NonPositiveParameter, TimeExtensionOutOfRange
-from .model import (_NUMPY, _SCALAR, OffloadScenario, PowerSchedule, _power, _require_in,
-                    _saturates, schedule_energy)
+from .model import (_NUMPY, _SCALAR, NomaMecError, OffloadScenario, PowerSchedule, _power,
+                    _require_in, _saturates, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps per lane: the first k whose bracket on alpha, _INV_PHI**k wide, is at
@@ -59,8 +58,8 @@ def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, can_saturate=(True, True))
 def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> PowerSchedule:
     """Schedule that puts ``alpha`` of the task in the shared slot, the rest in ``t_n``,
     with the rate constraint met with equality in both phases. ``t_n`` must be positive
-    and finite (TimeExtensionOutOfRange), ``alpha`` in [0, 1] (NonPositiveParameter)."""
-    _require_in("t_n", t_n, 0, math.inf, "()", TimeExtensionOutOfRange)
+    and finite, ``alpha`` in [0, 1] (NomaMecError otherwise)."""
+    _require_in("t_n", t_n, 0, math.inf, "()")
     _require_in("alpha", alpha, 0, 1)
     return PowerSchedule(*_split_powers(_SCALAR, alpha, scenario.nats, scenario.d_m,
                                         scenario.h_n_sq, t_n), t_n=t_n)
@@ -80,8 +79,7 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Every lane field must be positive and finite, ``t_n`` too, as in
     ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
-    The error names the field and the first bad lane: TimeExtensionOutOfRange
-    for ``t_n``, NonPositiveParameter for the others. Each lane's returned
+    The NomaMecError names the field and the first bad lane. Each lane's returned
     point is the best of its final bracket's endpoints and midpoint, never
     worse than any alpha-grid sample at resolution 1e-10.
     """
@@ -92,13 +90,12 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
     bad = ~((0.0 < fields) & (fields < math.inf))
     if bad.any():
         i, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        error = TimeExtensionOutOfRange if i == 3 else NonPositiveParameter
-        raise error(f"{('nats', 'd_m', 'h_n_sq', 't_n')[i]} must be a positive finite"
-                    f" number, got {float(fields[i, k])!r} in lane {k}")
+        raise NomaMecError(f"{('nats', 'd_m', 'h_n_sq', 't_n')[i]} must be a positive finite"
+                           f" number, got {float(fields[i, k])!r} in lane {k}")
 
     def nonnegative(a, b):   # as PowerSchedule checks a schedule's powers
         if not (np.minimum(a, b) >= 0.0).all():
-            raise NonPositiveParameter("split powers must be nonnegative")
+            raise NomaMecError("split powers must be nonnegative")
         return a, b
 
     def split_energy(alpha):   # phase energies: power times length is _power over h/length

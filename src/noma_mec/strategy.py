@@ -22,7 +22,6 @@ from .closed_form import (
     log_oma_energy_n,
     oma_energy_n,
 )
-from .errors import TimeExtensionOutOfRange
 from .model import (_SCALAR, EnergyReport, OffloadScenario, StrategyKind, _capped_extension,
                     _require_in)
 
@@ -130,7 +129,7 @@ def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:
     at ``t = t_n``, non-decreasing in ``t_n`` and zero at ``t_n == d_m``. When both sides
     saturate to inf the sign is decided in the log domain (0.0 on an exact tie).
     """
-    _require_in("t_n", t_n, 0, scenario.d_m, "(]", TimeExtensionOutOfRange)
+    _require_in("t_n", t_n, 0, scenario.d_m, "(]")
     e_hybrid = hybrid_energy(scenario, t_n)
     e_oma = oma_energy_n(scenario, t_n)
     if math.isinf(e_hybrid) and math.isinf(e_oma):

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import noma_mec
-from noma_mec import ConfigError, NomaMecError
+from noma_mec import NomaMecError
 from noma_mec.cli import _COMMANDS, _DEFAULTS, build_parser, load_scenario_file, run
 from noma_mec.experiments import CampaignSummary
 from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run, _with_config
@@ -127,29 +127,30 @@ class TestConfigFile:
             ({"n": 15, "dm": 20, "sweep": {"steps": 5.5}}, "steps", "an integer"),
         ]:
             config.write_text(json.dumps(document))
-            with pytest.raises(ConfigError) as excinfo:
+            with pytest.raises(NomaMecError) as excinfo:
                 load_scenario_file(str(config))
             assert f'"{key}"' in str(excinfo.value)
             assert message in str(excinfo.value)
 
     def test_unreadable_file(self, tmp_path):
         path = str(tmp_path / "absent.json")
-        with pytest.raises(ConfigError) as excinfo:
+        with pytest.raises(NomaMecError) as excinfo:
             load_scenario_file(path)
-        assert repr(path) in str(excinfo.value)
+        assert str(excinfo.value).startswith(f"cannot read config file {path!r}: ")
 
     def test_malformed_json(self, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text("{not json")
-        with pytest.raises(ConfigError) as excinfo:
+        with pytest.raises(NomaMecError) as excinfo:
             load_scenario_file(str(config))
-        assert repr(str(config)) in str(excinfo.value)
+        assert str(excinfo.value).startswith(f"config file {str(config)!r} is not valid JSON: ")
 
     def test_undecodable_file_is_invalid_input(self, capsys, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_bytes(b"\xff\xfe{}")   # a UTF-16 byte-order mark
-        with pytest.raises(ConfigError):
+        with pytest.raises(NomaMecError) as excinfo:
             load_scenario_file(str(config))
+        assert str(excinfo.value).startswith(f"config file {str(config)!r} is not valid JSON: ")
         code, out, err = run_capture(capsys, ["solve", "--config", str(config)])
         assert code == 1
         assert out == ""
@@ -191,7 +192,7 @@ class TestConfigFile:
     def test_boolean_is_not_a_number(self, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"n": True, "dm": 20, "dn": 25}))
-        with pytest.raises(ConfigError, match='"n"'):
+        with pytest.raises(NomaMecError, match='^config key "n" must be a number, got True$'):
             load_scenario_file(str(config))
 
     def test_unknown_keys_ignored(self, tmp_path):
@@ -289,9 +290,16 @@ class TestSweepAndSurface:
             argv = ["surface", *source, "--tn", "10", "--resolution", "2"]
             assert run_capture(capsys, argv) == expected
 
+    @pytest.mark.parametrize("tn", ["-1", "nan", "inf"])
+    def test_surface_bad_extension_without_dn_names_tn(self, capsys, tn):
+        # Without --dn nothing sets d_n, so a bad --tn is named as t_n, never as d_n.
+        argv = ["surface", "--n", "15", "--dm", "20", "--tn", tn]
+        expected = f"error: t_n must lie in (0, inf), got {float(tn)!r}\n"
+        assert run_capture(capsys, argv) == (1, "", expected)
+
     def test_surface_default_deadline_meets_the_budget(self, capsys):
-        # The default d_n is d_m + t_n, here rounded to d_m: d_n - d_m = 0.0 lies below t_n,
-        # but d_m + t_n rounds the same way and does not exceed d_n.
+        # Without --dn any positive t_n is rendered. With --dn 20 the rule is written as a sum:
+        # d_n - d_m = 0.0 lies below t_n, but d_m + t_n rounds to d_m and does not exceed d_n.
         argv = ["surface", "--n", "15", "--dm", "20", "--tn", "1e-15", "--resolution", "2"]
         code, out, err = run_capture(capsys, argv)
         assert (code, err) == (0, "")

@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import hybrid_scenarios, identity_corpus
 from noma_mec import (
-    NonPositiveParameter,
+    NomaMecError,
     Regime,
-    TimeExtensionOutOfRange,
     deadline_sweep,
     energy_derivative,
     hybrid_energy,
@@ -109,7 +108,7 @@ class TestOmaEnergyN:
         assert oma_energy_n(ANCHOR, 1e-3) == math.inf
 
     def test_negative_slot_rejected(self):
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=r"^slot must lie in \[0, inf\), got -1\.0$"):
             oma_energy_n(ANCHOR, -1.0)
 
 
@@ -143,7 +142,7 @@ class TestHybridPowers:
 
     @pytest.mark.parametrize("t_n", [-0.5, 20.0001, math.inf])
     def test_extension_out_of_range(self, t_n):
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=rf"^t_n must lie in \[0, 20\.0\], got {t_n!r}$"):
             hybrid_powers(ANCHOR, t_n)
 
 
@@ -164,11 +163,17 @@ class TestKktLogVars:
         assert point.y1 == 0.75
         assert point.y2 == 1.5
 
+    def test_underflowing_rates_are_zero_not_refused(self):
+        # nats / d_m and 2 nats / (d_m + t_n) round to 0: no power is needed, nothing is refused.
+        s = validate_scenario(5e-324, 1e10, 2e10)
+        assert kkt_log_vars(s, 0.0) == (0.0, 0.0)
+        assert hybrid_powers(s, 0.0) == (0.0, 0.0)
+
     def test_negative_rate_rejected(self):
         # A negative task gives y2 = -0.08 and y1 = -0.03; the array path names that element.
-        with pytest.raises(NonPositiveParameter, match=r"got \(-0\.03.*, -0\.08.*\)"):
+        with pytest.raises(NomaMecError, match=r"got \(-0\.03.*, -0\.08.*\)"):
             _log_rates(_SCALAR, -1.0, 20.0, 5.0)
-        with pytest.raises(NonPositiveParameter, match=r"got \(-0\.03.*, -0\.08.*\)"):
+        with pytest.raises(NomaMecError, match=r"got \(-0\.03.*, -0\.08.*\)"):
             _log_rates(_EXACT, np.array([15.0, -1.0]), 20.0, 5.0)
 
     @given(s=hybrid_scenarios(), frac=st.floats(0.0, 1.0))
@@ -207,6 +212,8 @@ class TestHybridEnergy:
     @pytest.mark.parametrize("nats, d_m, h_n_sq, t_n", [
         (10.0, 1.0, 1.0, 0.9999999999999999),
         (30.983336987743208, 49.824226555571094, 5.095538934289587, 49.82422655557108),
+        # ln E is about -3e-4 here, fine enough to show ln(t_n) billed in place of ln(d_m).
+        (0.693, 1.0, 1.0, 0.9999999999999999),
     ])
     def test_rates_of_full_extension_bill_the_whole_slot(self, nats, d_m, h_n_sq, t_n):
         # A few ulp below d_m the rates round to those of d_m (y1 == 0). Phase 2 then needs
@@ -293,6 +300,11 @@ class TestLogDomain:
         )
         assert log_hybrid_energy(ANCHOR, 5.0) == pytest.approx(
             math.log(hybrid_energy(ANCHOR, 5.0)), rel=1e-12
+        )
+        # The phase-2 term lies about 716 below the phase-1 term: the log-sum must take
+        # exp of their difference with the larger term first, where it underflows to 0.
+        assert log_hybrid_energy(ANCHOR, 1e-310) == pytest.approx(
+            math.log(hybrid_energy(ANCHOR, 1e-310)), rel=1e-12
         )
 
     def test_log_survives_overflow(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noma_mec import (
-    NonPositiveParameter,
+    NomaMecError,
     StrategyKind,
     deadline_sweep,
     energy_derivative,
@@ -111,23 +111,25 @@ class TestDeadlineSweep:
                 assert row.selected == StrategyKind.HYBRID_NOMA
 
     def test_preconditions(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NomaMecError, match=r"^steps must lie in \[2, 1000000\], got 1$"):
             deadline_sweep(15.0, 20.0, 20.0, 40.0, 1)
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NomaMecError, match=r"^need d_m <= d_n_from < d_n_to, got d_m=20\.0,"
+                                              r" from=19\.0, to=40\.0$"):
             deadline_sweep(15.0, 20.0, 19.0, 40.0, 5)
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NomaMecError, match=r"^need d_m <= d_n_from < d_n_to, got d_m=20\.0,"
+                                              r" from=30\.0, to=30\.0$"):
             deadline_sweep(15.0, 20.0, 30.0, 30.0, 5)
 
     @pytest.mark.parametrize("d_m", [0.0, math.inf, math.nan])
     def test_bad_d_m_is_named_before_the_order_check(self, d_m):
         # The CLI's default range is [d_m, 2 d_m], which a bad d_m also breaks.
-        with pytest.raises(NonPositiveParameter, match="d_m must be a positive finite number"):
+        with pytest.raises(NomaMecError, match="d_m must be a positive finite number"):
             deadline_sweep(15.0, d_m, d_m, 2.0 * d_m, 5)
 
     def test_infinite_upper_bound_rejected_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonPositiveParameter, match="d_n_to must be finite, got inf"):
+            with pytest.raises(NomaMecError, match="d_n_to must be finite, got inf"):
                 deadline_sweep(15.0, 20.0, 20.0, math.inf, 5)
 
 
@@ -270,7 +272,7 @@ class TestViewsAgree:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for view in views:
-                with pytest.raises(NonPositiveParameter, match=r"got \(nan, inf\)"):
+                with pytest.raises(NomaMecError, match=r"got \(nan, inf\)"):
                     view()
 
 
@@ -490,7 +492,7 @@ class TestVerificationCampaign:
         )
 
     def test_zero_count_rejected(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NomaMecError, match=r"^count must lie in \[1, 1000000\], got 0$"):
             verification_campaign(seed=42, count=0)
 
     def test_count_above_limit_rejected_before_drawing(self, monkeypatch):
@@ -498,7 +500,7 @@ class TestVerificationCampaign:
             raise AssertionError("drew scenarios for an oversized campaign")
 
         monkeypatch.setattr(np.random, "Philox", no_draws)
-        with pytest.raises(NonPositiveParameter, match=r"^count must lie in \[1, 1000000\]"):
+        with pytest.raises(NomaMecError, match=r"^count must lie in \[1, 1000000\]"):
             verification_campaign(seed=42, count=_MAX_ROWS + 1)
 
     @pytest.mark.parametrize("call,at_limit,message,allocator", [
@@ -519,7 +521,7 @@ class TestVerificationCampaign:
         monkeypatch.setattr(np, allocator, no_axis)
         with pytest.raises(Allocating):
             call(at_limit)
-        with pytest.raises(NonPositiveParameter, match=message):
+        with pytest.raises(NomaMecError, match=message):
             call(at_limit + 1)
 
     @pytest.mark.parametrize("call,message", [
@@ -537,7 +539,7 @@ class TestVerificationCampaign:
             "resolution 3.0", "resolution True"])
     def test_non_integer_seed_or_row_count_rejected(self, call, message):
         # A bool is an int to Python and a float reaches numpy, which raises TypeError.
-        with pytest.raises(NonPositiveParameter, match=message):
+        with pytest.raises(NomaMecError, match=message):
             call()
 
     @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])

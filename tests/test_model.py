@@ -1,13 +1,16 @@
+import ast
+import builtins
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import noma_mec
 from conftest import hybrid_scenarios
 from noma_mec import (
-    DeadlineOrderViolation,
-    NonPositiveParameter,
+    NomaMecError,
     OffloadScenario,
     PowerSchedule,
     hybrid_energy,
@@ -30,7 +33,8 @@ class TestValidation:
         assert s == OffloadScenario(15.0, 20.0, 25.0, 1.0, 1.0)
 
     def test_deadline_order(self):
-        with pytest.raises(DeadlineOrderViolation):
+        with pytest.raises(NomaMecError, match=r"^deadlines must satisfy d_m <= d_n, got d_m=20\.0,"
+                                              r" d_n=10\.0$"):
             validate_scenario(15, 20, 10)
 
     @pytest.mark.parametrize(
@@ -46,7 +50,8 @@ class TestValidation:
         ],
     )
     def test_nonpositive_rejected(self, kwargs):
-        with pytest.raises(NonPositiveParameter):
+        (field,) = (key for key, value in kwargs.items() if not 0.0 < value < math.inf)
+        with pytest.raises(NomaMecError, match=f"^{field} must be a positive finite number, got "):
             validate_scenario(**kwargs)
 
     def test_equal_deadlines_allowed(self):
@@ -75,12 +80,34 @@ class TestValidation:
             try:
                 _require_in("x", value, 0, 1, ends)
                 passed.append(value)
-            except NonPositiveParameter:
-                pass
+            except NomaMecError as exc:
+                assert str(exc) == f"x must lie in {ends[0]}0, 1{ends[1]}, got {value!r}"
         assert passed == accepted
 
+    def test_one_error_type(self):
+        # Every refusal is a NomaMecError (a ValueError) whose message names the parameter:
+        # each raise in the package raises it or re-raises, and no module defines another
+        # exception class.
+        def is_exception(base):
+            leaf = getattr(builtins, base.rpartition(".")[2], None)
+            return base.endswith("NomaMecError") or (
+                isinstance(leaf, type) and issubclass(leaf, BaseException))
+
+        raised, classes = set(), []
+        for path in sorted(pathlib.Path(noma_mec.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.add(ast.unparse(exc))
+                if isinstance(node, ast.ClassDef) and any(
+                        is_exception(ast.unparse(base)) for base in node.bases):
+                    classes.append(f"{path.stem}.{node.name}")
+        assert raised == {"NomaMecError"}
+        assert classes == ["model.NomaMecError"]
+        assert issubclass(NomaMecError, ValueError)
+
     def test_schedule_rejects_negative_power(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NomaMecError, match=r"^p_n1 must lie in \[0, inf\], got -0\.1$"):
             PowerSchedule(p_n1=-0.1, p_n2=0.0, t_n=0.0)
 
 

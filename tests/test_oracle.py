@@ -12,10 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 import noma_mec.oracle
 from conftest import hybrid_scenarios, identity_corpus, numpy_exp_is_pinned
 from noma_mec import (
-    NonPositiveParameter,
+    NomaMecError,
     Regime,
     StrategyKind,
-    TimeExtensionOutOfRange,
     classify_regime,
     energy_surface,
     hybrid_energy,
@@ -62,24 +61,24 @@ class TestSplitParametrization:
         assert offloaded_nats(s, schedule) == pytest.approx(s.nats, rel=1e-9)
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NomaMecError, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
             split_schedule(ANCHOR, 5.0, 1.5)
 
     def test_zero_extension_rejected(self):
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=r"^t_n must lie in \(0, inf\), got 0\.0$"):
             split_schedule(ANCHOR, 0.0, 0.5)
 
-    @pytest.mark.parametrize("call", [
-        lambda length: oma_energy_n(ANCHOR, length),
-        lambda length: log_oma_energy_n(ANCHOR, length),
-        lambda length: split_schedule(ANCHOR, length, 0.5),
+    @pytest.mark.parametrize("call, field", [
+        (lambda length: oma_energy_n(ANCHOR, length), "slot"),
+        (lambda length: log_oma_energy_n(ANCHOR, length), "slot"),
+        (lambda length: split_schedule(ANCHOR, length, 0.5), "t_n"),
     ], ids=["oma_energy_n", "log_oma_energy_n", "split_schedule"])
     @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
-    def test_nonfinite_or_negative_length_rejected(self, call, length):
+    def test_nonfinite_or_negative_length_rejected(self, call, field, length):
         # A NaN or inf length has no energy; it must not come back as a NaN or inf result.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(TimeExtensionOutOfRange):
+            with pytest.raises(NomaMecError, match=f"^{field} must lie in .*, got {length!r}$"):
                 call(length)
 
 
@@ -108,9 +107,9 @@ class TestOracleFixedT:
         assert result.energy <= grid_best * (1.0 + 1e-12)
 
     def test_preconditions(self):
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match="^t_n must be a positive finite number, got 0.0 in"):
             oracle_fixed_t(ANCHOR, 0.0)
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match="^t_n must be a positive finite number, got inf in"):
             oracle_fixed_t(ANCHOR, math.inf)
 
     def test_phase1_saturated_tie_moves_left(self):
@@ -264,7 +263,7 @@ class TestOracleBatch:
     def test_one_out_of_range_lane_raises(self, bad_t_n):
         scenarios, t_n = _random_lanes(5, seed=4)
         scenarios.append(ANCHOR)
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=f"^t_n must be .*, got {bad_t_n!r} in lane 5$"):
             oracle_batch(*_lane_arrays(scenarios), np.array([*t_n, bad_t_n]))
 
     @pytest.mark.parametrize("field", [0, 1, 2])
@@ -274,7 +273,7 @@ class TestOracleBatch:
         lanes = _lane_arrays(scenarios)
         lanes[field][2] = bad
         name = ("nats", "d_m", "h_n_sq")[field]
-        with pytest.raises(NonPositiveParameter, match=f"^{name} must .* in lane 2$"):
+        with pytest.raises(NomaMecError, match=f"^{name} must .* in lane 2$"):
             oracle_batch(*lanes, np.array(t_n))
 
     def test_saturation_skip_is_exact_at_its_edge(self, monkeypatch):
@@ -372,12 +371,12 @@ class TestSaturatedSearch:
     @pytest.mark.parametrize("power_rule, error", [
         (None, None),
         # A broken power rule: the objective's nonnegativity check raises mid-search.
-        (lambda ops, y, *rest, **kwargs: -y, NonPositiveParameter),
+        (lambda ops, y, *rest, **kwargs: -y, NomaMecError),
         # A power rule that fails with an error of its own on the first call.
         (lambda *args, **kwargs: 1 / 0, ZeroDivisionError),
         # A power rule negative in the solo phase only: one negative phase fails the check.
         pytest.param(lambda ops, y, h_sq, rate_dm=0.0, exp_rate_dm=None, can_saturate=True:
-                     -y if exp_rate_dm is None else y, NonPositiveParameter,
+                     -y if exp_rate_dm is None else y, NomaMecError,
                      id="solo phase negative"),
     ])
     def test_caller_error_state_restored(self, monkeypatch, power_rule, error):
@@ -387,7 +386,8 @@ class TestSaturatedSearch:
         # state leaked by any earlier search shows too.
         with np.errstate(over="raise", invalid="raise"):
             before = np.geterr()
-            with pytest.raises(error) if error else contextlib.nullcontext():
+            match = "^split powers must be nonnegative$" if error is NomaMecError else None
+            with pytest.raises(error, match=match) if error else contextlib.nullcontext():
                 oracle_batch([600.0, 600.0, 600.0, 15.0], [1.0, 1.0, 1.0, 20.0], 1.0,
                              [0.5, 1.0, 0.01, 5.0])
             assert np.geterr() == before
@@ -632,16 +632,19 @@ class TestEnergySurface:
         assert grid.feasible.any()
 
     def test_preconditions(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NomaMecError, match=r"^resolution must lie in \[2, 1000\], got 1$"):
             energy_surface(ANCHOR, 5.0, resolution=1)
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=r"^t_n must lie in \(0, inf\), got 0\.0$"):
             energy_surface(ANCHOR, 0.0)
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=r"^t_n must lie in \(0, inf\), got inf$"):
             energy_surface(ANCHOR, math.inf, p1_max=3.0, p2_max=5.0)
         for ranges in (dict(p1_max=math.inf), dict(p2_max=math.inf), dict(p1_max=math.nan)):
-            with pytest.raises(NonPositiveParameter):
+            ((name, value),) = ranges.items()
+            message = rf"^{name} must lie in \(0, inf\), got {value}$"
+            with pytest.raises(NomaMecError, match=message):
                 energy_surface(ANCHOR, 5.0, resolution=3, **ranges)
-        with pytest.raises(NonPositiveParameter):   # t_n == d_m, saturated pure-NOMA power
+        # t_n == d_m, saturated pure-NOMA power
+        with pytest.raises(NomaMecError, match=r"^p1_max must lie in \(0, inf\), got inf$"):
             energy_surface(validate_scenario(400.0, 1.0, 1.5), 1.0, resolution=3)
 
     def test_all_infeasible_surface_has_no_argmin(self):

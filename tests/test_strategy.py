@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import any_scenarios, hybrid_scenarios, identity_corpus
 from noma_mec import (
+    NomaMecError,
     Regime,
     StrategyKind,
-    TimeExtensionOutOfRange,
     classify_regime,
     deadline_sweep,
     hybrid_energy,
@@ -33,6 +33,7 @@ class TestRegime:
             (20.0, Regime.DEGENERATE),
             (25.0, Regime.HYBRID),
             (39.999, Regime.HYBRID),
+            (math.nextafter(40.0, 0.0), Regime.HYBRID),   # one ulp below the 2 d_m threshold
             (40.0, Regime.BOUNDARY),
             (50.0, Regime.OMA_FAVORED),
         ],
@@ -141,9 +142,9 @@ class TestGap:
         assert noma_oma_gap(ANCHOR, 10.0) == pytest.approx(-5.608436, abs=1e-5)
 
     def test_out_of_range(self):
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=r"^t_n must lie in \(0, 20\.0\], got 0\.0$"):
             noma_oma_gap(ANCHOR, 0.0)
-        with pytest.raises(TimeExtensionOutOfRange):
+        with pytest.raises(NomaMecError, match=r"^t_n must lie in \(0, 20\.0\], got 20\.5$"):
             noma_oma_gap(ANCHOR, 20.5)
 
     def test_divergence_at_tiny_extension(self):
@@ -180,7 +181,7 @@ class TestNormalizedGap:
 
     def test_rejects_nonpositive(self):
         for x in (0.0, -1.0):
-            with pytest.raises(TimeExtensionOutOfRange):
+            with pytest.raises(NomaMecError, match=rf"^t_n must lie in \(0, 20\.0\], got {x}$"):
                 self.normalized_gap(ANCHOR, x)
 
 
