@@ -16,7 +16,7 @@ OUT = pathlib.Path(__file__).with_name("deadline_sweep.csv")
 
 def main():
     rows = deadline_sweep(nats=15, d_m=20, d_n_from=20.0, d_n_to=40.0, steps=81)
-    OUT.write_text(render_sweep_csv(rows, nats=15, d_m=20))
+    OUT.write_text(render_sweep_csv(rows))   # the header prints the scenario the sweep carries
     print(f"wrote {len(rows)} rows to {OUT}")
 
     finite = [r for r in rows if math.isfinite(r.e_oma)]

@@ -156,7 +156,7 @@ def _cmd_sweep(options: dict) -> int:
     d_n_from, d_n_to = options.get("from", dm), options.get("to", 2.0 * dm)
     hm2, hn2 = options["hm2"], options["hn2"]
     rows = deadline_sweep(n, dm, d_n_from, d_n_to, options["steps"], hm2, hn2)
-    _emit(render_sweep_csv(rows, n, dm, hm2, hn2), options.get("out"))
+    _emit(render_sweep_csv(rows), options.get("out"))
     return 0
 
 
@@ -176,7 +176,7 @@ def _cmd_surface(options: dict) -> int:
         p2_max=options.get("p2max"),
         resolution=options["resolution"],
     )
-    _emit(render_surface_csv(grid, scenario, tn), options.get("out"))
+    _emit(render_surface_csv(grid), options.get("out"))
     return 0
 
 

@@ -30,7 +30,7 @@ def _log_rates(ops, nats, d_m, t_n):
     """(y1, y2) of the fixed-extension optimum, elementwise; raises NomaMecError, naming the
     first bad element, where one is negative or NaN."""
     rate_dm = nats / d_m
-    y2 = 2.0 * nats / (d_m + t_n)
+    y2 = nats / (0.5 * d_m + 0.5 * t_n)   # halves first: 2 * nats and d_m + t_n can overflow
     # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
     # y2 - y1 == rate_dm then holds bit-for-bit, and y1 == 0.0 exactly at t_n == d_m.
     y1 = y2 - rate_dm

@@ -1,8 +1,8 @@
 """Deterministic sweep generators and the randomized verification campaign.
 
 Output is tabular: the generators return columns, a summary or an
-``energy_surface`` grid, and the ``render_*`` helpers turn those into CSV with
-``#``-prefixed metadata lines. Floats are serialized with ``repr`` so they
+``energy_surface`` grid, and each ``render_*`` helper turns its record alone into
+text with ``#``-prefixed metadata lines. Floats are serialized with ``repr`` so they
 round-trip exactly; infinities become the token ``inf``. Re-running a
 generator with identical inputs yields byte-identical output.
 """
@@ -41,8 +41,9 @@ _columns = attrgetter(*SweepRow._fields)
 
 @dataclass(frozen=True)
 class DeadlineSweep:
-    """A deadline sweep as one list per CSV column, in ascending ``d_n``. ``len``,
-    indexing and iteration give rows, namedtuples with the column names as fields."""
+    """A deadline sweep as one list per CSV column, in ascending ``d_n``, and the validated
+    ``scenario`` its CSV header prints (its ``d_n`` is ``d_m``; the header prints no ``d_n``).
+    ``len``, indexing and iteration give rows, namedtuples with the column names as fields."""
 
     d_n: list[float]
     e_hybrid: list[float]
@@ -52,15 +53,16 @@ class DeadlineSweep:
     p2_star: list[float]
     t_n_star: list[float]
     selected: list[StrategyKind]
+    scenario: OffloadScenario
 
     def __len__(self) -> int:
         return len(self.d_n)
 
     def __getitem__(self, i: int | slice) -> SweepRow | DeadlineSweep:
-        # A slice gives the sub-sweep. Also serves iteration, which stops at
-        # the IndexError past the last row.
+        # A slice gives the sub-sweep of the same scenario. Also serves iteration, which
+        # stops at the IndexError past the last row.
         cut = [column[i] for column in _columns(self)]
-        return DeadlineSweep(*cut) if isinstance(i, slice) else SweepRow._make(cut)
+        return DeadlineSweep(*cut, self.scenario) if isinstance(i, slice) else SweepRow._make(cut)
 
 
 CampaignSummary = namedtuple("CampaignSummary", "seed count max_rel_err max_dominance_violation"
@@ -75,12 +77,13 @@ order of ``render_campaign_summary``'s lines.
 """
 
 
-class SurfaceGrid(namedtuple("SurfaceGrid", "p1_axis p2_axis energy feasible")):
-    """Dense energy/feasibility sampling over the power plane at fixed ``t_n``.
+class SurfaceGrid(namedtuple("SurfaceGrid", "p1_axis p2_axis energy feasible scenario t_n")):
+    """Dense energy/feasibility sampling of ``scenario`` over the power plane at fixed ``t_n``.
 
     ``energy[i, j] == d_m * p1_axis[i] + t_n * p2_axis[j]``, ``inf`` where it
     overflows; ``feasible`` marks samples whose offloaded total reaches the
-    task size (up to FEASIBILITY_SLACK relative).
+    task size (up to FEASIBILITY_SLACK relative). ``scenario`` and ``t_n`` (a
+    float) are the ones sampled, which the CSV header and ``optimum`` line print.
     """
 
     __slots__ = ()
@@ -123,7 +126,7 @@ def deadline_sweep(
     with np.errstate(all="ignore"):
         c = _strategy_columns(_EXACT, scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
     cols = [col.tolist() for col in (d_n, c.e_hybrid, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)]
-    return DeadlineSweep(*cols[:2], [float(c.e_pure)] * steps, *cols[2:])
+    return DeadlineSweep(*cols[:2], [float(c.e_pure)] * steps, *cols[2:], scenario)
 
 
 def verification_campaign(seed: int, count: int) -> CampaignSummary:
@@ -192,24 +195,20 @@ def _meta_lines(pairs: list[tuple[str, object]]) -> list[str]:
     return lines
 
 
-def render_sweep_csv(
-    rows: DeadlineSweep,
-    nats: float,
-    d_m: float,
-    h_m_sq: float = 1.0,
-    h_n_sq: float = 1.0,
-) -> str:
-    """A deadline sweep as CSV text: metadata lines, header, one line per deadline.
+def _csv_header(scenario: OffloadScenario, columns: str, **more) -> list[str]:
+    """A CSV's first lines: the scenario but its ``d_n`` (no CSV prints one), ``more``, columns."""
+    pairs = [(key, getattr(scenario, key)) for key in ("nats", "d_m", "h_m_sq", "h_n_sq")]
+    return _meta_lines(pairs + list(more.items())) + [columns]
+
+
+def render_sweep_csv(sweep: DeadlineSweep) -> str:
+    """A deadline sweep as CSV text: its scenario's metadata lines, header, one line per deadline.
 
     Each run of equal values in a column is formatted once, but every zero
     (``0.0 == -0.0`` prints two ways) and every NaN (it equals nothing) on its own."""
-    lines = _meta_lines(
-        [("nats", float(nats)), ("d_m", float(d_m)),
-         ("h_m_sq", float(h_m_sq)), ("h_n_sq", float(h_n_sq))]
-    )
-    lines.append(SWEEP_COLUMNS)
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        *floats, kinds = _columns(rows[start:start + _CHUNK_ROWS])
+    lines = _csv_header(sweep.scenario, SWEEP_COLUMNS)
+    for start in range(0, len(sweep), _CHUNK_ROWS):
+        *floats, kinds = _columns(sweep[start:start + _CHUNK_ROWS])
         cells = [*map(_run_cells, floats), _run_cells(kinds, _fmt)]
         lines.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(lines) + "\n"
@@ -222,8 +221,8 @@ def energy_surface(
     p2_max: float | None = None,
     resolution: int = 200,
 ) -> SurfaceGrid:
-    """Sample energy and rate-feasibility over ``[0, p1_max) x [0, p2_max)`` for
-    ``render_surface_csv``; the oracle's certificate does not depend on it.
+    """Sample energy and rate-feasibility over ``[0, p1_max) x [0, p2_max)`` into a grid
+    that carries ``scenario`` and ``t_n``, for ``render_surface_csv``, not for the oracle.
 
     Each axis carries ``resolution`` uniform samples starting at 0, spaced
     ``max / resolution`` (the right endpoint is excluded). Ranges default to twice
@@ -258,25 +257,14 @@ def energy_surface(
         energy = phase1 + phase2
         offloaded = _offloaded(_NUMPY, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, p1, p2)
     feasible = offloaded >= scenario.nats * (1.0 - FEASIBILITY_SLACK)
-    return SurfaceGrid(p1_axis, p2_axis, energy, feasible)
+    return SurfaceGrid(p1_axis, p2_axis, energy, feasible, scenario, float(t_n))
 
 
-def render_surface_csv(
-    grid: SurfaceGrid,
-    scenario: OffloadScenario,
-    t_n: float,
-) -> str:
-    """An ``energy_surface`` grid as CSV text with the sweep's metadata conventions.
-
-    One ``grid`` line per sample, row by row in ``p1``, then one ``optimum``
-    line with the closed-form powers and energy at ``t_n`` (past ``d_m``, OMA over ``t_n``).
-    """
-    header = _meta_lines(
-        [("nats", scenario.nats), ("d_m", scenario.d_m),
-         ("h_m_sq", scenario.h_m_sq), ("h_n_sq", scenario.h_n_sq),
-         ("t_n", float(t_n))]
-    )
-    header.append(SURFACE_COLUMNS)
+def render_surface_csv(grid: SurfaceGrid) -> str:
+    """An ``energy_surface`` grid as CSV text: the sweep's metadata lines for the grid's
+    scenario and ``t_n``, one ``grid`` line per sample, row by row in ``p1``, then one ``optimum``
+    line, the closed-form powers and energy at that ``t_n`` (past ``d_m``, OMA over ``t_n``)."""
+    header = _csv_header(grid.scenario, SURFACE_COLUMNS, t_n=grid.t_n)
     # Each sample is four parts: "p1,", "p2,", the energy and ",flag,grid\n". Cells are floats
     # and bools from ``tolist``, so ``repr`` and a table of the two tails give ``_fmt``'s text.
     # Slice assignment fills a row's parts into one reused list: no bytecode runs per sample.
@@ -290,7 +278,7 @@ def render_surface_csv(
         parts[2::4] = map(repr, energies.tolist())
         parts[3::4] = map(tails.__getitem__, feasible.tolist())
         rows.append("".join(parts))
-    optimum = (*_optimum_at(scenario, t_n), True, "optimum")
+    optimum = (*_optimum_at(grid.scenario, grid.t_n), True, "optimum")
     # One join builds the whole text: no second copy of it is made.
     return "".join(["\n".join(header) + "\n", *rows, ",".join(_fmt(v) for v in optimum) + "\n"])
 

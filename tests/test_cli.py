@@ -51,6 +51,12 @@ class TestSolve:
         assert "selected=hybrid-noma" in out
         assert "oma,inf,inf,0.0,0.0,false" in out
 
+    def test_task_past_half_the_float_range(self, capsys):
+        # 2 nats overflows, yet at t_n == d_m the shared-slot power is exactly 0.
+        code, out, err = run_capture(capsys, ["solve", "--n", "1e308", "--dm", "1", "--dn", "2"])
+        assert (code, err) == (0, "")
+        assert "p_n1_star=0.0" in out.splitlines()
+
     def test_oma_regime(self, capsys):
         code, out, _ = run_capture(capsys, ["solve", "--n", "15", "--dm", "20", "--dn", "50"])
         assert code == 0
@@ -155,6 +161,14 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: config file {str(config)!r} is not valid JSON: ")
+
+    @pytest.mark.parametrize("document", ["[1, 2]", '"x"', "3"])
+    def test_document_that_is_not_an_object_is_invalid_input(self, capsys, tmp_path, document):
+        config = tmp_path / "scenario.json"
+        config.write_text(document)
+        code, out, err = run_capture(capsys, ["solve", "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err == f"error: config file {str(config)!r} must hold a JSON object\n"
 
     def test_sweep_block(self, tmp_path):
         config = tmp_path / "scenario.json"
@@ -274,6 +288,13 @@ class TestSweepAndSurface:
         assert data[-1].endswith(",true,optimum")
         assert "# t_n=5.0" in lines
 
+    def test_surface_slot_past_half_the_float_range(self, capsys):
+        # d_m + t_n overflows, yet the default extension d_m / 4 renders.
+        argv = ["surface", "--n", "15", "--dm", "1.7e308", "--resolution", "2"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert "# t_n=4.25e+307" in out.splitlines() and out.endswith(",true,optimum\n")
+
     def test_surface_bad_resolution(self, capsys):
         code, _, err = run_capture(
             capsys, ["surface", "--n", "15", "--dm", "20", "--resolution", "1"]
@@ -374,6 +395,17 @@ class TestHelpAndUsage:
         assert "--n" in out and "nats" in out
         assert "--dm" in out and "normalized time units" in out
         assert "--hn2" in out
+
+    @pytest.mark.parametrize("sub, defaults", [
+        ("solve", ["1.0"]), ("sweep", ["1.0", "81"]), ("surface", ["1.0", "200"]),
+        ("verify", ["42", "200"]),
+    ])
+    def test_help_names_fixed_defaults_only(self, capsys, sub, defaults):
+        # An option without a fixed default is required or derived: its help names none.
+        _, out, _ = run_capture(capsys, [sub, "--help"])
+        shown = " ".join(out.split())
+        assert "(default: None)" not in shown
+        assert all(f"(default: {value})" in shown for value in defaults)
 
     @pytest.mark.parametrize(
         "sub,flags",

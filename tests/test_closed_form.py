@@ -169,6 +169,15 @@ class TestKktLogVars:
         assert kkt_log_vars(s, 0.0) == (0.0, 0.0)
         assert hybrid_powers(s, 0.0) == (0.0, 0.0)
 
+    def test_rates_past_half_the_float_range_do_not_overflow(self):
+        # 2 nats and d_m + t_n pass the float range; their halves do not. At t_n == d_m the
+        # shared-slot power is exactly 0 and the solo rate nats / d_m saturates to inf.
+        assert hybrid_powers(validate_scenario(1e308, 1.0, 2.0), 1.0) == (0.0, math.inf)
+        s = validate_scenario(15.0, 1.7e308, 1.7e308)
+        powers = hybrid_powers(s, 4.25e307)
+        assert all(math.isfinite(p) and p > 0.0 for p in powers)
+        assert math.isfinite(hybrid_energy(s, 4.25e307))
+
     def test_negative_rate_rejected(self):
         # A negative task gives y2 = -0.08 and y1 = -0.03; the array path names that element.
         with pytest.raises(NomaMecError, match=r"got \(-0\.03.*, -0\.08.*\)"):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import pickle
@@ -40,6 +41,7 @@ from noma_mec.experiments import (
     SWEEP_COLUMNS,
     SURFACE_COLUMNS,
     DeadlineSweep,
+    SweepRow,
     _run_cells,
 )
 from noma_mec.model import _MAX_ROWS
@@ -160,11 +162,12 @@ sweep_ends = st.one_of(st.just(2.0), st.floats(1.001, 4.0))   # d_n_to / d_m
 
 
 def assert_renders_as_reference(rows, nats=15.0, d_m=20.0, h_m_sq=1.0, h_n_sq=1.0):
-    """``render_sweep_csv`` equals the CSV written out row by row, each cell formatted on its own."""
+    """``render_sweep_csv`` equals the CSV written out row by row, each cell formatted on its
+    own, below a header of the given scenario values."""
     lines = [f"# nats={nats!r}", f"# d_m={d_m!r}", f"# h_m_sq={h_m_sq!r}",
              f"# h_n_sq={h_n_sq!r}", f"# tool=noma-mec {__version__}", SWEEP_COLUMNS]
     lines += [",".join(map(repr, row[:7])) + "," + row.selected.value for row in rows]
-    text = render_sweep_csv(rows, nats, d_m, h_m_sq, h_n_sq)
+    text = render_sweep_csv(rows)
     rendered = text.split("\n")
     assert len(rendered) == len(lines) + 1 and rendered[-1] == ""
     # Line by line, so that a failure names its line without a diff of thousands of them.
@@ -174,11 +177,13 @@ def assert_renders_as_reference(rows, nats=15.0, d_m=20.0, h_m_sq=1.0, h_n_sq=1.
 
 
 def hand_built_sweep(*float_columns, selected=None):
-    """A ``DeadlineSweep`` whose last float columns are given; the leading ones count rows."""
+    """A ``DeadlineSweep`` of the scenario ``(15, 20, 20)`` whose last float columns are given;
+    the leading ones count rows."""
     steps = len(float_columns[-1])
     counter = [float(i) for i in range(steps)]
     kinds = selected or [StrategyKind.HYBRID_NOMA] * steps
-    return DeadlineSweep(*[counter] * (7 - len(float_columns)), *float_columns, kinds)
+    scenario = validate_scenario(15.0, 20.0, 20.0)
+    return DeadlineSweep(*[counter] * (7 - len(float_columns)), *float_columns, kinds, scenario)
 
 
 class TestSweepColumns:
@@ -263,7 +268,7 @@ class TestViewsAgree:
         assert all(type(v) is float for v in values)
 
     def test_overflowing_rates_fail_closed_in_every_view(self):
-        # 2 * nats overflows and nats / d_m is inf, so y1 = inf - inf is NaN.
+        # nats / d_m and y2 overflow to inf, so y1 = inf - inf is NaN.
         s = validate_scenario(1e308, 1e-10, 1.5e-10)
         views = (lambda: select_strategy(s), lambda: hybrid_powers(s, 0.5e-10),
                  lambda: deadline_sweep(1e308, 1e-10, 1e-10, 3e-10, 5),
@@ -278,7 +283,7 @@ class TestViewsAgree:
 
 class TestSweepCsv:
     def test_layout(self):
-        text = render_sweep_csv(reference_sweep(), 15.0, 20.0, 1.0, 1.0)
+        text = render_sweep_csv(reference_sweep())
         lines = text.splitlines()
         meta = [ln for ln in lines if ln.startswith("#")]
         assert "# nats=15.0" in meta
@@ -291,7 +296,7 @@ class TestSweepCsv:
 
     def test_inf_token_and_roundtrip(self):
         rows = reference_sweep()
-        text = render_sweep_csv(rows, 15.0, 20.0)
+        text = render_sweep_csv(rows)
         data_lines = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
         first = data_lines[0].split(",")
         assert first[3] == "inf"
@@ -305,8 +310,8 @@ class TestSweepCsv:
             assert fields[7] == row.selected.value
 
     def test_byte_identical_rerun(self):
-        a = render_sweep_csv(reference_sweep(), 15.0, 20.0)
-        b = render_sweep_csv(reference_sweep(), 15.0, 20.0)
+        a = render_sweep_csv(reference_sweep())
+        b = render_sweep_csv(reference_sweep())
         assert a == b
 
 
@@ -363,7 +368,7 @@ class TestSweepCsvRuns:
 
 
 def surface_csv(resolution):
-    return render_surface_csv(energy_surface(ANCHOR, 5.0, resolution=resolution), ANCHOR, 5.0)
+    return render_surface_csv(energy_surface(ANCHOR, 5.0, resolution=resolution))
 
 
 def surface_data_lines(resolution):
@@ -413,7 +418,7 @@ class TestSurfaceExport:
             assert any(row.any() and not row.all() for row in grid.feasible)
         if p1_max == 1e308:
             assert np.isinf(grid.energy).sum() == grid.energy.size - 1
-        rendered = render_surface_csv(grid, ANCHOR, t_n).splitlines(keepends=True)
+        rendered = render_surface_csv(grid).splitlines(keepends=True)
         reference = reference_surface_csv(grid, ANCHOR, t_n).splitlines(keepends=True)
         # Name the first differing line: pytest's diff of 40,000 lines would take minutes.
         assert len(rendered) == len(reference)
@@ -437,18 +442,21 @@ class TestSurfaceExport:
 
     def test_feasibility_slack_at_its_edge(self, monkeypatch):
         # A sample 1e-10 short of the task size lies past FEASIBILITY_SLACK (1e-12) and reads
-        # infeasible; one 1e-13 short lies inside it and reads feasible.
+        # infeasible; one 1e-13 short lies inside it and reads feasible, and so does one exactly
+        # at the edge: the mask is closed.
         import noma_mec.experiments as experiments_module
 
         real = experiments_module._offloaded
 
         def edge_offloaded(*args):
             offloaded = real(*args)
-            offloaded[0, :2] = [(1.0 - 1e-10) * ANCHOR.nats, (1.0 - 1e-13) * ANCHOR.nats]
+            offloaded[0, :3] = [(1.0 - 1e-10) * ANCHOR.nats, (1.0 - 1e-13) * ANCHOR.nats,
+                                ANCHOR.nats * (1.0 - 1e-12)]
             return offloaded
 
         monkeypatch.setattr(experiments_module, "_offloaded", edge_offloaded)
-        assert energy_surface(ANCHOR, 5.0, resolution=4).feasible[0, :2].tolist() == [False, True]
+        feasible = energy_surface(ANCHOR, 5.0, resolution=4).feasible[0, :3].tolist()
+        assert feasible == [False, True, True]
 
     def test_rows_follow_grid_order(self):
         grid = energy_surface(ANCHOR, 5.0, resolution=7)
@@ -469,6 +477,40 @@ class TestSurfaceExport:
         assert len(lines) == len(meta) + 1 + 101
         assert lines[-1].endswith(",true,optimum")
         assert ",false," in lines[len(meta) + 1]
+
+
+class TestRenderersReadTheRecord:
+    """A CSV prints the scenario and ``t_n`` its record carries: no caller restates them."""
+
+    TOOL = f"# tool=noma-mec {__version__}"
+
+    def test_each_renderer_takes_the_record_alone(self):
+        assert list(inspect.signature(render_sweep_csv).parameters) == ["sweep"]
+        assert list(inspect.signature(render_surface_csv).parameters) == ["grid"]
+
+    def test_sweep_header_is_the_sweeps_scenario(self):
+        sweep = deadline_sweep(15.0, 20.0, 20.0, 40.0, 3, h_m_sq=0.5, h_n_sq=2.0)
+        assert sweep.scenario == validate_scenario(15.0, 20.0, 20.0, 0.5, 2.0)
+        assert render_sweep_csv(sweep).splitlines()[:6] == [
+            "# nats=15.0", "# d_m=20.0", "# h_m_sq=0.5", "# h_n_sq=2.0", self.TOOL, SWEEP_COLUMNS]
+
+    def test_a_slice_keeps_the_scenario_and_an_index_gives_a_row(self):
+        sweep = deadline_sweep(15.0, 20.0, 20.0, 40.0, 5, h_m_sq=0.5, h_n_sq=2.0)
+        part = sweep[1:4]
+        assert type(part) is DeadlineSweep and part.scenario is sweep.scenario
+        assert type(sweep[1]) is SweepRow and part[0] == sweep[1]
+        whole, cut = render_sweep_csv(sweep).splitlines(), render_sweep_csv(part).splitlines()
+        assert cut == whole[:6] + whole[7:10]
+
+    def test_surface_header_and_optimum_are_the_grids(self):
+        s = validate_scenario(15.0, 20.0, 30.0, 0.5, 2.0)
+        grid = energy_surface(s, 7, resolution=2)
+        assert grid.scenario is s and type(grid.t_n) is float and grid.t_n == 7.0
+        lines = render_surface_csv(grid).splitlines()
+        assert lines[:7] == ["# nats=15.0", "# d_m=20.0", "# h_m_sq=0.5", "# h_n_sq=2.0",
+                             "# t_n=7.0", self.TOOL, SURFACE_COLUMNS]
+        star1, star2 = hybrid_powers(s, 7.0)
+        assert lines[-1] == f"{star1!r},{star2!r},{hybrid_energy(s, 7.0)!r},true,optimum"
 
 
 class TestVerificationCampaign:
@@ -635,6 +677,37 @@ class TestVerificationCampaign:
         assert summary.passed is passed
         assert run(["verify", "--seed", "42", "--count", "10"]) == (0 if passed else 2)
         assert f"result={'PASS' if passed else 'FAIL'}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lane, field, gate", [
+        # (e_hybrid, e_pure, e_oma, oracle energy): 1.0 / 1e5 and 1e-9 - 0.0 are exactly the gates.
+        ((1e5, math.inf, math.inf, 100001.0), "max_rel_err", 1e-5),
+        ((1e-9, 0.0, math.inf, 1e-9), "max_dominance_violation", 1e-9),
+    ], ids=["relative error", "dominance"])
+    def test_a_value_exactly_at_a_gate_passes(self, monkeypatch, capsys, lane, field, gate):
+        # Both gates are closed: a campaign whose worst value equals the bound passes.
+        import noma_mec.experiments as experiments_module
+
+        real_columns, real_batch = experiments_module._strategy_columns, experiments_module.oracle_batch
+        e_hybrid, e_pure, e_oma, e_oracle = lane
+
+        def planted_columns(*args):
+            columns = real_columns(*args)
+            planted = {name: np.array(getattr(columns, name), dtype=float)
+                       for name in ("e_hybrid", "e_pure", "e_oma")}
+            planted["e_hybrid"][3], planted["e_pure"][3], planted["e_oma"][3] = e_hybrid, e_pure, e_oma
+            return columns._replace(**planted)
+
+        def planted_batch(*args):
+            p_n1, p_n2, energy = real_batch(*args)
+            energy[3] = e_oracle
+            return p_n1, p_n2, energy
+
+        monkeypatch.setattr(experiments_module, "_strategy_columns", planted_columns)
+        monkeypatch.setattr(experiments_module, "oracle_batch", planted_batch)
+        summary = verification_campaign(seed=42, count=10)
+        assert getattr(summary, field) == gate and summary.passed is True
+        assert run(["verify", "--seed", "42", "--count", "10"]) == 0
+        assert "result=PASS" in capsys.readouterr().out
 
     def test_tol_refused_before_drawing(self, monkeypatch):
         import noma_mec.experiments as experiments_module

@@ -23,7 +23,8 @@ RECORDS = [
     (select_strategy(ANCHOR),
      ("hybrid", "pure_noma", "oma", "selected", "regime", "t_star", "p_n1_star", "p_n2_star")),
     (oracle_fixed_t(ANCHOR, 5.0), ("p_n1", "p_n2", "t_n", "energy")),
-    (energy_surface(ANCHOR, 5.0, resolution=4), ("p1_axis", "p2_axis", "energy", "feasible")),
+    (energy_surface(ANCHOR, 5.0, resolution=4),
+     ("p1_axis", "p2_axis", "energy", "feasible", "scenario", "t_n")),
     (verification_campaign(42, 25),
      ("seed", "count", "max_rel_err", "max_dominance_violation", "passed")),
 ]
