@@ -17,7 +17,6 @@ import argparse
 import ctypes
 import functools
 import json
-import math
 import sys
 
 from ._version import __version__
@@ -31,7 +30,7 @@ from .experiments import (
     render_sweep_csv,
     verification_campaign,
 )
-from .model import EnergyReport, NomaMecError, StrategyKind, validate_scenario
+from .model import EnergyReport, NomaMecError, StrategyKind, _real, validate_scenario
 from .strategy import select_strategy
 
 # One row per option: (flag, block, type, fixed default, help). The flag is also the
@@ -69,10 +68,7 @@ def _typed(key: str, value, kind: type):
     accepted, noun = ((int, float), "a number") if kind is float else (int, "an integer")
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise NomaMecError(f'config key "{key}" must be {noun}, got {value!r}')
-    try:
-        return kind(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    return _real(value) if kind is float else value
 
 
 def load_scenario_file(path: str) -> dict:
@@ -131,11 +127,7 @@ def _cmd_solve(options: dict) -> int:
     chosen = table.oma if table.selected is StrategyKind.OMA else table.hybrid
     lines = [
         f"# noma-mec {__version__} solve",
-        f"nats={_fmt(scenario.nats)}",
-        f"d_m={_fmt(scenario.d_m)}",
-        f"d_n={_fmt(scenario.d_n)}",
-        f"h_m_sq={_fmt(scenario.h_m_sq)}",
-        f"h_n_sq={_fmt(scenario.h_n_sq)}",
+        *(f"{key}={_fmt(value)}" for key, value in vars(scenario).items()),
         f"regime={table.regime.value}",
         f"selected={table.selected.value}",
         f"t_n_star={_fmt(table.t_star)}",

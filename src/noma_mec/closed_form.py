@@ -30,7 +30,10 @@ def _log_rates(ops, nats, d_m, t_n):
     """(y1, y2) of the fixed-extension optimum, elementwise; raises NomaMecError, naming the
     first bad element, where one is negative or NaN."""
     rate_dm = nats / d_m
-    y2 = nats / (0.5 * d_m + 0.5 * t_n)   # halves first: 2 * nats and d_m + t_n can overflow
+    # In halves, as 2 * nats and d_m + t_n can overflow, but whole below d_m = 2**-1021, where a
+    # half can round (5e-324 to 0) and no part overflows unless y2 does; same bits where both can.
+    half = ops.where(d_m < 2.0 ** -1021, 1.0, 0.5)
+    y2 = 2.0 * half * nats / (half * d_m + half * t_n)
     # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
     # y2 - y1 == rate_dm then holds bit-for-bit, and y1 == 0.0 exactly at t_n == d_m.
     y1 = y2 - rate_dm
@@ -47,7 +50,7 @@ LogRates = namedtuple("LogRates", "y1 y2")
 def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> LogRates:
     """Optimal log-domain rates (y1, y2) for a fixed extension ``t_n`` in [0, d_m]: the coupling
     ``y2 - y1 == nats / d_m`` holds bit for bit, ``d_m * y1 + t_n * y2 == nats`` to a few ulp."""
-    _require_in("t_n", t_n, 0, scenario.d_m)
+    t_n = _require_in("t_n", t_n, 0, scenario.d_m)
     return LogRates(*_log_rates(_SCALAR, scenario.nats, scenario.d_m, t_n))
 
 
@@ -84,7 +87,7 @@ def _optimum_at(scenario: OffloadScenario, t_n: float) -> tuple[float, float, fl
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
     """Optimal powers (p_n1, p_n2) for a fixed extension ``t_n`` in [0, d_m], meeting the rate
     constraint with equality; ``p_n1`` is the pure-NOMA power at 0 and exactly 0 at ``d_m``."""
-    _require_in("t_n", t_n, 0, scenario.d_m)
+    t_n = _require_in("t_n", t_n, 0, scenario.d_m)
     p_n1, p_n2 = _hybrid_powers(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
     return float(p_n1), float(p_n2)
 
@@ -92,7 +95,7 @@ def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
 def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
     """Energy of the fixed-extension optimum; non-increasing in ``t_n`` on [0, d_m]."""
     p_n1, p_n2 = hybrid_powers(scenario, t_n)
-    phase1, phase2 = _hybrid_phase_energies(_SCALAR, scenario.d_m, t_n, p_n1, p_n2)
+    phase1, phase2 = _hybrid_phase_energies(_SCALAR, scenario.d_m, float(t_n), p_n1, p_n2)
     return float(phase1 + phase2)
 
 
@@ -109,7 +112,7 @@ def oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     when the required power overflows; ``log_oma_energy_n`` stays finite in
     the latter case.
     """
-    _require_in("slot", slot, 0, math.inf, "[)")
+    slot = _require_in("slot", slot, 0, math.inf, "[)")
     return float(_oma_energy(_SCALAR, scenario.nats, scenario.h_n_sq, slot))
 
 
@@ -153,7 +156,7 @@ def log_hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:
 
 def log_oma_energy_n(scenario: OffloadScenario, slot: float) -> float:
     """ln of ``oma_energy_n``; +inf at ``slot == 0``. The slot must be finite and nonnegative."""
-    _require_in("slot", slot, 0, math.inf, "[)")
+    slot = _require_in("slot", slot, 0, math.inf, "[)")
     if slot == 0.0:
         return math.inf
     return math.log(slot) + _log_expm1(scenario.nats / slot) - math.log(scenario.h_n_sq)

@@ -19,7 +19,8 @@ import numpy as np
 from ._version import __version__
 from .closed_form import _optimum_at, hybrid_powers
 from .model import (_EXACT, _MAX_ROWS, _NUMPY, NomaMecError, OffloadScenario, StrategyKind,
-                    _offloaded, _phase_energies, _require_in, _require_integer, validate_scenario)
+                    _offloaded, _phase_energies, _real, _require_in, _require_integer,
+                    validate_scenario)
 from .oracle import oracle_batch
 from .strategy import _strategy_columns
 
@@ -117,12 +118,13 @@ def deadline_sweep(
     _require_in("steps", steps, 2, _MAX_ROWS)
     # The fields first, so that a bad d_m is named; the order and finiteness checks then cover d_n.
     scenario = validate_scenario(nats, d_m, d_m, h_m_sq, h_n_sq)
-    if not (d_m <= d_n_from < d_n_to):
+    low, high = _real(d_n_from), _real(d_n_to)   # NaN, which fails the order, for a bool or str
+    if not (scenario.d_m <= low < high):
         raise NomaMecError(
-            f"need d_m <= d_n_from < d_n_to, got d_m={d_m}, from={d_n_from}, to={d_n_to}")
-    if not math.isfinite(d_n_to):
+            f"need d_m <= d_n_from < d_n_to, got d_m={d_m}, from={d_n_from!r}, to={d_n_to!r}")
+    if not math.isfinite(high):
         raise NomaMecError(f"d_n_to must be finite, got {d_n_to!r}")
-    d_n = np.linspace(d_n_from, d_n_to, steps)
+    d_n = np.linspace(low, high, steps)
     with np.errstate(all="ignore"):
         c = _strategy_columns(_EXACT, scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
     cols = [col.tolist() for col in (d_n, c.e_hybrid, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)]
@@ -197,7 +199,7 @@ def _meta_lines(pairs: list[tuple[str, object]]) -> list[str]:
 
 def _csv_header(scenario: OffloadScenario, columns: str, **more) -> list[str]:
     """A CSV's first lines: the scenario but its ``d_n`` (no CSV prints one), ``more``, columns."""
-    pairs = [(key, getattr(scenario, key)) for key in ("nats", "d_m", "h_m_sq", "h_n_sq")]
+    pairs = [(key, value) for key, value in vars(scenario).items() if key != "d_n"]
     return _meta_lines(pairs + list(more.items())) + [columns]
 
 
@@ -237,7 +239,7 @@ def energy_surface(
     pure-NOMA power gives an infinite one), and ``resolution`` an integer in
     [2, 1000], at most 1,000,000 samples; otherwise NomaMecError is raised.
     """
-    _require_in("t_n", t_n, 0, math.inf, "()")
+    t_n = _require_in("t_n", t_n, 0, math.inf, "()")
     _require_integer("resolution", resolution)
     _require_in("resolution", resolution, 2, math.isqrt(_MAX_ROWS))
     if p1_max is None or p2_max is None:
@@ -246,8 +248,8 @@ def energy_surface(
             p1_max = 2.0 * (hybrid_powers(scenario, 0.0)[0] if star1 == 0.0 else star1)
         if p2_max is None:
             p2_max = 2.0 * star2
-    _require_in("p1_max", p1_max, 0, math.inf, "()")
-    _require_in("p2_max", p2_max, 0, math.inf, "()")
+    p1_max = _require_in("p1_max", p1_max, 0, math.inf, "()")
+    p2_max = _require_in("p2_max", p2_max, 0, math.inf, "()")
 
     p1_axis = np.linspace(0.0, p1_max, resolution, endpoint=False)
     p2_axis = np.linspace(0.0, p2_max, resolution, endpoint=False)
@@ -257,7 +259,7 @@ def energy_surface(
         energy = phase1 + phase2
         offloaded = _offloaded(_NUMPY, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n, p1, p2)
     feasible = offloaded >= scenario.nats * (1.0 - FEASIBILITY_SLACK)
-    return SurfaceGrid(p1_axis, p2_axis, energy, feasible, scenario, float(t_n))
+    return SurfaceGrid(p1_axis, p2_axis, energy, feasible, scenario, t_n)
 
 
 def render_surface_csv(grid: SurfaceGrid) -> str:

@@ -15,6 +15,7 @@ use concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -35,10 +36,15 @@ class NomaMecError(ValueError):
     config file. The message names the parameter or the file and what it missed."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    # NaN fails both comparisons, so it is rejected here as well.
-    if not (value > 0.0) or math.isinf(value):
-        raise NomaMecError(f"{name} must be a positive finite number, got {value!r}")
+def _real(value) -> float:
+    """``value`` as a float; NaN, which fails every check, for a bool or a non-number (a str, say).
+    An integer past the float range reads as an infinity, as its digits do on the command line."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):   # float: fast
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require_integer(name: str, value) -> None:
@@ -46,13 +52,16 @@ def _require_integer(name: str, value) -> None:
         raise NomaMecError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_in(name: str, value, low, high, ends: str = "[]") -> None:
-    """Raise ``NomaMecError`` unless ``value`` lies between ``low`` and ``high``, each end closed
-    (``[``, ``]``) or open (``(``, ``)``) as ``ends`` says. NaN lies in no interval."""
-    above = low < value if ends[0] == "(" else low <= value
-    below = value < high if ends[1] == ")" else value <= high
+def _require_in(name: str, value, low, high, ends: str = "[]") -> float:
+    """``value`` as a float; ``NomaMecError`` unless it lies between ``low`` and ``high``, each end
+    closed (``[``, ``]``) or open (``(``, ``)``) as ``ends`` says. NaN, a bool and a str lie in
+    no interval."""
+    number = _real(value)
+    above = low < number if ends[0] == "(" else low <= number
+    below = number < high if ends[1] == ")" else number <= high
     if not (above and below):
         raise NomaMecError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+    return number
 
 
 def _per_element(fn, cap=EXP_CUTOFF):
@@ -75,12 +84,6 @@ _EXACT = _Ops(np.where, _per_element(math.exp), _per_element(math.expm1),
               _per_element(math.log1p, math.inf), np.any, np.all)
 # The search tests a mask per step: count_nonzero is as truthy as any, at a quarter of the cost.
 _NUMPY = _Ops(np.where, np.exp, np.expm1, np.log1p, np.count_nonzero, np.all)
-
-
-def _capped_extension(ops, d_m, d_n):
-    """``min(d_n - d_m, d_m)`` elementwise, ties to ``d_n - d_m`` as ``min`` does."""
-    slot = d_n - d_m
-    return ops.where(d_m < slot, d_m, slot)
 
 
 def _offloaded(ops, nats, d_m, h_n_sq, t_n, p_n1, p_n2):
@@ -112,8 +115,8 @@ def _phase_energies(ops, d_m, t_n, p_n1, p_n2):
 class OffloadScenario:
     """One problem instance: common task size, ordered deadlines, channel gains.
 
-    Invariants: all fields positive and finite, and ``d_m <= d_n`` (users are
-    ordered by deadline).
+    Invariants: all fields are positive finite floats (a bool, a str or an integer past
+    the float range is refused), and ``d_m <= d_n`` (users are ordered by deadline).
     """
 
     nats: float
@@ -123,11 +126,11 @@ class OffloadScenario:
     h_n_sq: float = 1.0
 
     def __post_init__(self):
-        _require_positive("nats", self.nats)
-        _require_positive("d_m", self.d_m)
-        _require_positive("d_n", self.d_n)
-        _require_positive("h_m_sq", self.h_m_sq)
-        _require_positive("h_n_sq", self.h_n_sq)
+        fields = vars(self)   # in declaration order; frozen blocks setattr, not the instance dict
+        for name, value in fields.items():
+            fields[name] = number = _real(value)
+            if not 0.0 < number < math.inf:
+                raise NomaMecError(f"{name} must be a positive finite number, got {value!r}")
         if self.d_n < self.d_m:
             raise NomaMecError(
                 f"deadlines must satisfy d_m <= d_n, got d_m={self.d_m}, d_n={self.d_n}")
@@ -148,9 +151,7 @@ class PowerSchedule:
     t_n: float
 
     def __post_init__(self):
-        _require_in("p_n1", self.p_n1, 0, math.inf)
-        _require_in("p_n2", self.p_n2, 0, math.inf)
-        _require_in("t_n", self.t_n, 0, math.inf)
+        vars(self).update({k: _require_in(k, v, 0, math.inf) for k, v in vars(self).items()})
 
 
 class StrategyKind(Enum):
@@ -185,18 +186,9 @@ def validate_scenario(
     h_m_sq: float = 1.0,
     h_n_sq: float = 1.0,
 ) -> OffloadScenario:
-    """Build a validated scenario from raw numbers.
-
-    Raises NomaMecError for degenerate sizes, deadlines or gains, and when
-    ``d_n < d_m``.
-    """
-    return OffloadScenario(
-        nats=float(nats),
-        d_m=float(d_m),
-        d_n=float(d_n),
-        h_m_sq=float(h_m_sq),
-        h_n_sq=float(h_n_sq),
-    )
+    """``OffloadScenario(nats, d_m, d_n, h_m_sq, h_n_sq)``, the same call: NomaMecError for a
+    field that is no positive finite real, and when ``d_n < d_m``."""
+    return OffloadScenario(nats, d_m, d_n, h_m_sq, h_n_sq)
 
 
 def schedule_energy(scenario: OffloadScenario, schedule: PowerSchedule) -> float:

@@ -59,8 +59,8 @@ def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> Power
     """Schedule that puts ``alpha`` of the task in the shared slot, the rest in ``t_n``,
     with the rate constraint met with equality in both phases. ``t_n`` must be positive
     and finite, ``alpha`` in [0, 1] (NomaMecError otherwise)."""
-    _require_in("t_n", t_n, 0, math.inf, "()")
-    _require_in("alpha", alpha, 0, 1)
+    t_n = _require_in("t_n", t_n, 0, math.inf, "()")
+    alpha = _require_in("alpha", alpha, 0, 1)
     return PowerSchedule(*_split_powers(_SCALAR, alpha, scenario.nats, scenario.d_m,
                                         scenario.h_n_sq, t_n), t_n=t_n)
 

@@ -22,8 +22,7 @@ from .closed_form import (
     log_oma_energy_n,
     oma_energy_n,
 )
-from .model import (_SCALAR, EnergyReport, OffloadScenario, StrategyKind, _capped_extension,
-                    _require_in)
+from .model import _SCALAR, EnergyReport, OffloadScenario, StrategyKind, _require_in
 
 
 class Regime(Enum):
@@ -77,10 +76,10 @@ def _strategy_columns(ops, nats, d_m, d_n, h_n_sq) -> _Columns:
     one-scenario value bit for bit. A column that depends on no array
     argument is a scalar or a 0-d array.
     """
-    t_star = _capped_extension(ops, d_m, d_n)
+    oma_slot = d_n - d_m
+    t_star = ops.where(d_m < oma_slot, d_m, oma_slot)   # the budget capped at d_m; ties as min
     p_n1, p_n2 = _hybrid_powers(ops, nats, d_m, h_n_sq, t_star)
     phase1, phase2 = _hybrid_phase_energies(ops, d_m, t_star, p_n1, p_n2)
-    oma_slot = d_n - d_m
     oma_feasible = oma_slot > 0.0
     regime = _regimes(ops, d_m, d_n)
     return _Columns(
@@ -129,7 +128,7 @@ def noma_oma_gap(scenario: OffloadScenario, t_n: float) -> float:
     at ``t = t_n``, non-decreasing in ``t_n`` and zero at ``t_n == d_m``. When both sides
     saturate to inf the sign is decided in the log domain (0.0 on an exact tie).
     """
-    _require_in("t_n", t_n, 0, scenario.d_m, "(]")
+    t_n = _require_in("t_n", t_n, 0, scenario.d_m, "(]")
     e_hybrid = hybrid_energy(scenario, t_n)
     e_oma = oma_energy_n(scenario, t_n)
     if math.isinf(e_hybrid) and math.isinf(e_oma):

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
 import ctypes
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -333,6 +336,62 @@ class TestSweepAndSurface:
         )
         assert code == 1
         assert "error:" in err
+
+
+# The edge corpus: the smallest subnormals, the smallest normal, a tiny, a unit and the largest
+# values, as task size, d_m and the third argument (--dn, --to or --tn) of each subcommand.
+EDGE_VALUES = ("5e-324", "1e-323", "1.5e-323", "2.2250738585072014e-308", "1e-300", "1", "1e308",
+               "1.7976931348623157e308")
+EDGE_COMMANDS = (
+    ("solve", "--dn"),
+    ("sweep", "--to", "--steps", "3"),
+    ("surface", "--tn", "--resolution", "2"),
+    ("surface", "--tn", "--resolution", "2", "--p1max", "1", "--p2max", "1"),
+)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestEdgeCorpus:
+    def test_no_exception_escapes(self):
+        # 4 x 8**3 = 2,048 commands. Each exits 0, or 1 with exactly one error line and no output.
+        escaped, bad_exits = [], []
+        for (command, third, *rest), (n, dm, x) in itertools.product(
+                EDGE_COMMANDS, itertools.product(EDGE_VALUES, repeat=3)):
+            argv = [command, "--n", n, "--dm", dm, third, x, *rest]
+            try:
+                code, out, err = run_quietly(argv)
+            except Exception as exc:
+                escaped.append(f"{' '.join(argv)}: {exc!r}")
+                continue
+            lines = err.splitlines()
+            if code not in (0, 1) or code == 1 and (
+                    out or len(lines) != 1 or not lines[0].startswith("error: ")):
+                bad_exits.append(f"{' '.join(argv)}: exit {code}, {len(out)} bytes out, {err!r}")
+        assert escaped == []
+        assert bad_exits == []
+
+    def test_subnormal_shared_slot(self):
+        # Half of d_m = 5e-324 rounds to 0; y2 is then taken whole, as 2 nats / (d_m + t_n).
+        code, out, err = run_quietly(
+            ["solve", "--n", "1e-300", "--dm", "5e-324", "--dn", "1e-323"])
+        assert (code, err) == (0, "")
+        assert "p_n1_star=0.0" in out.splitlines()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "1", "--dm", "5e-324", "--dn", "5e-324"],
+        ["sweep", "--n", "1", "--dm", "5e-324", "--to", "1e-323", "--steps", "3"],
+        ["surface", "--n", "1", "--dm", "5e-324", "--tn", "5e-324", "--resolution", "2"],
+    ], ids=["solve", "sweep", "surface"])
+    def test_subnormal_shared_slot_rates_overflow(self, argv):
+        # nats / d_m overflows: the rates read (nan, inf), refused with exit 1.
+        assert run_quietly(argv) == (
+            1, "", "error: log-domain rates must be nonnegative, got (nan, inf)\n")
 
 
 class TestVerify:

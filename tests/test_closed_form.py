@@ -178,6 +178,28 @@ class TestKktLogVars:
         assert all(math.isfinite(p) and p > 0.0 for p in powers)
         assert math.isfinite(hybrid_energy(s, 4.25e307))
 
+    def test_subnormal_shared_slot_is_not_halved(self):
+        # Below d_m = 2**-1021 a half can round (5e-324 to 0): y2 is 2 nats / (d_m + t_n) there,
+        # also in a mixed array. A zero-length extension at 5e-324 reads (nan, inf), refused.
+        assert kkt_log_vars(validate_scenario(1e-300, 5e-324, 1e-323), 5e-324).y1 == 0.0
+        with pytest.raises(NomaMecError, match=r"^log-domain rates must be nonnegative, got "
+                                               r"\(nan, inf\)$"):
+            kkt_log_vars(validate_scenario(1.0, 5e-324, 5e-324), 0.0)
+        d_m = np.array([math.nextafter(2.0 ** -1021, 0.0), 5e-324, 1.5e-323, 2.0 ** -1021])
+        y2 = _log_rates(_EXACT, 1e-300, d_m, d_m)[1]
+        assert np.array_equal(y2[:3], 2.0 * 1e-300 / (d_m[:3] + d_m[:3]))
+        assert y2[3] == 1e-300 / (0.5 * d_m[3] + 0.5 * d_m[3])
+
+    @pytest.mark.parametrize("d_m", [2.0 ** -1021, 1e-300, 1.0, 1e300, 1.7e308])
+    def test_halves_keep_their_bits_where_normal(self, d_m):
+        # From d_m = 2**-1021 on, both halves of d_m + t_n are exact: y2 is nats over their sum.
+        rng = np.random.default_rng(7)
+        nats = d_m * np.minimum(10.0 ** rng.uniform(-8.0, 8.0, 200), 1e308 / d_m)
+        t_n = d_m * rng.uniform(0.0, 1.0, 200)
+        for ops, nats_, t_n_ in ((_EXACT, nats, t_n), (_SCALAR, float(nats[0]), float(t_n[0]))):
+            y2 = _log_rates(ops, nats_, d_m, t_n_)[1]
+            assert np.array_equal(y2, nats_ / (0.5 * d_m + 0.5 * t_n_))
+
     def test_negative_rate_rejected(self):
         # A negative task gives y2 = -0.08 and y1 = -0.03; the array path names that element.
         with pytest.raises(NomaMecError, match=r"got \(-0\.03.*, -0\.08.*\)"):

@@ -1,7 +1,10 @@
 import ast
 import builtins
+import dataclasses
 import math
 import pathlib
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +16,21 @@ from noma_mec import (
     NomaMecError,
     OffloadScenario,
     PowerSchedule,
+    deadline_sweep,
+    energy_derivative,
+    energy_surface,
     hybrid_energy,
     hybrid_powers,
+    kkt_log_vars,
+    log_hybrid_energy,
+    log_oma_energy_n,
+    noma_oma_gap,
     offloaded_nats,
     oma_energy_n,
     oracle_batch,
     schedule_energy,
     select_strategy,
+    split_schedule,
     validate_scenario,
 )
 from noma_mec.model import _EXACT, _NUMPY, _SCALAR, _power, _require_in
@@ -106,9 +117,102 @@ class TestValidation:
         assert classes == ["model.NomaMecError"]
         assert issubclass(NomaMecError, ValueError)
 
+    @pytest.mark.parametrize("value", [True, False, "15", 10**400, -10**400, None, 15j, np.True_],
+                             ids=["True", "False", "str", "10**400", "-10**400", "None", "complex",
+                                  "numpy-bool"])
+    @pytest.mark.parametrize("build", [validate_scenario, OffloadScenario])
+    def test_field_must_be_a_real_number(self, build, value):
+        # A bool is an int and "15" parses, but neither is a number here; an integer past the
+        # float range reads as an infinity. The message names the field, as for 0 or NaN.
+        for field in ("nats", "d_m", "d_n", "h_m_sq", "h_n_sq"):
+            message = f"^{field} must be a positive finite number, got {re.escape(repr(value))}$"
+            with pytest.raises(NomaMecError, match=message):
+                build(**{**dict(nats=15, d_m=20, d_n=25), field: value})
+
+    def test_fields_are_stored_as_floats(self):
+        # validate_scenario is the same call as the constructor: both store float(value).
+        s = OffloadScenario(15, 20, 25)
+        assert s == OffloadScenario(15.0, 20.0, 25.0) == validate_scenario(15, 20, 25)
+        assert hash(s) == hash(OffloadScenario(15.0, 20.0, 25.0))
+        mixed = OffloadScenario(np.int64(15), np.float64(20.0), Fraction(51, 2), np.float32(0.5), 2)
+        assert mixed == OffloadScenario(15.0, 20.0, 25.5, 0.5, 2.0)
+        for built in (s, mixed, validate_scenario(15, 20, 25)):
+            assert [type(v) for v in vars(built).values()] == [float] * 5
+        # Fields run in declaration order, the order the solve output and CSV headers print.
+        assert list(vars(s)) == [f.name for f in dataclasses.fields(OffloadScenario)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.nats = 16.0
+
+    def test_deadline_order_is_checked_on_the_stored_floats(self):
+        assert OffloadScenario(15, 20, 20.0).d_n == 20.0
+        with pytest.raises(NomaMecError, match=r"^deadlines must satisfy d_m <= d_n, got d_m=20\.0,"
+                                              r" d_n=19\.0$"):
+            OffloadScenario(15, 20, 19)
+
+    def test_schedule_fields_are_stored_as_floats(self):
+        schedule = PowerSchedule(1, np.float64(2.0), Fraction(3))
+        assert vars(schedule) == {"p_n1": 1.0, "p_n2": 2.0, "t_n": 3.0}
+        assert [type(v) for v in vars(schedule).values()] == [float] * 3
+        # A schedule admits infinite powers: an integer past the float range reads as one.
+        assert PowerSchedule(10**400, 0, 0).p_n1 == math.inf
+        for field in ("p_n1", "p_n2", "t_n"):
+            for value in (True, "1"):
+                with pytest.raises(NomaMecError, match=rf"^{field} must lie in \[0, inf\], got "
+                                                       rf"{re.escape(repr(value))}$"):
+                    PowerSchedule(**{**dict(p_n1=0.0, p_n2=0.0, t_n=0.0), field: value})
+
     def test_schedule_rejects_negative_power(self):
         with pytest.raises(NomaMecError, match=r"^p_n1 must lie in \[0, inf\], got -0\.1$"):
             PowerSchedule(p_n1=-0.1, p_n2=0.0, t_n=0.0)
+
+
+# Each entry point whose scalar float argument goes through _require_in, called with the
+# argument under test: (id, parameter named in the refusal, call). With True, the value 1,
+# every call here ran before bools were refused, and every call with "1" raised a TypeError.
+TYPED_CALLS = [
+    ("hybrid_powers", "t_n", lambda v: hybrid_powers(ANCHOR, v)),
+    ("hybrid_energy", "t_n", lambda v: hybrid_energy(ANCHOR, v)),
+    ("kkt_log_vars", "t_n", lambda v: kkt_log_vars(ANCHOR, v)),
+    ("energy_derivative", "t_n", lambda v: energy_derivative(ANCHOR, v)),
+    ("log_hybrid_energy", "t_n", lambda v: log_hybrid_energy(ANCHOR, v)),
+    ("oma_energy_n", "slot", lambda v: oma_energy_n(ANCHOR, v)),
+    ("log_oma_energy_n", "slot", lambda v: log_oma_energy_n(ANCHOR, v)),
+    ("noma_oma_gap", "t_n", lambda v: noma_oma_gap(ANCHOR, v)),
+    ("split_schedule-t_n", "t_n", lambda v: split_schedule(ANCHOR, v, 0.5)),
+    ("split_schedule-alpha", "alpha", lambda v: split_schedule(ANCHOR, 5.0, v)),
+    ("energy_surface-t_n", "t_n", lambda v: energy_surface(ANCHOR, v, resolution=2)),
+    ("energy_surface-p1_max", "p1_max", lambda v: energy_surface(ANCHOR, 5.0, v, 1.0, 2)),
+    ("energy_surface-p2_max", "p2_max", lambda v: energy_surface(ANCHOR, 5.0, 1.0, v, 2)),
+    ("PowerSchedule", "p_n1", lambda v: PowerSchedule(v, 0.0, 0.0)),
+]
+
+
+class TestTypedParameters:
+    @pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+    @pytest.mark.parametrize("name, call", [case[1:] for case in TYPED_CALLS],
+                             ids=[case[0] for case in TYPED_CALLS])
+    def test_bool_and_str_refused(self, name, call, value):
+        with pytest.raises(NomaMecError, match=rf"^{name} must lie in .*, got "
+                                               rf"{re.escape(repr(value))}$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+    @pytest.mark.parametrize("label, call", [
+        ("from", lambda v: deadline_sweep(1.0, 0.5, v, 2.0, 5)),
+        ("to", lambda v: deadline_sweep(1.0, 0.5, 0.5, v, 5)),
+    ], ids=["d_n_from", "d_n_to"])
+    def test_sweep_bounds_refuse_bool_and_str(self, label, call, value):
+        # At d_m = 0.5 the value 1 is a valid bound: only its type is at fault.
+        with pytest.raises(NomaMecError, match=rf"^need d_m <= d_n_from < d_n_to, got .*"
+                                               rf"{label}={re.escape(repr(value))}"):
+            call(value)
+
+    def test_numbers_of_other_types_still_pass(self):
+        # numpy scalars, plain ints and Fractions are real numbers: they read as their floats.
+        assert hybrid_powers(ANCHOR, np.float32(5.0)) == hybrid_powers(ANCHOR, 5)
+        assert hybrid_energy(ANCHOR, np.float32(5.0)) == hybrid_energy(ANCHOR, 5.0)
+        assert oma_energy_n(ANCHOR, Fraction(5)) == oma_energy_n(ANCHOR, np.int64(5))
+        assert deadline_sweep(1.0, 0.5, 1, 2, 3).d_n == [1.0, 1.5, 2.0]
 
 
 class TestScheduleEnergy:
