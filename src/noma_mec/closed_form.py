@@ -54,14 +54,6 @@ def kkt_log_vars(scenario: OffloadScenario, t_n: float) -> LogRates:
     return LogRates(*_log_rates(_SCALAR, scenario.nats, scenario.d_m, t_n))
 
 
-def _hybrid_powers(ops, nats, d_m, h_n_sq, t_n):
-    """``hybrid_powers`` elementwise over valid fields; raises as ``_log_rates`` does. Pure NOMA
-    is the case ``t_n == 0``."""
-    y1, y2 = _log_rates(ops, nats, d_m, t_n)
-    rate_dm = nats / d_m
-    return _power(ops, y1, h_n_sq, rate_dm, ops.exp(rate_dm)), _power(ops, y2, h_n_sq)
-
-
 def _hybrid_phase_energies(ops, d_m, t_n, p_n1, p_n2):
     """Phase energies of the fixed-extension optimum, elementwise. Where ``p_n1 == 0`` phase 2
     carries the whole task at ``y2 == nats/d_m``, which takes ``d_m``: just below ``t_n == d_m``
@@ -87,9 +79,9 @@ def _optimum_at(scenario: OffloadScenario, t_n: float) -> tuple[float, float, fl
 def hybrid_powers(scenario: OffloadScenario, t_n: float) -> tuple[float, float]:
     """Optimal powers (p_n1, p_n2) for a fixed extension ``t_n`` in [0, d_m], meeting the rate
     constraint with equality; ``p_n1`` is the pure-NOMA power at 0 and exactly 0 at ``d_m``."""
-    t_n = _require_in("t_n", t_n, 0, scenario.d_m)
-    p_n1, p_n2 = _hybrid_powers(_SCALAR, scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
-    return float(p_n1), float(p_n2)
+    y1, y2 = kkt_log_vars(scenario, t_n)
+    rate_dm, h_n_sq = scenario.nats / scenario.d_m, scenario.h_n_sq
+    return _power(_SCALAR, y1, h_n_sq, rate_dm, _SCALAR.exp(rate_dm)), _power(_SCALAR, y2, h_n_sq)
 
 
 def hybrid_energy(scenario: OffloadScenario, t_n: float) -> float:

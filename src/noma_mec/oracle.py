@@ -30,7 +30,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import (_NUMPY, _SCALAR, NomaMecError, OffloadScenario, PowerSchedule, _power,
+from .model import (_NUMPY, _SCALAR, NomaMecError, OffloadScenario, PowerSchedule, _power, _real,
                     _require_in, _saturates, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -93,15 +93,12 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         raise NomaMecError(f"{('nats', 'd_m', 'h_n_sq', 't_n')[i]} must be a positive finite"
                            f" number, got {float(fields[i, k])!r} in lane {k}")
 
-    def nonnegative(a, b):   # as PowerSchedule checks a schedule's powers
-        if not (np.minimum(a, b) >= 0.0).all():
-            raise NomaMecError("split powers must be nonnegative")
-        return a, b
-
     def split_energy(alpha):   # phase energies: power times length is _power over h/length
-        return np.add(*nonnegative(
-            _power(_NUMPY, alpha * rate_dm, h_per_dm, rate_dm, exp_rate_dm, can_saturate[0]),
-            _power(_NUMPY, (1.0 - alpha) * rate_tn, h_per_tn, can_saturate=can_saturate[1])))
+        phase1 = _power(_NUMPY, alpha * rate_dm, h_per_dm, rate_dm, exp_rate_dm, can_saturate[0])
+        phase2 = _power(_NUMPY, (1.0 - alpha) * rate_tn, h_per_tn, can_saturate=can_saturate[1])
+        np.minimum(floor, phase1, out=floor)   # a NaN sticks, so it fails the verdict too
+        np.minimum(floor, phase2, out=floor)
+        return phase1 + phase2
 
     with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
         rate_dm, rate_tn = nats / d_m, nats / t_n
@@ -112,6 +109,7 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
                         np.count_nonzero(_saturates(rate_tn)))
         # Brackets [lo, lo + width], with f_lo, f_hi at lo + (1 - _INV_PHI, _INV_PHI) * width.
         lo, width = np.zeros(t_n.size), 1.0
+        floor = np.zeros(t_n.size)   # each lane's least phase power so far, or 0
         f_lo, f_hi = split_energy(lo + (1.0 - _INV_PHI)), split_energy(lo + _INV_PHI)
         for _ in range(_STEPS):
             # Keep the left part where f_lo < f_hi or where phase 1 saturates at the lower inner
@@ -127,8 +125,10 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         # 2 + _STEPS + 3 evaluations. The right end rounds past 1 if every step goes right.
         hi = np.minimum(lo + width, 1.0)
         candidates = np.stack((lo, 0.5 * (lo + hi), hi))
-        p_n1, p_n2 = nonnegative(*_split_powers(_NUMPY, candidates, nats, d_m, h_n_sq, t_n,
-                                                can_saturate))
+        p_n1, p_n2 = _split_powers(_NUMPY, candidates, nats, d_m, h_n_sq, t_n, can_saturate)
+        # One verdict per search, on every evaluation and candidate, as PowerSchedule checks powers.
+        if not (np.minimum(floor, np.minimum(p_n1, p_n2).min(axis=0)) >= 0.0).all():
+            raise NomaMecError("split powers must be nonnegative")
         energies = d_m * p_n1 + t_n * p_n2
         best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
         return p_n1[best, lane], p_n2[best, lane], energies[best, lane]
@@ -136,8 +136,11 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def oracle_fixed_t(scenario: OffloadScenario, t_n: float) -> OracleResult:
     """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
-    p_n1, p_n2, energy = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, t_n)
-    return OracleResult(float(p_n1[0]), float(p_n2[0]), t_n, float(energy[0]))
+    number = _real(t_n)   # NaN for a bool or a str; oracle_batch refuses the other bad reals
+    if math.isnan(number):
+        raise NomaMecError(f"t_n must be a positive finite number, got {t_n!r}")
+    p_n1, p_n2, energy = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, number)
+    return OracleResult(float(p_n1[0]), float(p_n2[0]), number, float(energy[0]))
 
 
 def oracle_joint(scenario: OffloadScenario) -> OracleResult:

@@ -15,14 +15,14 @@ from enum import Enum
 
 from .closed_form import (
     _hybrid_phase_energies,
-    _hybrid_powers,
+    _log_rates,
     _oma_energy,
     hybrid_energy,
     log_hybrid_energy,
     log_oma_energy_n,
     oma_energy_n,
 )
-from .model import _SCALAR, EnergyReport, OffloadScenario, StrategyKind, _require_in
+from .model import _SCALAR, EnergyReport, OffloadScenario, StrategyKind, _power, _require_in
 
 
 class Regime(Enum):
@@ -78,13 +78,17 @@ def _strategy_columns(ops, nats, d_m, d_n, h_n_sq) -> _Columns:
     """
     oma_slot = d_n - d_m
     t_star = ops.where(d_m < oma_slot, d_m, oma_slot)   # the budget capped at d_m; ties as min
-    p_n1, p_n2 = _hybrid_powers(ops, nats, d_m, h_n_sq, t_star)
+    y1, y2 = _log_rates(ops, nats, d_m, t_star)
+    rate_dm = nats / d_m
+    exp_rate_dm = ops.exp(rate_dm)
+    p_n1, p_n2 = _power(ops, y1, h_n_sq, rate_dm, exp_rate_dm), _power(ops, y2, h_n_sq)
     phase1, phase2 = _hybrid_phase_energies(ops, d_m, t_star, p_n1, p_n2)
     oma_feasible = oma_slot > 0.0
     regime = _regimes(ops, d_m, d_n)
     return _Columns(
         t_star, p_n1, p_n2, phase1, phase2, phase1 + phase2,
-        d_m * _hybrid_powers(ops, nats, d_m, h_n_sq, 0.0)[0],   # pure NOMA: hybrid at t_n == 0
+        # Pure NOMA, the shared slot alone: hybrid at t_n == 0, where y1 is nats/d_m itself.
+        d_m * _power(ops, rate_dm, h_n_sq, rate_dm, exp_rate_dm),
         _oma_energy(ops, nats, h_n_sq, oma_slot),   # inf where the slot is empty
         oma_feasible, regime,
         # Hybrid up to the hybrid regime; from the boundary tie on, OMA.

@@ -112,6 +112,16 @@ class TestOracleFixedT:
         with pytest.raises(NomaMecError, match="^t_n must be a positive finite number, got inf in"):
             oracle_fixed_t(ANCHOR, math.inf)
 
+    @pytest.mark.parametrize("t_n", [True, "5"])
+    def test_bool_or_str_extension_refused(self, t_n):
+        # oracle_batch's float conversion would read them as 1.0 and 5.0.
+        with pytest.raises(NomaMecError, match=f"^t_n must be a positive finite number, got {t_n!r}$"):
+            oracle_fixed_t(ANCHOR, t_n)
+
+    def test_extension_returned_as_float(self):
+        result = oracle_fixed_t(ANCHOR, np.float32(5.0))
+        assert type(result.t_n) is float and result == oracle_fixed_t(ANCHOR, 5.0)
+
     def test_phase1_saturated_tie_moves_left(self):
         result = oracle_fixed_t(PHASE1_TIE, 0.9)
         assert result.energy == pytest.approx(hybrid_energy(PHASE1_TIE, 0.9), rel=1e-11)
@@ -378,6 +388,12 @@ class TestSaturatedSearch:
         pytest.param(lambda ops, y, h_sq, rate_dm=0.0, exp_rate_dm=None, can_saturate=True:
                      -y if exp_rate_dm is None else y, NomaMecError,
                      id="solo phase negative"),
+        # Negative, or NaN, in the search's evaluations only, never on the three final
+        # candidates (the one two-dimensional call): the search still fails the powers.
+        pytest.param(lambda ops, y, *rest, **kwargs: -y if np.ndim(y) == 1 else y, NomaMecError,
+                     id="negative in the loop only"),
+        pytest.param(lambda ops, y, *rest, **kwargs: np.where(np.ndim(y) == 1, math.nan, y),
+                     NomaMecError, id="NaN in the loop only"),
     ])
     def test_caller_error_state_restored(self, monkeypatch, power_rule, error):
         if power_rule is not None:

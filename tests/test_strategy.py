@@ -1,5 +1,7 @@
+import collections
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,9 @@ from noma_mec import (
     select_strategy,
     validate_scenario,
 )
+import noma_mec.strategy
+from noma_mec.model import _EXACT, _SCALAR
+from noma_mec.strategy import _REGIMES, _strategy_columns
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
@@ -272,3 +277,64 @@ class TestOmaRegimeComparisons:
         e_oma = oma_energy_n(s, slot)
         assert e_oma <= select_strategy(s).pure_noma.energy + 1e-9
         assert e_oma <= oma_energy_n(s, s.d_m) + 1e-9
+
+
+def _corpus_fields(corpus):
+    """The ``(nats, d_m, d_n, h_n_sq)`` arrays ``_strategy_columns`` takes, one element each."""
+    return [np.array([getattr(s, name) for s in corpus]) for name in ("nats", "d_m", "d_n", "h_n_sq")]
+
+
+class TestStrategyColumns:
+    @pytest.mark.parametrize("ops, fields", [
+        (_SCALAR, (ANCHOR.nats, ANCHOR.d_m, ANCHOR.d_n, ANCHOR.h_n_sq)),
+        (_EXACT, _corpus_fields(identity_corpus())),
+    ], ids=["scalar", "exact arrays"])
+    def test_each_exponential_once(self, monkeypatch, ops, fields):
+        # One exp(nats/d_m), shared by hybrid and pure NOMA, and one expm1 per power: the
+        # hybrid's two, pure NOMA's and OMA's. One pass per call, over every element.
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        ops = ops._replace(exp=counted("exp", ops.exp), expm1=counted("expm1", ops.expm1))
+        monkeypatch.setattr(noma_mec.strategy, "_log_rates",
+                            counted("_log_rates", noma_mec.strategy._log_rates))
+        with np.errstate(all="ignore"):
+            _strategy_columns(ops, *fields)
+        assert calls == {"exp": 1, "expm1": 4, "_log_rates": 1}
+
+    def test_array_fields_equal_select_strategy_bit_for_bit(self):
+        # Every field an array, as the campaign passes them: each column element is the
+        # scenario's own select_strategy value, in every regime and on the saturated rows.
+        corpus = identity_corpus()
+        with np.errstate(all="ignore"):
+            c = _strategy_columns(_EXACT, *_corpus_fields(corpus))
+        tables = [select_strategy(s) for s in corpus]
+        assert {t.regime for t in tables} == set(Regime)
+        assert np.isinf(c.e_hybrid).any() and np.isinf(c.e_pure).any()
+        want = {
+            "t_star": [t.t_star for t in tables],
+            "p_n1": [t.p_n1_star for t in tables],
+            "p_n2": [t.p_n2_star for t in tables],
+            "hybrid_phase1": [t.hybrid.phase1_energy for t in tables],
+            "hybrid_phase2": [t.hybrid.phase2_energy for t in tables],
+            "e_hybrid": [t.hybrid.energy for t in tables],
+            "e_pure": [t.pure_noma.energy for t in tables],
+            "e_oma": [t.oma.energy for t in tables],
+        }
+        for name, values in want.items():
+            assert getattr(c, name).tobytes() == np.array(values).tobytes(), name
+        assert c.oma_feasible.tolist() == [t.oma.feasible for t in tables]
+        assert [_REGIMES[k] for k in c.regime] == [t.regime for t in tables]
+        assert c.selected.tolist() == [t.selected for t in tables]
+
+    def test_pure_noma_rate_is_nats_over_d_m_itself(self):
+        # nats/d_m = 3.3e-321 is subnormal, so y2 at t_n = 0 is not exactly twice it, and
+        # y2 - nats/d_m is an ulp off nats/d_m. Pure NOMA carries nats/d_m itself and stays
+        # at or above the hybrid energy; the difference would give 9.99e-321, below it.
+        table = select_strategy(validate_scenario(1e-320, 3.0, 4.5))
+        assert table.pure_noma.energy == 1.0005e-320 >= table.hybrid.energy
