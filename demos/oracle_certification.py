@@ -11,7 +11,7 @@ from noma_mec import (
     energy_surface,
     hybrid_energy,
     hybrid_powers,
-    oracle_fixed_t,
+    oracle_batch,
     oracle_joint,
     validate_scenario,
     verification_campaign,
@@ -23,11 +23,12 @@ def main():
     t_star = 5.0
 
     closed = hybrid_energy(scenario, t_star)
-    probe = oracle_fixed_t(scenario, t_star)
+    # One search lane: the scenario's fields and the extension; many lanes search at once.
+    probe = float(oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, t_star)[2][0])
     print("fixed-extension search (golden section over the task split):")
     print(f"  closed form : {closed:.12f}")
-    print(f"  oracle      : {probe.energy:.12f}   (alpha bracket at most 1e-10 wide)")
-    print(f"  rel. error  : {abs(probe.energy - closed) / closed:.3e}")
+    print(f"  oracle      : {probe:.12f}   (alpha bracket at most 1e-10 wide)")
+    print(f"  rel. error  : {abs(probe - closed) / closed:.3e}")
 
     joint = oracle_joint(scenario)
     print("\njoint search over the extension grid:")

@@ -44,7 +44,6 @@ from .model import (
 from .oracle import (
     OracleResult,
     oracle_batch,
-    oracle_fixed_t,
     oracle_joint,
     split_schedule,
 )

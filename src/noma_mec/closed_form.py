@@ -32,10 +32,10 @@ def _log_rates(ops, nats, d_m, t_n):
     rate_dm = nats / d_m
     # In halves, as 2 * nats and d_m + t_n can overflow, but whole below d_m = 2**-1021, where a
     # half can round (5e-324 to 0) and no part overflows unless y2 does; same bits where both can.
+    # At t_n == 0 y2 is 2 * rate_dm itself, which the quotient misses where rate_dm is subnormal.
     half = ops.where(d_m < 2.0 ** -1021, 1.0, 0.5)
-    y2 = 2.0 * half * nats / (half * d_m + half * t_n)
-    # rate_dm lies in [y2/2, y2], so this subtraction is exact (Sterbenz);
-    # y2 - y1 == rate_dm then holds bit-for-bit, and y1 == 0.0 exactly at t_n == d_m.
+    y2 = ops.where(t_n == 0.0, 2.0 * rate_dm, 2.0 * half * nats / (half * d_m + half * t_n))
+    # rate_dm lies in [y2/2, y2], so y1 is exact (Sterbenz): y2 - y1 == rate_dm, 0.0 at t_n == d_m.
     y1 = y2 - rate_dm
     ok = (y1 >= 0.0) & (y2 >= 0.0)
     if not ops.all(ok):

@@ -19,8 +19,7 @@ import numpy as np
 from ._version import __version__
 from .closed_form import _optimum_at, hybrid_powers
 from .model import (_EXACT, _MAX_ROWS, _NUMPY, NomaMecError, OffloadScenario, StrategyKind,
-                    _offloaded, _phase_energies, _real, _require_in, _require_integer,
-                    validate_scenario)
+                    _offloaded, _phase_energies, _real, _require_in, _shown, validate_scenario)
 from .oracle import oracle_batch
 from .strategy import _strategy_columns
 
@@ -114,16 +113,15 @@ def deadline_sweep(
     pure NOMA, and OMA over the dedicated slot ``d_n - d_m`` (``inf`` when
     that slot is empty). ``steps`` must be an integer in [2, 1,000,000].
     """
-    _require_integer("steps", steps)
-    _require_in("steps", steps, 2, _MAX_ROWS)
+    _require_in("steps", steps, 2, _MAX_ROWS, integer=True)
     # The fields first, so that a bad d_m is named; the order and finiteness checks then cover d_n.
     scenario = validate_scenario(nats, d_m, d_m, h_m_sq, h_n_sq)
     low, high = _real(d_n_from), _real(d_n_to)   # NaN, which fails the order, for a bool or str
     if not (scenario.d_m <= low < high):
-        raise NomaMecError(
-            f"need d_m <= d_n_from < d_n_to, got d_m={d_m}, from={d_n_from!r}, to={d_n_to!r}")
+        raise NomaMecError(f"need d_m <= d_n_from < d_n_to, got d_m={d_m},"
+                           f" from={_shown(d_n_from)}, to={_shown(d_n_to)}")
     if not math.isfinite(high):
-        raise NomaMecError(f"d_n_to must be finite, got {d_n_to!r}")
+        raise NomaMecError(f"d_n_to must be finite, got {_shown(d_n_to)}")
     d_n = np.linspace(low, high, steps)
     with np.errstate(all="ignore"):
         c = _strategy_columns(_EXACT, scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
@@ -142,11 +140,10 @@ def verification_campaign(seed: int, count: int) -> CampaignSummary:
     integer in [1, 1,000,000]. Failures, including a non-finite error or
     excess, are reported in the summary, never raised.
     """
-    _require_integer("count", count)
-    _require_in("count", count, 1, _MAX_ROWS)
-    _require_integer("seed", seed)
+    _require_in("count", count, 1, _MAX_ROWS, integer=True)
+    _require_in("seed", seed, -math.inf, math.inf, integer=True)
     if seed < 0:
-        raise NomaMecError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise NomaMecError(f"seed must be a nonnegative integer, got {_shown(seed)}")
     rng = np.random.Generator(np.random.Philox(seed))
     max_rel_err = max_violation = 0.0
     for start in range(0, count, _CHUNK_ROWS):
@@ -240,8 +237,7 @@ def energy_surface(
     [2, 1000], at most 1,000,000 samples; otherwise NomaMecError is raised.
     """
     t_n = _require_in("t_n", t_n, 0, math.inf, "()")
-    _require_integer("resolution", resolution)
-    _require_in("resolution", resolution, 2, math.isqrt(_MAX_ROWS))
+    _require_in("resolution", resolution, 2, math.isqrt(_MAX_ROWS), integer=True)
     if p1_max is None or p2_max is None:
         star1, star2, _ = _optimum_at(scenario, t_n)
         if p1_max is None:

@@ -47,20 +47,40 @@ def _real(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):   # bool is an int
-        raise NomaMecError(f"{name} must be an integer, got {value!r}")
+def _real_lanes(name: str, value) -> np.ndarray:
+    """``value``, a positive finite number or an array of them, flat as floats, each element read
+    as ``_real`` reads one; NomaMecError names ``name``, the first bad lane and what it holds."""
+    numeric = isinstance(value, np.ndarray) and value.dtype.kind in "fiu"   # read at once
+    elements = np.asarray(value, dtype=float if numeric else object).ravel()
+    lanes = elements if numeric else np.fromiter(map(_real, elements.tolist()), float, elements.size)
+    bad = ~((0.0 < lanes) & (lanes < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))   # shown as a float, or as the caller gave it
+        raise NomaMecError(f"{name} must be a positive finite number,"
+                           f" got {_shown(elements.tolist()[k])} in lane {k}")
+    return lanes
 
 
-def _require_in(name: str, value, low, high, ends: str = "[]") -> float:
+def _shown(value) -> str:
+    """``repr(value)``; for an int past the 4,300 digits Python prints (or a list holding one),
+    its type in angle brackets, as ``sys.set_int_max_str_digits`` is a process-wide setting."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _require_in(name: str, value, low, high, ends: str = "[]", integer: bool = False) -> float:
     """``value`` as a float; ``NomaMecError`` unless it lies between ``low`` and ``high``, each end
-    closed (``[``, ``]``) or open (``(``, ``)``) as ``ends`` says. NaN, a bool and a str lie in
-    no interval."""
+    closed (``[``, ``]``) or open (``(``, ``)``) as ``ends`` says, and, if ``integer``, is an int
+    (first checked). NaN, a bool and a str lie in no interval, and a bool is no integer."""
+    if integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise NomaMecError(f"{name} must be an integer, got {_shown(value)}")
     number = _real(value)
     above = low < number if ends[0] == "(" else low <= number
     below = number < high if ends[1] == ")" else number <= high
     if not (above and below):
-        raise NomaMecError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+        raise NomaMecError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {_shown(value)}")
     return number
 
 
@@ -130,7 +150,7 @@ class OffloadScenario:
         for name, value in fields.items():
             fields[name] = number = _real(value)
             if not 0.0 < number < math.inf:
-                raise NomaMecError(f"{name} must be a positive finite number, got {value!r}")
+                raise NomaMecError(f"{name} must be a positive finite number, got {_shown(value)}")
         if self.d_n < self.d_m:
             raise NomaMecError(
                 f"deadlines must satisfy d_m <= d_n, got d_m={self.d_m}, d_n={self.d_n}")

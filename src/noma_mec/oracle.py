@@ -30,8 +30,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import (_NUMPY, _SCALAR, NomaMecError, OffloadScenario, PowerSchedule, _power, _real,
-                    _require_in, _saturates, schedule_energy)
+from .model import (_NUMPY, _SCALAR, NomaMecError, OffloadScenario, PowerSchedule, _power,
+                    _real_lanes, _require_in, _saturates, schedule_energy)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps per lane: the first k whose bracket on alpha, _INV_PHI**k wide, is at
@@ -77,21 +77,14 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
     p_n2, energy)``, one entry per lane. The search effort is fixed: every
     lane takes ``_STEPS + 5`` objective evaluations.
 
-    Every lane field must be positive and finite, ``t_n`` too, as in
-    ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
+    Every lane field must be a positive finite real (no bool, str or complex), as
+    ``t_n`` in ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
     The NomaMecError names the field and the first bad lane. Each lane's returned
     point is the best of its final bracket's endpoints and midpoint, never
     worse than any alpha-grid sample at resolution 1e-10.
     """
-    nats, d_m, h_n_sq, t_n = lanes = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float).ravel() for x in (nats, d_m, h_n_sq, t_n))
-    )
-    fields = np.stack(lanes)
-    bad = ~((0.0 < fields) & (fields < math.inf))
-    if bad.any():
-        i, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise NomaMecError(f"{('nats', 'd_m', 'h_n_sq', 't_n')[i]} must be a positive finite"
-                           f" number, got {float(fields[i, k])!r} in lane {k}")
+    nats, d_m, h_n_sq, t_n = np.broadcast_arrays(*map(
+        _real_lanes, ("nats", "d_m", "h_n_sq", "t_n"), (nats, d_m, h_n_sq, t_n)))
 
     def split_energy(alpha):   # phase energies: power times length is _power over h/length
         phase1 = _power(_NUMPY, alpha * rate_dm, h_per_dm, rate_dm, exp_rate_dm, can_saturate[0])
@@ -100,7 +93,7 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         np.minimum(floor, phase2, out=floor)
         return phase1 + phase2
 
-    with np.errstate(over="ignore", invalid="ignore"):   # saturated lanes overflow
+    with np.errstate(all="ignore"):   # saturated lanes overflow, folded gains can underflow
         rate_dm, rate_tn = nats / d_m, nats / t_n
         exp_rate_dm = np.exp(rate_dm)
         h_per_dm, h_per_tn = h_n_sq / d_m, h_n_sq / t_n
@@ -132,15 +125,6 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         energies = d_m * p_n1 + t_n * p_n2
         best, lane = np.argmin(energies, axis=0), np.arange(t_n.size)
         return p_n1[best, lane], p_n2[best, lane], energies[best, lane]
-
-
-def oracle_fixed_t(scenario: OffloadScenario, t_n: float) -> OracleResult:
-    """Minimize the constraint-split energy over ``alpha``: ``oracle_batch`` of one search."""
-    number = _real(t_n)   # NaN for a bool or a str; oracle_batch refuses the other bad reals
-    if math.isnan(number):
-        raise NomaMecError(f"t_n must be a positive finite number, got {t_n!r}")
-    p_n1, p_n2, energy = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, number)
-    return OracleResult(float(p_n1[0]), float(p_n2[0]), number, float(energy[0]))
 
 
 def oracle_joint(scenario: OffloadScenario) -> OracleResult:

@@ -223,6 +223,11 @@ class TestHybridEnergy:
 
     def test_zero_extension_equals_pure_noma_bitwise(self):
         assert hybrid_energy(ANCHOR, 0.0) == select_strategy(ANCHOR).pure_noma.energy
+        # nats/d_m = 3.3e-321 is subnormal: y2 at t_n = 0 is twice it only when taken so, not
+        # as the quotient nats/(d_m/2), which would read 9.99e-321 here.
+        subnormal = validate_scenario(1e-320, 3.0, 4.5)
+        assert hybrid_energy(subnormal, 0.0) == select_strategy(subnormal).pure_noma.energy
+        assert hybrid_energy(subnormal, 0.0) == 1.0005e-320 == hybrid_energy(subnormal, 1.5)
         corpus = identity_corpus()
         assert any(hybrid_energy(s, 0.0) == math.inf for s in corpus)
         for s in corpus:

@@ -50,7 +50,7 @@ def test_public_names_are_pinned():
         "__version__", "classify_regime", "deadline_sweep",
         "energy_derivative", "energy_surface", "hybrid_energy", "hybrid_powers", "kkt_log_vars",
         "log_hybrid_energy", "log_oma_energy_n", "noma_oma_gap", "offloaded_nats", "oma_energy_n",
-        "oma_power_m", "oracle_batch", "oracle_fixed_t", "oracle_joint", "render_campaign_summary",
+        "oma_power_m", "oracle_batch", "oracle_joint", "render_campaign_summary",
         "render_surface_csv", "render_sweep_csv", "schedule_energy", "select_strategy",
         "split_schedule", "validate_scenario", "verification_campaign",
     ]

@@ -32,6 +32,7 @@ from noma_mec import (
     select_strategy,
     split_schedule,
     validate_scenario,
+    verification_campaign,
 )
 from noma_mec.model import _EXACT, _NUMPY, _SCALAR, _power, _require_in
 
@@ -128,6 +129,26 @@ class TestValidation:
             message = f"^{field} must be a positive finite number, got {re.escape(repr(value))}$"
             with pytest.raises(NomaMecError, match=message):
                 build(**{**dict(nats=15, d_m=20, d_n=25), field: value})
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: validate_scenario(10**5000, 1, 2),
+         "nats must be a positive finite number, got <int too long to print>"),
+        (lambda: hybrid_energy(ANCHOR, 10**5000),
+         "t_n must lie in [0, 20.0], got <int too long to print>"),
+        (lambda: deadline_sweep(15, 20, 20, 40, 10**5000),
+         "steps must lie in [2, 1000000], got <int too long to print>"),
+        (lambda: deadline_sweep(15, 20, 20, 10**5000, 3),
+         "d_n_to must be finite, got <int too long to print>"),
+        (lambda: verification_campaign(-10**5000, 3),
+         "seed must be a nonnegative integer, got <int too long to print>"),
+        (lambda: split_schedule(ANCHOR, 5.0, [10**5000]),
+         "alpha must lie in [0, 1], got <list too long to print>"),
+    ], ids=["scenario field", "t_n", "steps", "d_n_to", "seed", "list holding one"])
+    def test_integer_too_long_to_print_is_refused_by_name(self, call, message):
+        # Python's repr refuses an int of more than 4,300 digits with a plain ValueError; the
+        # refusal names the parameter and the value's type instead.
+        with pytest.raises(NomaMecError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_fields_are_stored_as_floats(self):
         # validate_scenario is the same call as the constructor: both store float(value).

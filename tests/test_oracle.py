@@ -21,7 +21,6 @@ from noma_mec import (
     hybrid_powers,
     offloaded_nats,
     oma_energy_n,
-    oracle_fixed_t,
     oracle_joint,
     schedule_energy,
     select_strategy,
@@ -82,49 +81,79 @@ class TestSplitParametrization:
                 call(length)
 
 
-class TestOracleFixedT:
+def _one_lane(s, t_n):
+    """``oracle_batch``'s search of one lane, the scenario ``s`` at extension ``t_n``: floats."""
+    return tuple(float(a[0]) for a in oracle_batch(s.nats, s.d_m, s.h_n_sq, t_n))
+
+
+class TestFixedExtensionSearch:
     def test_agrees_with_closed_form_at_reference(self):
-        result = oracle_fixed_t(ANCHOR, 5.0)
-        assert result.energy == pytest.approx(35.66291, abs=1e-4)
-        assert result.energy == pytest.approx(hybrid_energy(ANCHOR, 5.0), rel=1e-5)
-        assert result.p_n1 == pytest.approx(1.203116, abs=1e-5)
-        assert result.p_n2 == pytest.approx(2.320117, abs=1e-5)
+        p_n1, p_n2, energy = _one_lane(ANCHOR, 5.0)
+        assert energy == pytest.approx(35.66291, abs=1e-4)
+        assert energy == pytest.approx(hybrid_energy(ANCHOR, 5.0), rel=1e-5)
+        assert p_n1 == pytest.approx(1.203116, abs=1e-5)
+        assert p_n2 == pytest.approx(2.320117, abs=1e-5)
 
     def test_boundary_extension(self):
-        result = oracle_fixed_t(ANCHOR, 20.0)
-        assert result.energy == pytest.approx(22.34000, abs=1e-4)
-        assert result.p_n1 == pytest.approx(0.0, abs=1e-6)
+        p_n1, _, energy = _one_lane(ANCHOR, 20.0)
+        assert energy == pytest.approx(22.34000, abs=1e-4)
+        assert p_n1 == pytest.approx(0.0, abs=1e-6)
 
     def test_never_worse_than_alpha_grid(self):
         # A scan at spacing 1e-4 can only sit above the full 1e-10 grid,
         # so beating it (up to ulp noise) is the decidable form of the claim.
-        result = oracle_fixed_t(ANCHOR, 5.0)
+        energy = _one_lane(ANCHOR, 5.0)[2]
         spacing = 1e-4
         grid_best = min(
             schedule_energy(ANCHOR, split_schedule(ANCHOR, 5.0, k * spacing))
             for k in range(int(1.0 / spacing) + 1)
         )
-        assert result.energy <= grid_best * (1.0 + 1e-12)
+        assert energy <= grid_best * (1.0 + 1e-12)
 
     def test_preconditions(self):
         with pytest.raises(NomaMecError, match="^t_n must be a positive finite number, got 0.0 in"):
-            oracle_fixed_t(ANCHOR, 0.0)
+            _one_lane(ANCHOR, 0.0)
         with pytest.raises(NomaMecError, match="^t_n must be a positive finite number, got inf in"):
-            oracle_fixed_t(ANCHOR, math.inf)
+            _one_lane(ANCHOR, math.inf)
 
-    @pytest.mark.parametrize("t_n", [True, "5"])
-    def test_bool_or_str_extension_refused(self, t_n):
-        # oracle_batch's float conversion would read them as 1.0 and 5.0.
-        with pytest.raises(NomaMecError, match=f"^t_n must be a positive finite number, got {t_n!r}$"):
-            oracle_fixed_t(ANCHOR, t_n)
+    @pytest.mark.parametrize("field", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad, shown", [
+        # A float conversion would read the first three as 1.0, 1.0 and 5.0.
+        (True, "True"), (np.bool_(True), repr(np.bool_(True))), ("5", "'5'"), (b"5", "b'5'"),
+        (5 + 0j, r"\(5\+0j\)"), (None, "None"), (10**400, "1" + "0" * 400),
+        # Python prints no int of more than 4,300 digits; the message names its type.
+        (10**5000, "<int too long to print>"), (-10**5000, "<int too long to print>"),
+    ], ids=["True", "np.True_", "str", "bytes", "complex", "None", "10**400", "10**5000",
+            "-10**5000"])
+    def test_non_number_lane_refused_by_name(self, field, bad, shown):
+        lanes = [15.0, 20.0, 1.0, 5.0]
+        lanes[field] = bad
+        name = ("nats", "d_m", "h_n_sq", "t_n")[field]
+        with pytest.raises(NomaMecError,
+                           match=f"^{name} must be a positive finite number, got {shown} in lane 0$"):
+            oracle_batch(*lanes)
+        # Among float lanes too, by its lane: the second of three.
+        lanes[field] = np.array([(15.0, 20.0, 1.0, 5.0)[field]] * 3, dtype=object)
+        lanes[field][1] = bad
+        with pytest.raises(NomaMecError, match=f"^{name} must .*, got {shown} in lane 1$"):
+            oracle_batch(*lanes)
 
-    def test_extension_returned_as_float(self):
-        result = oracle_fixed_t(ANCHOR, np.float32(5.0))
-        assert type(result.t_n) is float and result == oracle_fixed_t(ANCHOR, 5.0)
+    @pytest.mark.parametrize("t_n", [np.float32(5.0), np.int64(5), np.uint64(5), 5, [5.0],
+                                     np.array([5], dtype=np.int32)],
+                             ids=["float32", "int64", "uint64", "int", "list", "int32 array"])
+    def test_real_lane_read_as_its_float(self, t_n):
+        assert _one_lane(ANCHOR, t_n) == _one_lane(ANCHOR, 5.0)
+
+    def test_integer_in_the_float_range_read_as_its_float(self):
+        # numpy holds 10**20 (past uint64) in an object array, alone or among floats.
+        assert _one_lane(ANCHOR, 10**20) == _one_lane(ANCHOR, 1e20)
+        batch = oracle_batch(15.0, 20.0, 1.0, [5.0, 10**20])
+        assert [a.tolist() for a in batch] == [a.tolist() for a in oracle_batch(
+            15.0, 20.0, 1.0, np.array([5.0, 1e20]))]
 
     def test_phase1_saturated_tie_moves_left(self):
-        result = oracle_fixed_t(PHASE1_TIE, 0.9)
-        assert result.energy == pytest.approx(hybrid_energy(PHASE1_TIE, 0.9), rel=1e-11)
+        energy = _one_lane(PHASE1_TIE, 0.9)[2]
+        assert energy == pytest.approx(hybrid_energy(PHASE1_TIE, 0.9), rel=1e-11)
 
     def test_no_finite_hybrid_optimum_reads_inf(self):
         # Every non-degenerate scenario of the corpus at its capped extension, in one batch.
@@ -142,15 +171,15 @@ class TestOracleFixedT:
         ties = [k for k, s in enumerate(corpus) if (2.0 - _INV_PHI) * s.nats / s.d_m > EXP_CUTOFF]
         assert np.count_nonzero(finite[ties]) == 16
         for k in ties:
-            assert oracle_fixed_t(corpus[k], t_star[k]).energy == energy[k]
+            assert _one_lane(corpus[k], t_star[k])[2] == energy[k]
 
     @settings(max_examples=60, deadline=None)
     @given(s=hybrid_scenarios())
     def test_matches_closed_form_on_random_scenarios(self, s):
         t_n = s.d_n - s.d_m
         closed = hybrid_energy(s, t_n)
-        probe = oracle_fixed_t(s, t_n)
-        assert abs(probe.energy - closed) / closed <= 1e-5
+        energy = _one_lane(s, t_n)[2]
+        assert abs(energy - closed) / closed <= 1e-5
 
 
 def _random_lanes(count, seed):
@@ -231,8 +260,7 @@ class TestOracleBatch:
                                                    *_lane_arrays(scenarios), np.array(t_n))
         assert calls == _effort(noma_mec.oracle._STEPS)
         for k, (s, t) in enumerate(zip(scenarios, t_n)):
-            alone = oracle_fixed_t(s, t)
-            assert (p_n1[k], p_n2[k], energy[k]) == (alone.p_n1, alone.p_n2, alone.energy)
+            assert (p_n1[k], p_n2[k], energy[k]) == _one_lane(s, t)
 
     @pytest.mark.parametrize("lanes", [
         (15.0, 20.0, 1.0, 5.0),
@@ -299,9 +327,8 @@ class TestOracleBatch:
         batch = oracle_batch(nats, d_m, 1.0, t_n)
         bits = [a.tobytes() for a in batch]
         for k, (n, m, t) in enumerate(lanes):
-            alone = oracle_fixed_t(validate_scenario(n, m, m + t), t)
-            seen = (alone.p_n1, alone.p_n2, alone.energy)
-            assert [np.array([v]).tobytes() for v in seen] == [a[k:k + 1].tobytes() for a in batch]
+            alone = oracle_batch(n, m, 1.0, t)
+            assert [a.tobytes() for a in alone] == [a[k:k + 1].tobytes() for a in batch]
         # The same batch with both tests run in every evaluation gives the same bits.
         real = noma_mec.oracle._power
         monkeypatch.setattr("noma_mec.oracle._power",
@@ -374,7 +401,7 @@ class TestSaturatedSearch:
         s = validate_scenario(1e308, 1e-10, 1.5e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert oracle_fixed_t(s, 5e-11).energy == math.inf
+            assert oracle_batch(s.nats, s.d_m, s.h_n_sq, 5e-11)[2].tolist() == [math.inf]
             assert oracle_joint(s).energy == math.inf
 
 
@@ -432,14 +459,13 @@ class TestOracleJoint:
         # _STEPS is the first step count whose bracket on alpha is at most 1e-10 wide.
         inv_phi, steps = noma_mec.oracle._INV_PHI, noma_mec.oracle._STEPS
         assert inv_phi ** steps <= 1e-10 < inv_phi ** (steps - 1)
-        assert _power_calls(monkeypatch, oracle_fixed_t, ANCHOR, 5.0)[1] == _effort(steps)
+        assert _power_calls(monkeypatch, oracle_batch, 15.0, 20.0, 1.0, 5.0)[1] == _effort(steps)
 
     @pytest.mark.parametrize("call, keyword", [
         (lambda: oracle_batch(15.0, 20.0, 1.0, 5.0, tol=1e-10), "tol"),
-        (lambda: oracle_fixed_t(ANCHOR, 5.0, tol=1e-10), "tol"),
         (lambda: oracle_joint(ANCHOR, tol=1e-10), "tol"),
         (lambda: oracle_joint(ANCHOR, t_steps=16), "t_steps"),
-    ], ids=["oracle_batch", "oracle_fixed_t", "oracle_joint", "oracle_joint t_steps"])
+    ], ids=["oracle_batch", "oracle_joint", "oracle_joint t_steps"])
     def test_tol_not_accepted(self, call, keyword):
         # The search width and the extension grid are fixed; a caller's value is refused,
         # not ignored.
@@ -467,9 +493,10 @@ class TestOracleJoint:
                 assert result.energy == pytest.approx(row.energy, rel=1e-11, abs=0.0)
             if classify_regime(s) is Regime.OMA_FAVORED:
                 assert result.t_n == s.d_n - s.d_m
-                for t_n in (0.5 * s.d_n, s.d_n - s.d_m):   # both in (d_m, d_n - d_m]
-                    assert oracle_fixed_t(s, t_n).energy == pytest.approx(
-                        oma_energy_n(s, t_n), rel=1e-12, abs=0.0)
+                t_n = [0.5 * s.d_n, s.d_n - s.d_m]   # both in (d_m, d_n - d_m], one batch
+                energy = oracle_batch(s.nats, s.d_m, s.h_n_sq, t_n)[2]
+                assert energy.tolist() == pytest.approx([oma_energy_n(s, t) for t in t_n],
+                                                        rel=1e-12, abs=0.0)
 
     def test_all_inf_search_names_the_budget(self):
         # nats/d_m = 800 saturates phase 1 at every alpha > 0 and nats/t_n >= 1,600 phase 2 at
@@ -555,9 +582,9 @@ class TestConcurrentDeterminism:
             validate_scenario(1.0 + 2.0 * k, 10.0 + k, 12.0 + 1.5 * k) for k in range(12)
         ]
         jobs = [(s, 0.5 * (s.d_n - s.d_m)) for s in scenarios]
-        sequential = [oracle_fixed_t(s, t) for s, t in jobs]
+        sequential = [_one_lane(s, t) for s, t in jobs]
         with ThreadPoolExecutor(max_workers=6) as pool:
-            parallel = list(pool.map(lambda job: oracle_fixed_t(*job), jobs))
+            parallel = list(pool.map(lambda job: _one_lane(*job), jobs))
         assert parallel == sequential
 
 
@@ -638,8 +665,7 @@ class TestEnergySurface:
             assert grid.p2_axis[1] == 2.0 * p_n2 / resolution
             assert grid.feasible_argmin() == (0, resolution // 2)
             assert grid.p2_axis[resolution // 2] == pytest.approx(p_n2, rel=1e-15, abs=0.0)
-            assert oracle_fixed_t(s, t_n).energy == pytest.approx(
-                oma_energy_n(s, t_n), rel=1e-12, abs=0.0)
+            assert _one_lane(s, t_n)[2] == pytest.approx(oma_energy_n(s, t_n), rel=1e-12, abs=0.0)
 
     def test_explicit_ranges(self):
         grid = energy_surface(ANCHOR, 5.0, p1_max=3.0, p2_max=6.0, resolution=30)

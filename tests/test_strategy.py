@@ -333,8 +333,8 @@ class TestStrategyColumns:
         assert c.selected.tolist() == [t.selected for t in tables]
 
     def test_pure_noma_rate_is_nats_over_d_m_itself(self):
-        # nats/d_m = 3.3e-321 is subnormal, so y2 at t_n = 0 is not exactly twice it, and
-        # y2 - nats/d_m is an ulp off nats/d_m. Pure NOMA carries nats/d_m itself and stays
-        # at or above the hybrid energy; the difference would give 9.99e-321, below it.
+        # nats/d_m = 3.3e-321 is subnormal, so nats/(d_m/2) is not exactly twice it, and
+        # that quotient less nats/d_m is an ulp off nats/d_m. Pure NOMA carries nats/d_m itself
+        # and stays at or above the hybrid energy; the difference would give 9.99e-321, below it.
         table = select_strategy(validate_scenario(1e-320, 3.0, 4.5))
         assert table.pure_noma.energy == 1.0005e-320 >= table.hybrid.energy
