@@ -212,12 +212,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the parser costs more than a whole solve; parsing leaves it unchanged.
+# Building the parser costs more than a whole solve; parsing leaves it unchanged. Each
+# subcommand's handler and one-value flags (by option string) are read off its parser.
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, sub.choices   # the subcommand parsers, by name
+    return parser, {name: (command.get_default("handler"),
+                           {flag: action for action in command._actions if action.nargs is None
+                            for flag in action.option_strings})
+                    for name, command in sub.choices.items()}
+
+
+def _read_plain(argv: list[str]) -> dict | None:
+    """The options ``parse_args`` would give an argv that is a subcommand and exact ``--flag
+    value`` pairs of its parser, without ``command``; None for any other argv, and for a value
+    that starts with ``-`` or that the flag's type refuses, which argparse then reads."""
+    commands = _parser()[1]
+    if len(argv) % 2 == 0 or argv[0] not in commands:
+        return None
+    handler, flags = commands[argv[0]]
+    given = {"handler": handler}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        action = flags.get(flag)
+        if action is None or value.startswith("-"):
+            return None
+        try:
+            given[action.dest] = value if action.type is None else action.type(value)
+        except ValueError:
+            return None
+    return given
 
 
 # glibc maps a block above its mmap threshold on its own and, once such a block is freed,
@@ -236,17 +260,17 @@ def _pin_malloc_thresholds() -> None:
 def run(argv: list[str]) -> int:
     """Parse with the process's one parser, built on the first call (``build_parser()`` builds
     a fresh one to extend), and dispatch; returns the process exit code instead of exiting.
-    A subcommand's own parser reads its flags; any other argv, or one it leaves unread, goes
-    through the top-level parser. The first call also fixes glibc's malloc thresholds."""
+    An argv of one subcommand and exact ``--flag value`` pairs is read off that parser's flag
+    table; any other argv goes through argparse's top-level parse, as does a value that starts
+    with ``-`` or fails its type. The first call also fixes glibc's malloc thresholds."""
     _pin_malloc_thresholds()
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
-    try:
-        given, unread = command.parse_known_args(argv[1:]) if command else (None, True)
-        given = vars(parser.parse_args(argv) if unread else given)
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version and 2 for bad flags; bad input is 1 here.
-        return 0 if exc.code == 0 else 1
+    given = _read_plain(argv)
+    if given is None:
+        try:
+            given = vars(_parser()[0].parse_args(argv))
+        except SystemExit as exc:
+            # argparse exits 0 for --help/--version and 2 for bad flags; bad input is 1 here.
+            return 0 if exc.code == 0 else 1
     try:
         config = given.pop("config", None)
         file_values = load_scenario_file(config) if config else {}

@@ -79,12 +79,18 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Every lane field must be a positive finite real (no bool, str or complex), as
     ``t_n`` in ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
-    The NomaMecError names the field and the first bad lane. Each lane's returned
-    point is the best of its final bracket's endpoints and midpoint, never
-    worse than any alpha-grid sample at resolution 1e-10.
+    The NomaMecError names the field and the first bad lane, or each field's length
+    where they do not broadcast. Each lane's returned point is the best of its final
+    bracket's endpoints and midpoint, never worse than any alpha-grid sample at
+    resolution 1e-10.
     """
-    nats, d_m, h_n_sq, t_n = np.broadcast_arrays(*map(
-        _real_lanes, ("nats", "d_m", "h_n_sq", "t_n"), (nats, d_m, h_n_sq, t_n)))
+    names = ("nats", "d_m", "h_n_sq", "t_n")
+    lanes = list(map(_real_lanes, names, (nats, d_m, h_n_sq, t_n)))
+    try:
+        nats, d_m, h_n_sq, t_n = np.broadcast_arrays(*lanes)
+    except ValueError:
+        sizes = ", ".join(f"{name} {lane.size}" for name, lane in zip(names, lanes))
+        raise NomaMecError(f"lane fields must have one length or length 1, got {sizes}") from None
 
     def split_energy(alpha):   # phase energies: power times length is _power over h/length
         phase1 = _power(_NUMPY, alpha * rate_dm, h_per_dm, rate_dm, exp_rate_dm, can_saturate[0])

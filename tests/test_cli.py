@@ -10,10 +10,12 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noma_mec
 from noma_mec import NomaMecError
-from noma_mec.cli import _COMMANDS, _DEFAULTS, build_parser, load_scenario_file, run
+from noma_mec.cli import (_COMMANDS, _DEFAULTS, _read_plain, build_parser, load_scenario_file,
+                          run)
 from noma_mec.experiments import CampaignSummary
 from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run, _with_config
 
@@ -612,6 +614,12 @@ EDGE = [
     ["sweep", "--n", "15", "--dm", "20", "--steps", "3.5"],
     ["surface", "--n", "15", "--dm", "20", "--p", "3"],
     ["surface", "--n", "15", "--dm", "20", "--resolution", "2", "--p1m", "3"],
+    # Pairs the plain reader leaves to argparse: a flag, an empty string, a negative number or
+    # a lone "-" where a value goes.
+    ["solve", "--config", "--n"],
+    ["solve", "--n", ""],
+    ["verify", "--count", "-3"],
+    ["sweep", "--n", "15", "--dm", "20", "--out", "-"],
 ]
 
 
@@ -621,26 +629,87 @@ class TestSubcommandRouting:
         CASES + [(argv, None) for argv in EDGE],
         ids=[_case_id(*case) for case in CASES] + [f"edge {' '.join(argv)}" for argv in EDGE],
     )
-    def test_same_outcome_as_argparse_routing(self, capsys, tmp_path, argv, config):
+    def test_same_outcome_as_argparse_routing(self, capsys, monkeypatch, tmp_path, argv, config):
+        monkeypatch.chdir(tmp_path)   # "--out -" writes a file named "-"
         argv = _with_config(argv, config, tmp_path)
         expected = (reference_run(argv), *capsys.readouterr())
         assert run_capture(capsys, argv) == expected
 
-    def test_valid_commands_skip_the_subparsers_action(self, capsys, monkeypatch):
+    def test_valid_commands_make_no_argparse_parse(self, capsys, monkeypatch):
         calls = []
-        call = argparse._SubParsersAction.__call__
+        parse = argparse.ArgumentParser.parse_known_args
 
-        def counting_call(self, *args, **kwargs):
-            calls.append(args[2])   # (parser, namespace, values, ...)
-            return call(self, *args, **kwargs)
+        def counting_parse(self, *args, **kwargs):
+            calls.append(args[0])   # (args, namespace)
+            return parse(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "__call__", counting_call)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
         for argv in VALID:
             assert run(argv) == 0
         assert calls == []
         assert run([*SOLVE_ARGS, "--bogus", "1"]) == 1
-        assert calls == [[*SOLVE_ARGS, "--bogus", "1"]]
+        assert calls[0] == [*SOLVE_ARGS, "--bogus", "1"]
         capsys.readouterr()
+
+
+def _flags_by_command():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(flag for action in command._actions for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, command in sub.choices.items()}
+
+
+FLAGS = _flags_by_command()
+# A digit string suits every flag. Beside it: float forms, and values argparse reads in
+# unusual ways: a leading "-", blanks, underscores, non-finite and exponent forms (an int flag
+# refuses "1e5"), non-ASCII digits, a flag name and a subcommand.
+DIGITS = st.integers(0, 10**6).map(str)
+VALUES = st.one_of(
+    DIGITS,
+    st.floats().map(repr),
+    st.sampled_from(["-3", "-", "--", "", " 15 ", "1_5", "inf", "nan", "1e5", "-1e5", "0x10",
+                     "\u0661\u0665", "\uff11\uff15", "--n", "solve", "x y"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def near_argv(draw):
+    """A subcommand, then pairs of one of its flags and a digit string, or of a flag or near
+    miss (an abbreviation, an unknown flag, an "=" form) and any value; maybe a dangling flag."""
+    name = draw(st.sampled_from(sorted(FLAGS)))
+    exact = st.sampled_from(FLAGS[name])
+    flag = st.one_of(exact, exact.map(lambda f: f[:-1]),
+                     st.sampled_from(["--bogus", "--version", "-x", "-h", "--dn", "--count"]))
+    near = st.tuples(flag, VALUES)
+    plain = st.tuples(exact, DIGITS)
+    pairs = draw(st.lists(st.one_of(plain, plain, plain, near,
+                                    near.map(lambda p: ("=".join(p),))), max_size=4))
+    argv = [name, *(arg for p in pairs for arg in p)]
+    return argv + [draw(flag)] if draw(st.integers(0, 3)) == 0 else argv
+
+
+def _shown(options):
+    return {key: repr(value) for key, value in options.items()}   # nan == nan, 0.0 != -0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=near_argv())
+def test_plain_reader_reads_what_argparse_reads(argv):
+    # Where the reader accepts an argv, it gives what a fresh parser's parse_args gives;
+    # where argparse exits, the reader refuses. No handler runs.
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    read = _read_plain(argv)
+    if expected is None:
+        assert read is None
+    elif read is not None:
+        del expected["command"]
+        assert _shown(read) == _shown(expected)
 
 
 # In a fresh process: how many bytes glibc maps on its own for a 4 MiB block before the

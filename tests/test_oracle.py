@@ -314,6 +314,12 @@ class TestOracleBatch:
         with pytest.raises(NomaMecError, match=f"^{name} must .* in lane 2$"):
             oracle_batch(*lanes, np.array(t_n))
 
+    def test_unequal_lane_lengths_fail_closed(self):
+        # Fields of lengths 3 and 2 do not broadcast; the error names every field's length.
+        with pytest.raises(NomaMecError, match=r"^lane fields must have one length or length 1,"
+                                               r" got nats 3, d_m 1, h_n_sq 1, t_n 2$"):
+            oracle_batch([1.0, 2.0, 3.0], 20.0, 1.0, [1.0, 2.0])
+
     def test_saturation_skip_is_exact_at_its_edge(self, monkeypatch):
         # A batch tests a phase for saturation only if some lane's 2 nats/d_m (phase 1) or
         # nats/t_n (phase 2) passes EXP_CUTOFF. Lanes with that bound at the cutoff and one
