@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: ``solve`` (one scenario, three-way comparison), ``sweep``
-(deadline sweep to CSV), ``surface`` (power-plane sampling to CSV) and
-``verify`` (randomized certification campaign). Each option is described
-once, in ``_OPTIONS``; ``_COMMANDS`` says which options each subcommand
-takes. Scenario options may also come from a JSON config file, whose keys are
-the flag names: ``n, dm, dn, hm2, hn2`` at the top level, the ``sweep`` and
-``surface`` options in a block of that name. A command's options are its
-fixed defaults, overlaid by the file's values, overlaid by the flags given
-(flags win). Exit codes: 0 success, 1 invalid input, 2 verification failure.
+Subcommands: ``solve`` (one scenario, three-way comparison), ``sweep`` (deadline sweep to
+CSV), ``surface`` (power-plane sampling to CSV) and ``verify`` (randomized certification
+campaign). Each option is described once, in ``_OPTIONS``; ``_COMMANDS`` says which options
+each subcommand takes, and ``_flags`` turns both into the flags that argparse's parser and
+the plain ``--flag value`` reader share. Scenario options may also come from a JSON config
+file, whose keys are the flag names: ``n, dm, dn, hm2, hn2`` at the top level, the ``sweep``
+and ``surface`` options in a block of that name. A command's options are its fixed defaults,
+overlaid by the file's values, overlaid by the flags given (flags win). ``--out -`` writes to
+stdout. Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _scenario(options: dict):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+    if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -178,8 +178,7 @@ def _cmd_verify(options: dict) -> int:
     return 0 if summary.passed else 2
 
 
-# One row per subcommand: (name, help, option blocks it takes, handler). A command
-# that takes the scenario options also takes --config; every command takes --out.
+# One row per subcommand: (name, help, option blocks it takes, handler).
 _COMMANDS = (
     ("solve", "solve one scenario and print the strategy comparison",
      ("scenario", "deadline"), _cmd_solve),
@@ -190,6 +189,21 @@ _COMMANDS = (
 )
 
 
+def _flags(blocks: tuple) -> list[tuple[str, type, str]]:
+    """A subcommand's ``(flag, type, help)`` rows in ``--help`` order: the options of its
+    blocks, ``--config`` where it takes the scenario block, and ``--out``."""
+    flags = [(f"--{flag}", kind, text if default is None else f"{text} (default: {default})")
+             for flag, block, kind, default, text in _OPTIONS if block in blocks]
+    if "scenario" in blocks:
+        flags.append(("--config", str, "JSON scenario file; flags override its values"))
+    return flags + [("--out", str, 'write output to this path instead of stdout ("-" is stdout)')]
+
+
+# Each subcommand's handler and its flags' types, by option string: all the plain route reads.
+_PLAIN = {name: (handler, {flag: kind for flag, kind, _ in _flags(blocks)})
+          for name, _, blocks, handler in _COMMANDS}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noma-mec",
@@ -197,48 +211,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"noma-mec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, blocks, handler in _COMMANDS:
+    for name, help_text, blocks, _ in _COMMANDS:
         # An option that is not given stays out of the namespace.
         command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        for flag, block, kind, default, text in _OPTIONS:
-            if block in blocks:
-                if default is not None:
-                    text = f"{text} (default: {default})"
-                command.add_argument(f"--{flag}", type=kind, help=text)
-        if "scenario" in blocks:
-            command.add_argument("--config", help="JSON scenario file; flags override its values")
-        command.add_argument("--out", help="write output to this path instead of stdout")
-        command.set_defaults(handler=handler)
+        for flag, kind, text in _flags(blocks):
+            command.add_argument(flag, type=kind, help=text)
     return parser
 
 
-# Building the parser costs more than a whole solve; parsing leaves it unchanged. Each
-# subcommand's handler and one-value flags (by option string) are read off its parser.
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    parser = build_parser()
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, {name: (command.get_default("handler"),
-                           {flag: action for action in command._actions if action.nargs is None
-                            for flag in action.option_strings})
-                    for name, command in sub.choices.items()}
+# Building the parser costs more than a whole solve; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
 
 
 def _read_plain(argv: list[str]) -> dict | None:
-    """The options ``parse_args`` would give an argv that is a subcommand and exact ``--flag
-    value`` pairs of its parser, without ``command``; None for any other argv, and for a value
-    that starts with ``-`` or that the flag's type refuses, which argparse then reads."""
-    commands = _parser()[1]
-    if len(argv) % 2 == 0 or argv[0] not in commands:
+    """``vars(parse_args(argv))`` for an argv that is a subcommand and exact ``--flag value``
+    pairs of its flags, read from ``_PLAIN``; None for any other argv, and for a value that
+    starts with ``-`` or that the flag's type refuses, which argparse then reads."""
+    plain = _PLAIN.get(argv[0]) if len(argv) % 2 else None
+    if plain is None:
         return None
-    handler, flags = commands[argv[0]]
-    given = {"handler": handler}
+    given = {"command": argv[0]}
     for flag, value in zip(argv[1::2], argv[2::2]):
-        action = flags.get(flag)
-        if action is None or value.startswith("-"):
+        kind = plain[1].get(flag)
+        if kind is None or value.startswith("-"):
             return None
         try:
-            given[action.dest] = value if action.type is None else action.type(value)
+            given[flag[2:]] = kind(value)
         except ValueError:
             return None
     return given
@@ -258,23 +256,23 @@ def _pin_malloc_thresholds() -> None:
 
 
 def run(argv: list[str]) -> int:
-    """Parse with the process's one parser, built on the first call (``build_parser()`` builds
-    a fresh one to extend), and dispatch; returns the process exit code instead of exiting.
-    An argv of one subcommand and exact ``--flag value`` pairs is read off that parser's flag
-    table; any other argv goes through argparse's top-level parse, as does a value that starts
-    with ``-`` or fails its type. The first call also fixes glibc's malloc thresholds."""
+    """Parse and dispatch; returns the process exit code instead of exiting. An argv of one
+    subcommand and exact ``--flag value`` pairs is read from the option table alone; any other
+    argv, and a value that starts with ``-`` or fails its type, goes through argparse, with the
+    process's one parser built on first need (``build_parser()`` builds a fresh one to extend).
+    The first call also fixes glibc's malloc thresholds."""
     _pin_malloc_thresholds()
     given = _read_plain(argv)
     if given is None:
         try:
-            given = vars(_parser()[0].parse_args(argv))
+            given = vars(_parser().parse_args(argv))
         except SystemExit as exc:
             # argparse exits 0 for --help/--version and 2 for bad flags; bad input is 1 here.
             return 0 if exc.code == 0 else 1
     try:
         config = given.pop("config", None)
         file_values = load_scenario_file(config) if config else {}
-        return given.pop("handler")({**_DEFAULTS, **file_values, **given})
+        return _PLAIN[given.pop("command")][0]({**_DEFAULTS, **file_values, **given})
     except (NomaMecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import noma_mec
 from noma_mec import NomaMecError
-from noma_mec.cli import (_COMMANDS, _DEFAULTS, _read_plain, build_parser, load_scenario_file,
-                          run)
+from noma_mec.cli import (_COMMANDS, _DEFAULTS, _PLAIN, _parser, _read_plain, build_parser,
+                          load_scenario_file, run)
 from noma_mec.experiments import CampaignSummary
 from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run, _with_config
 
@@ -572,7 +572,8 @@ def reference_run(argv):
     try:
         config = given.pop("config", None)
         file_values = load_scenario_file(config) if config else {}
-        return given.pop("handler")({**_DEFAULTS, **file_values, **given})
+        handler = {name: handler for name, _, _, handler in _COMMANDS}[given.pop("command")]
+        return handler({**_DEFAULTS, **file_values, **given})
     except (NomaMecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -630,26 +631,42 @@ class TestSubcommandRouting:
         ids=[_case_id(*case) for case in CASES] + [f"edge {' '.join(argv)}" for argv in EDGE],
     )
     def test_same_outcome_as_argparse_routing(self, capsys, monkeypatch, tmp_path, argv, config):
-        monkeypatch.chdir(tmp_path)   # "--out -" writes a file named "-"
+        monkeypatch.chdir(tmp_path)   # an "--out" path that is not "-" would land here
         argv = _with_config(argv, config, tmp_path)
         expected = (reference_run(argv), *capsys.readouterr())
         assert run_capture(capsys, argv) == expected
 
     def test_valid_commands_make_no_argparse_parse(self, capsys, monkeypatch):
+        # From an empty parser cache, the four plain argv neither build a parser nor parse.
         calls = []
-        parse = argparse.ArgumentParser.parse_known_args
+        init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_known_args
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(("build", kwargs.get("prog")))
+            init(self, *args, **kwargs)
 
         def counting_parse(self, *args, **kwargs):
-            calls.append(args[0])   # (args, namespace)
+            calls.append(("parse", args[0]))   # (args, namespace)
             return parse(self, *args, **kwargs)
 
+        _parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
         for argv in VALID:
             assert run(argv) == 0
         assert calls == []
         assert run([*SOLVE_ARGS, "--bogus", "1"]) == 1
-        assert calls[0] == [*SOLVE_ARGS, "--bogus", "1"]
+        assert calls[0] == ("build", "noma-mec")
+        assert [args for kind, args in calls if kind == "parse"][0] == [*SOLVE_ARGS, "--bogus", "1"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", VALID, ids=lambda argv: argv[0])
+    def test_out_dash_writes_stdout(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        expected = run_capture(capsys, argv)
+        assert run_capture(capsys, [*argv, "--out", "-"]) == expected
+        assert expected[0] == 0 and expected[1]
+        assert list(tmp_path.iterdir()) == []
 
 
 def _flags_by_command():
@@ -661,6 +678,12 @@ def _flags_by_command():
 
 
 FLAGS = _flags_by_command()
+
+
+def test_plain_table_holds_the_parsers_flags():
+    assert FLAGS == {name: sorted(flags) for name, (_, flags) in _PLAIN.items()}
+
+
 # A digit string suits every flag. Beside it: float forms, and values argparse reads in
 # unusual ways: a leading "-", blanks, underscores, non-finite and exponent forms (an int flag
 # refuses "1e5"), non-ASCII digits, a flag name and a subcommand.
@@ -697,8 +720,8 @@ def _shown(options):
 @settings(max_examples=400, deadline=None)
 @given(argv=near_argv())
 def test_plain_reader_reads_what_argparse_reads(argv):
-    # Where the reader accepts an argv, it gives what a fresh parser's parse_args gives;
-    # where argparse exits, the reader refuses. No handler runs.
+    # Where the reader accepts an argv, it gives all that a fresh parser's parse_args gives,
+    # ``command`` included; where argparse exits, the reader refuses. No handler runs.
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             expected = vars(build_parser().parse_args(argv))
@@ -708,7 +731,6 @@ def test_plain_reader_reads_what_argparse_reads(argv):
     if expected is None:
         assert read is None
     elif read is not None:
-        del expected["command"]
         assert _shown(read) == _shown(expected)
 
 
