@@ -5,6 +5,9 @@ the task between the two phases by a fraction alpha, recovers the powers
 that deliver each share exactly, and golden-sections the resulting
 one-dimensional energy. If the closed forms are right, the oracle must land
 on them, and the dense power-plane surface must bottom out at the same spot.
+Over every extension at once, the search at the whole deadline budget bounds
+the least energy from above and a search of the Lagrange dual from below: the
+selected strategy's energy must lie between the two.
 """
 
 from noma_mec import (
@@ -12,7 +15,8 @@ from noma_mec import (
     hybrid_energy,
     hybrid_powers,
     oracle_batch,
-    oracle_joint,
+    oracle_bounds,
+    select_strategy,
     validate_scenario,
     verification_campaign,
 )
@@ -30,10 +34,13 @@ def main():
     print(f"  oracle      : {probe:.12f}   (alpha bracket at most 1e-10 wide)")
     print(f"  rel. error  : {abs(probe - closed) / closed:.3e}")
 
-    joint = oracle_joint(scenario)
-    print("\njoint search over the extension grid:")
-    print(f"  best t_n = {joint.t_n:.6f} (deadline budget is {scenario.d_n - scenario.d_m})")
-    print(f"  energy   = {joint.energy:.12f}")
+    (upper,), (lower,) = oracle_bounds(scenario.nats, scenario.d_m, scenario.d_n, scenario.h_n_sq)
+    selected = select_strategy(scenario).hybrid.energy   # this scenario's choice: hybrid NOMA
+    print(f"\ntwo-sided bound over every extension in [0, {scenario.d_n - scenario.d_m}]:")
+    print(f"  upper (split search at the budget) : {upper:.12f}")
+    print(f"  selected, hybrid NOMA              : {selected:.12f}")
+    print(f"  lower (Lagrange dual search)       : {lower:.12f}")
+    print(f"  two-sided gap (upper - lower) / selected: {(upper - lower) / selected:.3e}")
 
     grid = energy_surface(scenario, t_star, resolution=200)
     i, j = grid.feasible_argmin()

@@ -42,10 +42,8 @@ from .model import (
     validate_scenario,
 )
 from .oracle import (
-    OracleResult,
     oracle_batch,
-    oracle_joint,
-    split_schedule,
+    oracle_bounds,
 )
 from .strategy import (
     ComparisonTable,

@@ -1,53 +1,38 @@
-"""Independent numerical verification of the closed forms.
+"""Independent numerical verification of the closed forms and of the strategy choice.
 
-Because the energy is strictly increasing in each power, the rate constraint
-binds at any optimum. The oracle therefore never touches the closed-form
-solutions: it parametrizes the active constraint by the fraction ``alpha`` of
-the task carried during the shared slot, recovers the powers from that split,
-and minimizes the resulting single-variable energy by golden-section search.
-Agreement with the closed forms is the certificate. Nor does it take the
-optimal extension as given: the joint search spans the whole deadline
-budget, past the capped extension, so it also finds where OMA wins.
+The rate constraint binds at any optimum, as the energy increases in each power. The
+oracle splits the task, ``alpha`` of it in the shared slot, recovers the powers that
+carry each share and minimizes the energy over ``alpha`` by golden-section search,
+reading no closed form. ``oracle_bounds`` adds the extension: the search at the whole
+budget ``d_n - d_m`` is a feasible energy, and the Lagrange dual, maximized by the same
+loop, a lower bound on every feasible one (weak duality: Boyd and Vandenberghe, *Convex
+Optimization*, 2004, sections 5.2.2 and 5.5.1).
 
-The split rule is written once, elementwise, over ``model``'s rate-to-power
-rules and the operations table its caller names: ``split_schedule`` runs it on
-floats with ``model._SCALAR`` (``math``'s ``exp``/``expm1``), ``oracle_batch``
-on numpy arrays with ``model._NUMPY`` (numpy's), a few ulp apart. The search
-takes one lane per (scenario, extension) pair, each the same ``_STEPS``
-golden-section steps, a count fixed in advance by the final bracket (Kiefer,
-"Sequential minimax search for a maximum", Proc. AMS 1953), so all lanes share
-one bracket width. A step compares splits by the sum of their phase energies,
-each one ``_power`` with the phase length folded into the gain, over lane
-constants computed once; saturation is patched only where it occurs. A batch
-tests a phase for saturation only if some lane can reach the cutoff: ``alpha``
-lies in [0, 1], so ``y1 <= nats/d_m`` and ``y2 <= nats/t_n`` in floats too.
+Every lane takes the same ``_STEPS`` golden-section steps, fixed in advance by the final
+bracket (Kiefer, "Sequential minimax search for a maximum", Proc. AMS 1953), so all lanes
+share one bracket width. A split step sums two phase energies, each one ``model._power``
+with the phase length folded into the gain. A batch tests a phase for saturation only if
+some lane can reach the cutoff: ``alpha`` lies in [0, 1], so ``y1 <= nats/d_m`` and
+``y2 <= nats/t_n`` in floats too.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
-from .model import (_NUMPY, _SCALAR, NomaMecError, OffloadScenario, PowerSchedule, _power,
-                    _real_lanes, _require_in, _saturates, schedule_energy)
+from .model import _NUMPY, NomaMecError, _power, _real_lanes, _saturates
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section steps per lane: the first k whose bracket on alpha, _INV_PHI**k wide, is at
+# Golden-section steps per lane: the first k whose bracket on [0, 1], _INV_PHI**k wide, is at
 # most 1e-10 (_INV_PHI**47 = 1.51e-10, _INV_PHI**48 = 9.30e-11, far apart for rounding).
 _STEPS = 48
-# Extensions ``oracle_joint`` searches, evenly spaced on the deadline budget (0, d_n - d_m].
-_EXTENSIONS = 256
-
-
-OracleResult = namedtuple("OracleResult", "p_n1 p_n2 t_n energy")
-OracleResult.__doc__ = "Numerically found minimum: powers, extension and energy."
 
 
 def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, can_saturate=(True, True)):
-    """``split_schedule``'s powers, elementwise, with ``_SCALAR`` or ``_NUMPY``: the same steps,
-    so the two differ only where numpy's ``exp``/``expm1`` differ; arrays need ``np.errstate``."""
+    """The powers that carry ``alpha`` of the task in the shared slot and the rest in ``t_n``
+    at equality, elementwise with ``_SCALAR`` or ``_NUMPY``; arrays need ``np.errstate``."""
     rate_dm = nats / d_m
     y1 = alpha * nats / d_m
     y2 = (1.0 - alpha) * nats / t_n
@@ -55,42 +40,50 @@ def _split_powers(ops, alpha, nats, d_m, h_n_sq, t_n, can_saturate=(True, True))
             _power(ops, y2, h_n_sq, can_saturate=can_saturate[1]))
 
 
-def split_schedule(scenario: OffloadScenario, t_n: float, alpha: float) -> PowerSchedule:
-    """Schedule that puts ``alpha`` of the task in the shared slot, the rest in ``t_n``,
-    with the rate constraint met with equality in both phases. ``t_n`` must be positive
-    and finite, ``alpha`` in [0, 1] (NomaMecError otherwise)."""
-    t_n = _require_in("t_n", t_n, 0, math.inf, "()")
-    alpha = _require_in("alpha", alpha, 0, 1)
-    return PowerSchedule(*_split_powers(_SCALAR, alpha, scenario.nats, scenario.d_m,
-                                        scenario.h_n_sq, t_n), t_n=t_n)
+def _lanes(**fields):
+    """Each field read by ``_real_lanes``, all broadcast; else NomaMecError names each length."""
+    lanes = [_real_lanes(name, value) for name, value in fields.items()]
+    try:
+        return np.broadcast_arrays(*lanes)
+    except ValueError:
+        sizes = ", ".join(f"{name} {lane.size}" for name, lane in zip(fields, lanes))
+        raise NomaMecError(f"lane fields must have one length or length 1, got {sizes}") from None
+
+
+def _golden(f, size, keep_left=None):
+    """Minimize ``f`` on [0, 1] in ``size`` lanes; return the final ``(lo, mid, hi)``. A step
+    keeps the left part where ``f_lo < f_hi`` or ``keep_left(lower inner point, f_lo)``."""
+    # Brackets [lo, lo + width], with f_lo, f_hi at lo + (1 - _INV_PHI, _INV_PHI) * width.
+    lo, width = np.zeros(size), 1.0
+    f_lo, f_hi = f(lo + (1.0 - _INV_PHI)), f(lo + _INV_PHI)
+    for _ in range(_STEPS):
+        left = f_lo < f_hi
+        if keep_left is not None:
+            left |= keep_left(lo + (1.0 - _INV_PHI) * width, f_lo)
+        lo = np.where(left, lo, lo + (1.0 - _INV_PHI) * width)
+        width *= _INV_PHI
+        f_probe = f(lo + np.where(left, (1.0 - _INV_PHI) * width, _INV_PHI * width))
+        f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
+    # 2 + _STEPS evaluations. The right end rounds past 1 if every step goes right.
+    hi = np.minimum(lo + width, 1.0)
+    return lo, 0.5 * (lo + hi), hi
 
 
 def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the constraint-split energy over ``alpha`` for many searches at once.
 
-    The lane arrays (or floats) ``nats``, ``d_m``, ``h_n_sq`` and ``t_n``
-    broadcast against each other in one dimension: one scenario over a grid
-    of extensions, or one extension per scenario. Each lane runs its own
-    golden-section search on alpha in [0, 1]: ``_STEPS`` steps leave a bracket
-    at most 1e-10 wide, a width all lanes share, and a lane's result is that
-    of a search of that lane alone. Returns one-dimensional arrays ``(p_n1,
-    p_n2, energy)``, one entry per lane. The search effort is fixed: every
-    lane takes ``_STEPS + 5`` objective evaluations.
+    The lane arrays (or floats) ``nats``, ``d_m``, ``h_n_sq`` and ``t_n`` broadcast in one
+    dimension: one scenario over many extensions, or one extension per scenario. Each lane
+    runs its own search on alpha in [0, 1], ``_STEPS`` steps to a bracket at most 1e-10 wide,
+    and gets the result of a search of that lane alone: the best of the bracket's ends and
+    midpoint, never worse than any alpha-grid sample at resolution 1e-10. Returns arrays
+    ``(p_n1, p_n2, energy)``, one entry per lane, after ``_STEPS + 5`` evaluations.
 
-    Every lane field must be a positive finite real (no bool, str or complex), as
-    ``t_n`` in ``split_schedule``; past ``d_m`` a lane's optimum is OMA over ``t_n``.
-    The NomaMecError names the field and the first bad lane, or each field's length
-    where they do not broadcast. Each lane's returned point is the best of its final
-    bracket's endpoints and midpoint, never worse than any alpha-grid sample at
-    resolution 1e-10.
+    Every lane field must be a positive finite real (no bool, str or complex); past ``d_m``
+    a lane's optimum is OMA over ``t_n``. The NomaMecError names the field and the first
+    bad lane, or each field's length where they do not broadcast.
     """
-    names = ("nats", "d_m", "h_n_sq", "t_n")
-    lanes = list(map(_real_lanes, names, (nats, d_m, h_n_sq, t_n)))
-    try:
-        nats, d_m, h_n_sq, t_n = np.broadcast_arrays(*lanes)
-    except ValueError:
-        sizes = ", ".join(f"{name} {lane.size}" for name, lane in zip(names, lanes))
-        raise NomaMecError(f"lane fields must have one length or length 1, got {sizes}") from None
+    nats, d_m, h_n_sq, t_n = _lanes(nats=nats, d_m=d_m, h_n_sq=h_n_sq, t_n=t_n)
 
     def split_energy(alpha):   # phase energies: power times length is _power over h/length
         phase1 = _power(_NUMPY, alpha * rate_dm, h_per_dm, rate_dm, exp_rate_dm, can_saturate[0])
@@ -106,24 +99,10 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         # Phase 1 can saturate only if it does at alpha = 1 (y1 = nats/d_m), phase 2 at alpha = 0.
         can_saturate = (np.count_nonzero(_saturates(rate_dm, rate_dm)),
                         np.count_nonzero(_saturates(rate_tn)))
-        # Brackets [lo, lo + width], with f_lo, f_hi at lo + (1 - _INV_PHI, _INV_PHI) * width.
-        lo, width = np.zeros(t_n.size), 1.0
         floor = np.zeros(t_n.size)   # each lane's least phase power so far, or 0
-        f_lo, f_hi = split_energy(lo + (1.0 - _INV_PHI)), split_energy(lo + _INV_PHI)
-        for _ in range(_STEPS):
-            # Keep the left part where f_lo < f_hi or where phase 1 saturates at the lower inner
-            # point, as at every larger alpha (an inf/inf tie); else the right part: lo moves up.
-            left = f_lo < f_hi
-            if can_saturate[0]:
-                left |= _saturates((lo + (1.0 - _INV_PHI) * width) * rate_dm, rate_dm)
-            lo = np.where(left, lo, lo + (1.0 - _INV_PHI) * width)
-            width *= _INV_PHI
-            f_probe = split_energy(lo + np.where(left, (1.0 - _INV_PHI) * width, _INV_PHI * width))
-            f_lo, f_hi = np.where(left, f_probe, f_hi), np.where(left, f_lo, f_probe)
-
-        # 2 + _STEPS + 3 evaluations. The right end rounds past 1 if every step goes right.
-        hi = np.minimum(lo + width, 1.0)
-        candidates = np.stack((lo, 0.5 * (lo + hi), hi))
+        # Phase 1 saturated at the lower inner point is at every larger alpha: that tie goes left.
+        tie = (lambda alpha, _: _saturates(alpha * rate_dm, rate_dm)) if can_saturate[0] else None
+        candidates = np.stack(_golden(split_energy, t_n.size, tie))
         p_n1, p_n2 = _split_powers(_NUMPY, candidates, nats, d_m, h_n_sq, t_n, can_saturate)
         # One verdict per search, on every evaluation and candidate, as PowerSchedule checks powers.
         if not (np.minimum(floor, np.minimum(p_n1, p_n2).min(axis=0)) >= 0.0).all():
@@ -133,24 +112,43 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
         return p_n1[best, lane], p_n2[best, lane], energies[best, lane]
 
 
-def oracle_joint(scenario: OffloadScenario) -> OracleResult:
-    """Joint search: minimize over alpha on a uniform extension grid and take the argmin.
+def _dual(nats, d_m, budget, h_n_sq, u):
+    """The Lagrange dual at ``u = ln(lambda h)``, elementwise: the least Lagrangian, at ``y2 = u``,
+    ``y1 = max(0, u - nats/d_m)``, ``t`` 0 or ``budget``. At ``u >= 0``, a lower bound."""
+    rate_dm = nats / d_m
+    y1 = np.maximum(0.0, u - rate_dm)
+    exp_u = np.exp(u)
+    return (exp_u * nats + d_m * (np.exp(rate_dm) * np.expm1(y1) - exp_u * y1)
+            + budget * np.minimum(0.0, np.expm1(u) - exp_u * u)) / h_n_sq
 
-    The grid covers the deadline budget ``(0, d_n - d_m]`` with 256 points
-    including the right endpoint, searched as one ``oracle_batch``. Past
-    ``d_m`` a split's optimum is OMA over ``t_n``, so from ``d_n == 2 d_m`` on
-    the search lands on OMA over the whole budget. With ``d_n == d_m`` the
-    interval is empty and the split that carries the whole task in the shared
-    slot (pure NOMA) is returned directly. The last of equal minima wins, so an
-    all-inf search names the whole budget.
+
+def oracle_bounds(nats, d_m, d_n, h_n_sq) -> tuple[np.ndarray, np.ndarray]:
+    """Bound the least energy over every split and extension, for many scenarios at once.
+
+    Lanes ``nats``, ``d_m``, ``d_n`` and ``h_n_sq`` are read as ``oracle_batch`` reads its
+    own, with ``d_n >= d_m`` (the NomaMecError names ``d_n`` and the lane). Returns arrays
+    ``(upper, lower)``: ``upper`` is ``oracle_batch``'s energy over the budget ``d_n - d_m``,
+    or with none that of pure NOMA, the split at ``alpha = 1``; ``lower`` is the Lagrange
+    dual at the best final candidate of a golden-section search on ``u`` in
+    ``[0, 2 nats/d_m]``, or ``-inf`` where it is NaN. ``[lower, upper]`` holds the optimum.
     """
-    t_max = scenario.d_n - scenario.d_m
-    if t_max == 0.0:
-        # With alpha = 1 phase 2 carries zero nats, so its length is immaterial.
-        shared = split_schedule(scenario, scenario.d_m, 1.0)
-        return OracleResult(shared.p_n1, shared.p_n2, 0.0, schedule_energy(scenario, shared))
-    grid = t_max * np.arange(1, _EXTENSIONS + 1) / _EXTENSIONS
-    p_n1, p_n2, energy = oracle_batch(scenario.nats, scenario.d_m, scenario.h_n_sq, grid)
-    best = _EXTENSIONS - 1 - int(np.argmin(energy[::-1]))   # the last of equal minima
-    return OracleResult(float(p_n1[best]), float(p_n2[best]), float(grid[best]),
-                        float(energy[best]))
+    nats, d_m, d_n, h_n_sq = _lanes(nats=nats, d_m=d_m, d_n=d_n, h_n_sq=h_n_sq)
+    if (short := d_n < d_m).any():
+        k = int(np.argmax(short))
+        raise NomaMecError(f"d_n must be at least d_m, got {float(d_n[k])} < {float(d_m[k])}"
+                           f" in lane {k}")
+    budget = d_n - d_m
+    upper = oracle_batch(nats, d_m, h_n_sq, np.where(budget > 0.0, budget, d_m))[2]
+
+    def negated_dual(s):   # a NaN g, where the dual overflows, reads -inf: it passes nothing
+        g = _dual(nats, d_m, budget, h_n_sq, span * s)
+        return np.where(np.isnan(g), np.inf, -g)
+
+    with np.errstate(all="ignore"):   # saturated lanes overflow
+        # With no budget, pure NOMA: alpha = 1 leaves phase 2 no nats, so its length is immaterial.
+        pure_noma = d_m * _split_powers(_NUMPY, 1.0, nats, d_m, h_n_sq, d_m)[0]
+        span = 2.0 * (nats / d_m)
+        # The dual overflows past u = 709.78 (at every u once nats/d_m is past it), where -g reads
+        # +inf: a right tail, which f_lo < f_hi alone keeps out of the bracket.
+        candidates = np.stack(_golden(negated_dual, nats.size))
+        return np.where(budget > 0.0, upper, pure_noma), -negated_dual(candidates).min(axis=0)

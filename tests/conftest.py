@@ -61,14 +61,21 @@ def identity_corpus(count=1200, seed=2018):
             for r, m, f, g_m, g_n in zip(rate, d_m, factor, *gains)]
 
 
-def numpy_exp_is_pinned():
-    """Whether numpy's ``exp``/``expm1`` give the bits of the host that pinned the oracle's
-    outputs. Their last bits depend on the SIMD code numpy picks for the CPU, and the oracle
-    runs on them, so a pinned oracle value or hash holds only where this is true."""
+def numpy_exp_fingerprint():
+    """The first 16 hex digits of a sha256 over numpy's ``exp``/``expm1`` on a fixed grid. Their
+    last bits depend on the SIMD code numpy picks for the CPU, and the oracle runs on them, so
+    a pinned oracle value or hash holds only on the path it was pinned on: c65323f58be31cb3
+    on numpy's AVX-512 path (AVX512_SKX), 7106054b4aa1e088 on its AVX2 path, which
+    ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` selects on an AVX-512 host."""
     import hashlib
 
     import numpy as np
 
     grid = np.linspace(-5.0, 60.0, 4001)
-    fingerprint = hashlib.sha256(np.exp(grid).tobytes() + np.expm1(grid).tobytes())
-    return fingerprint.hexdigest()[:16] == "c65323f58be31cb3"
+    return hashlib.sha256(np.exp(grid).tobytes() + np.expm1(grid).tobytes()).hexdigest()[:16]
+
+
+def numpy_exp_is_pinned():
+    """Whether numpy's ``exp``/``expm1`` give the bits of the AVX-512 path, on which the
+    campaign summaries were pinned (see ``numpy_exp_fingerprint``)."""
+    return numpy_exp_fingerprint() == "c65323f58be31cb3"

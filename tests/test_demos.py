@@ -46,11 +46,11 @@ def test_public_names_are_pinned():
     # The whole public API, sorted: adding, removing or renaming a name shows in this list.
     assert sorted(noma_mec.__all__) == [
         "CampaignSummary", "ComparisonTable", "EXP_CUTOFF", "EnergyReport", "NomaMecError",
-        "OffloadScenario", "OracleResult", "PowerSchedule", "Regime", "StrategyKind", "SurfaceGrid",
+        "OffloadScenario", "PowerSchedule", "Regime", "StrategyKind", "SurfaceGrid",
         "__version__", "classify_regime", "deadline_sweep",
         "energy_derivative", "energy_surface", "hybrid_energy", "hybrid_powers", "kkt_log_vars",
         "log_hybrid_energy", "log_oma_energy_n", "noma_oma_gap", "offloaded_nats", "oma_energy_n",
-        "oma_power_m", "oracle_batch", "oracle_joint", "render_campaign_summary",
+        "oma_power_m", "oracle_batch", "oracle_bounds", "render_campaign_summary",
         "render_surface_csv", "render_sweep_csv", "schedule_energy", "select_strategy",
-        "split_schedule", "validate_scenario", "verification_campaign",
+        "validate_scenario", "verification_campaign",
     ]

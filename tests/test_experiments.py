@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from noma_mec import (
     NomaMecError,
+    PowerSchedule,
     StrategyKind,
     deadline_sweep,
     energy_derivative,
@@ -27,7 +28,6 @@ from noma_mec import (
     render_sweep_csv,
     schedule_energy,
     select_strategy,
-    split_schedule,
     validate_scenario,
     verification_campaign,
     __version__,
@@ -44,7 +44,8 @@ from noma_mec.experiments import (
     SweepRow,
     _run_cells,
 )
-from noma_mec.model import _MAX_ROWS
+from noma_mec.model import _MAX_ROWS, _SCALAR
+from noma_mec.oracle import _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 
@@ -261,7 +262,8 @@ class TestViewsAgree:
                            report.normalized_energy]
             values += [*hybrid_powers(s, t_n), hybrid_energy(s, t_n), hybrid_powers(s, 0.0)[0],
                        oma_energy_n(s, s.d_n - s.d_m), oma_energy_n(s, t_n)]
-            split = split_schedule(s, d_m, frac)
+            split = PowerSchedule(*_split_powers(_SCALAR, frac, s.nats, s.d_m, s.h_n_sq, d_m),
+                                  t_n=d_m)
             values += [split.p_n1, split.p_n2, schedule_energy(s, split), offloaded_nats(s, split),
                        *kkt_log_vars(s, t_n), oma_power_m(s),
                        energy_derivative(s, t_n)]

@@ -39,7 +39,8 @@ ROWS = {
                        ("t_n", "p1_max", "p2_max", "resolution")),
     "oracle_batch": (dict(nats=15.0, d_m=20.0, h_n_sq=1.0, t_n=5.0),
                      ("nats", "d_m", "h_n_sq", "t_n")),
-    "split_schedule": (dict(scenario=ANCHOR, t_n=5.0, alpha=0.5), ("t_n", "alpha")),
+    "oracle_bounds": (dict(nats=15.0, d_m=20.0, d_n=25.0, h_n_sq=1.0),
+                      ("nats", "d_m", "d_n", "h_n_sq")),
     "verification_campaign": (dict(seed=1, count=3), ("seed", "count")),
     **{name: (dict(scenario=ANCHOR, t_n=5.0), ("t_n",))
        for name in ("energy_derivative", "hybrid_energy", "hybrid_powers", "kkt_log_vars",
@@ -48,7 +49,7 @@ ROWS = {
        for name in ("log_oma_energy_n", "oma_energy_n")},
     # These take records only: no number to refuse.
     **{name: (dict(scenario=ANCHOR), ())
-       for name in ("classify_regime", "oma_power_m", "oracle_joint", "select_strategy")},
+       for name in ("classify_regime", "oma_power_m", "select_strategy")},
     **{name: (dict(scenario=ANCHOR, schedule=PowerSchedule(1.0, 2.0, 5.0)), ())
        for name in ("offloaded_nats", "schedule_energy")},
     "render_campaign_summary": (dict(summary=verification_campaign(1, 3)), ()),
@@ -106,3 +107,11 @@ def test_hostile_numbers_refused_by_name_or_read_as_floats(name):
                 if not _floats_are_float(result):
                     wrong.append((parameter, value_id, result))
     assert not wrong
+
+
+def test_short_deadline_lane_refused_by_name():
+    # Every field of this lane is a positive finite number, but d_n < d_m: the refusal names
+    # d_n and the lane, as OffloadScenario names the deadlines.
+    with pytest.raises(NomaMecError,
+                       match=r"^d_n must be at least d_m, got 19\.0 < 20\.0 in lane 0$"):
+        noma_mec.oracle_bounds(**{**ROWS["oracle_bounds"][0], "d_n": 19.0})

@@ -30,7 +30,6 @@ from noma_mec import (
     oracle_batch,
     schedule_energy,
     select_strategy,
-    split_schedule,
     validate_scenario,
     verification_campaign,
 )
@@ -141,8 +140,8 @@ class TestValidation:
          "d_n_to must be finite, got <int too long to print>"),
         (lambda: verification_campaign(-10**5000, 3),
          "seed must be a nonnegative integer, got <int too long to print>"),
-        (lambda: split_schedule(ANCHOR, 5.0, [10**5000]),
-         "alpha must lie in [0, 1], got <list too long to print>"),
+        (lambda: hybrid_energy(ANCHOR, [10**5000]),
+         "t_n must lie in [0, 20.0], got <list too long to print>"),
     ], ids=["scenario field", "t_n", "steps", "d_n_to", "seed", "list holding one"])
     def test_integer_too_long_to_print_is_refused_by_name(self, call, message):
         # Python's repr refuses an int of more than 4,300 digits with a plain ValueError; the
@@ -199,8 +198,6 @@ TYPED_CALLS = [
     ("oma_energy_n", "slot", lambda v: oma_energy_n(ANCHOR, v)),
     ("log_oma_energy_n", "slot", lambda v: log_oma_energy_n(ANCHOR, v)),
     ("noma_oma_gap", "t_n", lambda v: noma_oma_gap(ANCHOR, v)),
-    ("split_schedule-t_n", "t_n", lambda v: split_schedule(ANCHOR, v, 0.5)),
-    ("split_schedule-alpha", "alpha", lambda v: split_schedule(ANCHOR, 5.0, v)),
     ("energy_surface-t_n", "t_n", lambda v: energy_surface(ANCHOR, v, resolution=2)),
     ("energy_surface-p1_max", "p1_max", lambda v: energy_surface(ANCHOR, 5.0, v, 1.0, 2)),
     ("energy_surface-p2_max", "p2_max", lambda v: energy_surface(ANCHOR, 5.0, 1.0, v, 2)),

@@ -7,10 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import noma_mec.oracle
-from conftest import hybrid_scenarios, identity_corpus, numpy_exp_is_pinned
+from conftest import any_scenarios, hybrid_scenarios, identity_corpus, numpy_exp_fingerprint
 from noma_mec import (
     NomaMecError,
     Regime,
@@ -21,15 +21,14 @@ from noma_mec import (
     hybrid_powers,
     offloaded_nats,
     oma_energy_n,
-    oracle_joint,
+    oracle_bounds,
     schedule_energy,
     select_strategy,
-    split_schedule,
     validate_scenario,
 )
 from noma_mec import PowerSchedule, log_oma_energy_n, oracle_batch
-from noma_mec.model import _NUMPY, EXP_CUTOFF
-from noma_mec.oracle import _EXTENSIONS, _INV_PHI, _split_powers
+from noma_mec.model import _NUMPY, _SCALAR, EXP_CUTOFF
+from noma_mec.oracle import _INV_PHI, _split_powers
 
 ANCHOR = validate_scenario(15.0, 20.0, 25.0)
 # 1.382 nats/d_m > EXP_CUTOFF: both first inner points of the search saturate phase 1, an
@@ -38,40 +37,37 @@ PHASE1_TIE = validate_scenario(507.0, 1.0, 1.9)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
+def _split(s, t_n, alpha):
+    """The schedule that puts ``alpha`` of ``s``'s task in the shared slot and the rest in
+    ``t_n``, on floats with ``_SCALAR``: the reference the array search is held to."""
+    return PowerSchedule(*_split_powers(_SCALAR, alpha, s.nats, s.d_m, s.h_n_sq, t_n), t_n=t_n)
+
+
 class TestSplitParametrization:
     def test_all_nats_in_shared_slot_is_pure_noma(self):
-        schedule = split_schedule(ANCHOR, 5.0, 1.0)
+        schedule = _split(ANCHOR, 5.0, 1.0)
         assert schedule_energy(ANCHOR, schedule) == hybrid_energy(ANCHOR, 0.0)
         assert schedule.p_n1 == hybrid_powers(ANCHOR, 0.0)[0]
         assert schedule.p_n2 == 0.0
 
     def test_all_nats_in_solo_slot_is_oma(self):
-        assert schedule_energy(ANCHOR, split_schedule(ANCHOR, 5.0, 0.0)) == pytest.approx(
+        assert schedule_energy(ANCHOR, _split(ANCHOR, 5.0, 0.0)) == pytest.approx(
             oma_energy_n(ANCHOR, 5.0), rel=1e-12
         )
-        assert split_schedule(ANCHOR, 5.0, 0.0).p_n1 == 0.0
+        assert _split(ANCHOR, 5.0, 0.0).p_n1 == 0.0
 
     @given(s=hybrid_scenarios(), alpha=st.floats(0.0, 1.0))
     def test_split_is_rate_exact(self, s, alpha):
         t_n = s.d_n - s.d_m
-        schedule = split_schedule(s, t_n, alpha)
+        schedule = _split(s, t_n, alpha)
         if math.isinf(schedule.p_n1) or math.isinf(schedule.p_n2):
             return
         assert offloaded_nats(s, schedule) == pytest.approx(s.nats, rel=1e-9)
 
-    def test_alpha_out_of_range(self):
-        with pytest.raises(NomaMecError, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
-            split_schedule(ANCHOR, 5.0, 1.5)
-
-    def test_zero_extension_rejected(self):
-        with pytest.raises(NomaMecError, match=r"^t_n must lie in \(0, inf\), got 0\.0$"):
-            split_schedule(ANCHOR, 0.0, 0.5)
-
     @pytest.mark.parametrize("call, field", [
         (lambda length: oma_energy_n(ANCHOR, length), "slot"),
         (lambda length: log_oma_energy_n(ANCHOR, length), "slot"),
-        (lambda length: split_schedule(ANCHOR, length, 0.5), "t_n"),
-    ], ids=["oma_energy_n", "log_oma_energy_n", "split_schedule"])
+    ], ids=["oma_energy_n", "log_oma_energy_n"])
     @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
     def test_nonfinite_or_negative_length_rejected(self, call, field, length):
         # A NaN or inf length has no energy; it must not come back as a NaN or inf result.
@@ -84,6 +80,11 @@ class TestSplitParametrization:
 def _one_lane(s, t_n):
     """``oracle_batch``'s search of one lane, the scenario ``s`` at extension ``t_n``: floats."""
     return tuple(float(a[0]) for a in oracle_batch(s.nats, s.d_m, s.h_n_sq, t_n))
+
+
+def _bounds(s):
+    """``oracle_bounds``' ``(upper, lower)`` of the one scenario ``s``, as floats."""
+    return tuple(float(a[0]) for a in oracle_bounds(s.nats, s.d_m, s.d_n, s.h_n_sq))
 
 
 class TestFixedExtensionSearch:
@@ -105,7 +106,7 @@ class TestFixedExtensionSearch:
         energy = _one_lane(ANCHOR, 5.0)[2]
         spacing = 1e-4
         grid_best = min(
-            schedule_energy(ANCHOR, split_schedule(ANCHOR, 5.0, k * spacing))
+            schedule_energy(ANCHOR, _split(ANCHOR, 5.0, k * spacing))
             for k in range(int(1.0 / spacing) + 1)
         )
         assert energy <= grid_best * (1.0 + 1e-12)
@@ -195,9 +196,9 @@ def _random_lanes(count, seed):
     return scenarios, t_n
 
 
-def _lane_arrays(scenarios):
-    """The ``(nats, d_m, h_n_sq)`` lane arrays ``oracle_batch`` takes."""
-    return [np.array([getattr(s, name) for s in scenarios]) for name in ("nats", "d_m", "h_n_sq")]
+def _lane_arrays(scenarios, fields=("nats", "d_m", "h_n_sq")):
+    """The lane arrays of ``fields``, by default the ``(nats, d_m, h_n_sq)`` of ``oracle_batch``."""
+    return [np.array([getattr(s, name) for s in scenarios]) for name in fields]
 
 
 def _power_calls(monkeypatch, search, *args):
@@ -383,7 +384,7 @@ class TestOracleBatch:
     @example(s=validate_scenario(800.0, 1.0, 2.0), alpha=0.0, frac=1.0)
     def test_array_objective_matches_scalar(self, s, alpha, frac):
         t_n = (s.d_n - s.d_m) * frac
-        scalar = schedule_energy(s, split_schedule(s, t_n, alpha))
+        scalar = schedule_energy(s, _split(s, t_n, alpha))
         # One lane, every argument an array, as oracle_batch evaluates the rule.
         alpha, *lane = [np.array([v]) for v in (alpha, s.nats, s.d_m, s.h_n_sq, t_n)]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -408,7 +409,7 @@ class TestSaturatedSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert oracle_batch(s.nats, s.d_m, s.h_n_sq, 5e-11)[2].tolist() == [math.inf]
-            assert oracle_joint(s).energy == math.inf
+            assert _bounds(s) == (math.inf, -math.inf)
 
 
     @pytest.mark.parametrize("power_rule, error", [
@@ -442,84 +443,207 @@ class TestSaturatedSearch:
             assert np.geterr() == before
 
 
-class TestOracleJoint:
+def _scenario_lanes(scenarios):
+    """The ``(nats, d_m, d_n, h_n_sq)`` lane arrays ``oracle_bounds`` takes."""
+    return _lane_arrays(scenarios, ("nats", "d_m", "d_n", "h_n_sq"))
+
+
+def _selected_energy(table):
+    return (table.oma if table.selected is StrategyKind.OMA else table.hybrid).energy
+
+
+# The certificate's tolerance, relative to the energy it certifies.
+CERTIFIED_REL = 1e-11
+
+
+def _certified(energy, upper, lower):
+    """Whether both bounds lie within CERTIFIED_REL of ``energy``: then ``energy`` is the least
+    over every split and extension to that tolerance. A NaN or an infinity never passes."""
+    return bool(abs(upper - energy) <= CERTIFIED_REL * energy
+                and abs(energy - lower) <= CERTIFIED_REL * energy)
+
+
+class TestOracleBounds:
     def test_reference_scenario_lands_on_deadline_budget(self):
-        result = oracle_joint(ANCHOR)
-        assert result.t_n == pytest.approx(5.0, abs=5.0 / _EXTENSIONS)
-        assert result.energy == pytest.approx(35.66291, abs=1e-3)
+        # The search over the whole budget is a feasible energy, the dual bounds every extension:
+        # they meet, so no extension in [0, 5] beats t_n = 5.
+        upper, lower = _bounds(ANCHOR)
+        assert upper == pytest.approx(35.66291, abs=1e-4)
+        assert upper == pytest.approx(hybrid_energy(ANCHOR, 5.0), rel=CERTIFIED_REL, abs=0.0)
+        assert lower == pytest.approx(upper, rel=CERTIFIED_REL, abs=0.0)
 
     def test_tight_deadline(self):
         s = validate_scenario(15.0, 20.0, 21.0)
-        result = oracle_joint(s)
-        assert result.t_n == pytest.approx(1.0, abs=1.0 / _EXTENSIONS)
-        assert result.energy == pytest.approx(hybrid_energy(s, 1.0), rel=1e-5)
+        upper, lower = _bounds(s)
+        assert upper == pytest.approx(hybrid_energy(s, 1.0), rel=CERTIFIED_REL, abs=0.0)
+        assert lower == pytest.approx(upper, rel=CERTIFIED_REL, abs=0.0)
 
     def test_degenerate_deadline_returns_pure_noma(self):
+        # With no budget the upper bound is the split at alpha = 1, in numpy's exp/expm1: a few
+        # ulp from the scalar split, which equals hybrid_energy(s, 0.0) bit for bit (above).
         s = validate_scenario(15.0, 20.0, 20.0)
-        result = oracle_joint(s)
-        assert result.t_n == 0.0
-        assert result.p_n2 == 0.0
-        assert result.energy == hybrid_energy(s, 0.0)
+        upper, lower = _bounds(s)
+        with np.errstate(all="raise"):
+            p_n1, p_n2 = _split_powers(_NUMPY, 1.0, *_lane_arrays([s]), np.array([1.0]))
+        assert p_n2.tolist() == [0.0] and upper == s.d_m * p_n1[0]
+        assert upper == pytest.approx(hybrid_energy(s, 0.0), rel=1e-15, abs=0.0)
+        assert lower == pytest.approx(upper, rel=CERTIFIED_REL, abs=0.0)
 
     def test_search_resolution_is_fixed(self, monkeypatch):
-        # _STEPS is the first step count whose bracket on alpha is at most 1e-10 wide.
+        # _STEPS is the first step count whose bracket on [0, 1] is at most 1e-10 wide, and both
+        # searches take it: the split search's _power calls, the dual's evaluations.
         inv_phi, steps = noma_mec.oracle._INV_PHI, noma_mec.oracle._STEPS
         assert inv_phi ** steps <= 1e-10 < inv_phi ** (steps - 1)
         assert _power_calls(monkeypatch, oracle_batch, 15.0, 20.0, 1.0, 5.0)[1] == _effort(steps)
+        real, shapes = noma_mec.oracle._dual, []
+
+        def dual(*args):
+            shapes.append(np.shape(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(noma_mec.oracle, "_dual", dual)
+        oracle_bounds([15.0, 15.0], 20.0, [25.0, 60.0], 1.0)
+        # Two to open, one per step, then the three final candidates at once.
+        assert shapes == [(2,)] * (steps + 2) + [(3, 2)]
 
     @pytest.mark.parametrize("call, keyword", [
         (lambda: oracle_batch(15.0, 20.0, 1.0, 5.0, tol=1e-10), "tol"),
-        (lambda: oracle_joint(ANCHOR, tol=1e-10), "tol"),
-        (lambda: oracle_joint(ANCHOR, t_steps=16), "t_steps"),
-    ], ids=["oracle_batch", "oracle_joint", "oracle_joint t_steps"])
+        (lambda: oracle_bounds(15.0, 20.0, 25.0, 1.0, tol=1e-10), "tol"),
+        (lambda: oracle_bounds(15.0, 20.0, 25.0, 1.0, t_steps=16), "t_steps"),
+    ], ids=["oracle_batch", "oracle_bounds", "oracle_bounds t_steps"])
     def test_tol_not_accepted(self, call, keyword):
-        # The search width and the extension grid are fixed; a caller's value is refused,
-        # not ignored.
+        # The search width is fixed and no extension grid is searched; a caller's value is
+        # refused, not ignored.
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
             call()
 
     @settings(max_examples=25, deadline=None)
     @given(s=hybrid_scenarios())
     def test_boundary_optimum(self, s):
-        t_max = min(s.d_n - s.d_m, s.d_m)
-        result = oracle_joint(s)
-        assert result.t_n >= t_max * (1.0 - 1.0 / _EXTENSIONS) - 1e-12
+        # The dual bounds every extension in [0, d_n - d_m] and meets the search at its end.
+        upper, lower = _bounds(s)
+        assert lower == pytest.approx(upper, rel=CERTIFIED_REL, abs=0.0)
 
     def test_certifies_the_selected_strategy_in_every_regime(self):
-        # Every 4th corpus scenario: 75 per regime. Past d_m a split's optimum is OMA over
-        # t_n, so the search over the whole deadline budget also finds where OMA wins.
+        # Every 4th corpus scenario: 75 per regime, in one call. Past d_m a split's optimum is
+        # OMA over t_n, so the search over the whole budget is the least energy where OMA wins.
         sample = identity_corpus()[::4]
         assert {classify_regime(s) for s in sample} == set(Regime)
-        for s in sample:
-            result, table = oracle_joint(s), select_strategy(s)
-            row = table.oma if table.selected is StrategyKind.OMA else table.hybrid
-            if math.isinf(row.energy):
-                assert result.energy == math.inf
+        for s, upper, lower in zip(sample, *oracle_bounds(*_scenario_lanes(sample))):
+            row = _selected_energy(select_strategy(s))
+            if math.isinf(row):
+                assert upper == math.inf
             else:
-                assert result.energy == pytest.approx(row.energy, rel=1e-11, abs=0.0)
+                assert upper == pytest.approx(row, rel=CERTIFIED_REL, abs=0.0)
+                assert lower <= row * (1.0 + CERTIFIED_REL)
             if classify_regime(s) is Regime.OMA_FAVORED:
-                assert result.t_n == s.d_n - s.d_m
                 t_n = [0.5 * s.d_n, s.d_n - s.d_m]   # both in (d_m, d_n - d_m], one batch
                 energy = oracle_batch(s.nats, s.d_m, s.h_n_sq, t_n)[2]
                 assert energy.tolist() == pytest.approx([oma_energy_n(s, t) for t in t_n],
                                                         rel=1e-12, abs=0.0)
 
-    def test_all_inf_search_names_the_budget(self):
+    @settings(max_examples=40, deadline=None)
+    @given(s=any_scenarios())
+    def test_certifies_the_selection_on_random_scenarios(self, s):
+        # Below a budget of about 1e-7 d_m the split's optimum lies within the 1e-10 alpha
+        # bracket of alpha = 1, and the upper bound, still a feasible energy, can sit more than
+        # the tolerance above the optimum: the certificate then fails closed.
+        assume(s.d_n == s.d_m or s.d_n - s.d_m >= 1e-6 * s.d_m)
+        assert _certified(_selected_energy(select_strategy(s)), *_bounds(s))
+
+    @pytest.mark.parametrize("s", [ANCHOR, OTHER, PHASE1_TIE, validate_scenario(15.0, 20.0, 50.0)],
+                             ids=["hybrid", "hybrid, h_n_sq 4", "phase-1 tie", "OMA favored"])
+    def test_lower_bounds_the_search_at_every_extension(self, s):
+        # Weak duality, read off the split search alone: no extension on a 256-point grid of
+        # (0, d_n - d_m] beats the lower bound, and the budget's end is the upper one.
+        t_n = (s.d_n - s.d_m) * np.arange(1, 257) / 256
+        energy = oracle_batch(s.nats, s.d_m, s.h_n_sq, t_n)[2]
+        upper, lower = _bounds(s)
+        assert (energy >= lower * (1.0 - CERTIFIED_REL)).all() and energy[-1] == upper
+
+    def test_each_lane_is_its_own_search(self):
+        # Lanes in every regime, saturated and overflowing ones among them, in one call: each
+        # lane's bounds are those of its scenario alone, bit for bit.
+        scenarios = [ANCHOR, validate_scenario(15.0, 20.0, 20.0), PHASE1_TIE, SATURATING, OTHER,
+                     validate_scenario(800.0, 1.0, 1.5), validate_scenario(15.0, 20.0, 50.0),
+                     validate_scenario(1e308, 1e-10, 1.5e-10)]
+        upper, lower = oracle_bounds(*_scenario_lanes(scenarios))
+        assert list(zip(upper.tolist(), lower.tolist())) == [_bounds(s) for s in scenarios]
+
+    def test_wrong_selections_fall_outside_the_bounds(self):
+        # Every finite selected energy of the corpus is certified, and each wrong answer lies
+        # outside [lower, upper] by more than the tolerance: above, or for a low one, below.
+        corpus = identity_corpus()
+        outside = {"pure NOMA on hybrid rows": [], "OMA over d_m where OMA wins": [],
+                   "hybrid at 0.99 t_star": [], "the selected energy 1e-9 low": []}
+        for s, upper, lower in zip(corpus, *oracle_bounds(*_scenario_lanes(corpus))):
+            table, regime = select_strategy(s), classify_regime(s)
+            row = _selected_energy(table)
+            if math.isinf(row):
+                continue
+            assert _certified(row, upper, lower), (s, row, upper, lower)
+            wrong = {"the selected energy 1e-9 low": row * (1.0 - 1e-9)}
+            if regime is Regime.HYBRID:
+                wrong["pure NOMA on hybrid rows"] = table.pure_noma.energy
+                wrong["hybrid at 0.99 t_star"] = hybrid_energy(s, 0.99 * table.t_star)
+            if regime is Regime.OMA_FAVORED:
+                wrong["OMA over d_m where OMA wins"] = oma_energy_n(s, s.d_m)
+            for name, energy in wrong.items():
+                outside[name].append(energy > upper * (1.0 + CERTIFIED_REL)
+                                     or energy < lower * (1.0 - CERTIFIED_REL))
+        assert {name: (len(flags), flags.count(False)) for name, flags in outside.items()} == {
+            "pure NOMA on hybrid rows": (288, 0), "OMA over d_m where OMA wins": (300, 0),
+            "hybrid at 0.99 t_star": (288, 0), "the selected energy 1e-9 low": (1164, 0)}
+
+    def test_nan_dual_certifies_nothing(self, monkeypatch):
+        # A dual that is NaN, as where it overflows, reads -inf: a true bound, which certifies
+        # no energy. Compared as NaN it would fail both ways and so pass a negated check.
+        monkeypatch.setattr(noma_mec.oracle, "_dual",
+                            lambda *args: np.full(np.shape(args[-1]), math.nan))
+        upper, lower = _bounds(ANCHOR)
+        assert lower == -math.inf and not _certified(hybrid_energy(ANCHOR, 5.0), upper, lower)
+
+    def test_all_inf_bounds_certify_nothing(self):
         # nats/d_m = 800 saturates phase 1 at every alpha > 0 and nats/t_n >= 1,600 phase 2 at
-        # alpha = 0: every grid energy is inf, and of equal minima the longest extension wins.
-        result = oracle_joint(validate_scenario(800.0, 1.0, 1.5))
-        assert result.energy == math.inf
-        assert result.t_n == 0.5
+        # alpha = 0, and the dual's exp(nats/d_m) overflows at every u.
+        upper, lower = _bounds(validate_scenario(800.0, 1.0, 1.5))
+        assert (upper, lower) == (math.inf, -math.inf)
+        assert not _certified(math.inf, upper, lower)
+
+    def test_dual_overflow_at_large_u_is_kept_out_of_the_bracket(self):
+        # nats/d_m = 600: the dual is NaN past u = 709.8, so at the first upper inner point, u =
+        # 742, while the optimum, OMA over the budget of 2, has u = nats/2 = 300. Compared as NaN
+        # the bracket would move right, past it, and the lower bound read -1.2e307.
+        s = validate_scenario(600.0, 1.0, 3.0)
+        assert _certified(oma_energy_n(s, 2.0), *_bounds(s))
+
+    def test_short_deadline_lane_refused_by_name(self):
+        with pytest.raises(NomaMecError, match=r"^d_n must be at least d_m, got 19\.0 < 20\.0"
+                                               r" in lane 1$"):
+            oracle_bounds(15.0, 20.0, [25.0, 19.0, 18.0], 1.0)
+
+    def test_unequal_lane_lengths_fail_closed(self):
+        with pytest.raises(NomaMecError, match=r"^lane fields must have one length or length 1,"
+                                               r" got nats 3, d_m 1, d_n 2, h_n_sq 1$"):
+            oracle_bounds([1.0, 2.0, 3.0], 20.0, [21.0, 22.0], 1.0)
 
 
 class TestPinnedBits:
-    # One sha256 over the oracle's lane outputs: every bit of p_n1, p_n2 and energy of 30
-    # seeded 200-lane batches (every third with nats x30, so that lanes saturate) and of the
-    # four fields of four joint searches, one of them all-inf. Each search is one batch.
-    DIGEST = "1fcf94212e23a1914071f1470d600ea5b5a27333afc203bece7cc4e772d49380"
+    # sha256 digests keyed by numpy_exp_fingerprint(), numpy's exp/expm1 path: c65323f58be31cb3
+    # is AVX-512 and 7106054b4aa1e088 AVX2. BATCHES covers every bit of p_n1, p_n2 and energy of
+    # 30 seeded 200-lane batches, every third with nats x30 so that lanes saturate; BOUNDS
+    # every bit of oracle_bounds' (upper, lower) for four scenarios, one of them all-inf.
+    BATCHES = {
+        "c65323f58be31cb3": "5f02692754e8bed491aa80a11087511fff1e0410c23e662bffe595d8d7bdb302",
+        "7106054b4aa1e088": "cb4b1fed6b874b2bb216b8da8648f6665a11c0e064afb1941c8ca5203cfb8d7f",
+    }
+    BOUNDS = {
+        "c65323f58be31cb3": "bf896dceb14e0c311abde10552e923e6f1870c1d01691ffb6c4b0b5e140f1ac8",
+        "7106054b4aa1e088": "9baf723b43c773ff1d549e00f125eb801690b7bb1129b4f2bb744c74793c64e3",
+    }
 
     def test_lane_outputs_pinned(self, monkeypatch):
-        digest = hashlib.sha256()
+        batches, bounds = hashlib.sha256(), hashlib.sha256()
         for seed in range(30):
             rng = np.random.default_rng(seed)
             nats, d_m, frac, h_n_sq, t_frac = rng.uniform((1.0, 1.0, 1e-3, 0.1, 1e-3),
@@ -528,14 +652,17 @@ class TestPinnedBits:
                                           nats * (30.0 if seed % 3 == 0 else 1.0), d_m, h_n_sq,
                                           d_m * frac * t_frac)
             assert calls == _effort(noma_mec.oracle._STEPS)
-            digest.update(b"".join(a.tobytes() for a in outputs))
+            batches.update(b"".join(a.tobytes() for a in outputs))
         for s in (ANCHOR, validate_scenario(15.0, 20.0, 21.0), validate_scenario(15.0, 20.0, 50.0),
                   validate_scenario(800.0, 1.0, 1.5)):
-            result, calls = _power_calls(monkeypatch, oracle_joint, s)
-            assert calls == _effort(noma_mec.oracle._STEPS)
-            digest.update(np.array(result).tobytes())
-        if numpy_exp_is_pinned():
-            assert digest.hexdigest() == self.DIGEST
+            outputs, calls = _power_calls(monkeypatch, oracle_bounds, *_scenario_lanes([s]))
+            assert calls == _effort(noma_mec.oracle._STEPS) + 2   # one search, then pure NOMA
+            bounds.update(b"".join(a.tobytes() for a in outputs))
+        fingerprint = numpy_exp_fingerprint()
+        if fingerprint not in self.BATCHES:
+            pytest.skip(f"no oracle digest pinned for numpy's exp/expm1 fingerprint {fingerprint}")
+        assert batches.hexdigest() == self.BATCHES[fingerprint]
+        assert bounds.hexdigest() == self.BOUNDS[fingerprint]
 
 
 class TestImportBoundary:

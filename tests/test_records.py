@@ -8,7 +8,6 @@ import pytest
 import noma_mec
 from noma_mec import (
     energy_surface,
-    oracle_joint,
     select_strategy,
     validate_scenario,
     verification_campaign,
@@ -22,7 +21,6 @@ RECORDS = [
      ("strategy", "energy", "normalized_energy", "phase1_energy", "phase2_energy", "feasible")),
     (select_strategy(ANCHOR),
      ("hybrid", "pure_noma", "oma", "selected", "regime", "t_star", "p_n1_star", "p_n2_star")),
-    (oracle_joint(ANCHOR), ("p_n1", "p_n2", "t_n", "energy")),
     (energy_surface(ANCHOR, 5.0, resolution=4),
      ("p1_axis", "p2_axis", "energy", "feasible", "scenario", "t_n")),
     (verification_campaign(42, 25),
