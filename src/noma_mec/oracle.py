@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .model import _NUMPY, NomaMecError, _power, _real_lanes, _saturates
+from .model import _EXACT, _NUMPY, NomaMecError, _power, _real_lanes, _saturates
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps per lane: the first k whose bracket on [0, 1], _INV_PHI**k wide, is at
@@ -52,14 +52,14 @@ def _lanes(**fields):
 
 def _golden(f, size, keep_left=None):
     """Minimize ``f`` on [0, 1] in ``size`` lanes; return the final ``(lo, mid, hi)``. A step
-    keeps the left part where ``f_lo < f_hi`` or ``keep_left(lower inner point, f_lo)``."""
+    keeps the left part where ``f_lo < f_hi`` or ``keep_left(lower inner point)``."""
     # Brackets [lo, lo + width], with f_lo, f_hi at lo + (1 - _INV_PHI, _INV_PHI) * width.
     lo, width = np.zeros(size), 1.0
     f_lo, f_hi = f(lo + (1.0 - _INV_PHI)), f(lo + _INV_PHI)
     for _ in range(_STEPS):
         left = f_lo < f_hi
         if keep_left is not None:
-            left |= keep_left(lo + (1.0 - _INV_PHI) * width, f_lo)
+            left |= keep_left(lo + (1.0 - _INV_PHI) * width)
         lo = np.where(left, lo, lo + (1.0 - _INV_PHI) * width)
         width *= _INV_PHI
         f_probe = f(lo + np.where(left, (1.0 - _INV_PHI) * width, _INV_PHI * width))
@@ -101,7 +101,7 @@ def oracle_batch(nats, d_m, h_n_sq, t_n) -> tuple[np.ndarray, np.ndarray, np.nda
                         np.count_nonzero(_saturates(rate_tn)))
         floor = np.zeros(t_n.size)   # each lane's least phase power so far, or 0
         # Phase 1 saturated at the lower inner point is at every larger alpha: that tie goes left.
-        tie = (lambda alpha, _: _saturates(alpha * rate_dm, rate_dm)) if can_saturate[0] else None
+        tie = (lambda alpha: _saturates(alpha * rate_dm, rate_dm)) if can_saturate[0] else None
         candidates = np.stack(_golden(split_energy, t_n.size, tie))
         p_n1, p_n2 = _split_powers(_NUMPY, candidates, nats, d_m, h_n_sq, t_n, can_saturate)
         # One verdict per search, on every evaluation and candidate, as PowerSchedule checks powers.
@@ -135,10 +135,10 @@ def oracle_bounds(nats, d_m, d_n, h_n_sq) -> tuple[np.ndarray, np.ndarray]:
     nats, d_m, d_n, h_n_sq = _lanes(nats=nats, d_m=d_m, d_n=d_n, h_n_sq=h_n_sq)
     if (short := d_n < d_m).any():
         k = int(np.argmax(short))
-        raise NomaMecError(f"d_n must be at least d_m, got {float(d_n[k])} < {float(d_m[k])}"
-                           f" in lane {k}")
+        raise NomaMecError(f"d_n must be at least d_m, got {d_n[k]} < {d_m[k]} in lane {k}")
     budget = d_n - d_m
-    upper = oracle_batch(nats, d_m, h_n_sq, np.where(budget > 0.0, budget, d_m))[2]
+    flat = budget == 0.0
+    upper = oracle_batch(nats, d_m, h_n_sq, np.where(flat, d_m, budget))[2]
 
     def negated_dual(s):   # a NaN g, where the dual overflows, reads -inf: it passes nothing
         g = _dual(nats, d_m, budget, h_n_sq, span * s)
@@ -146,9 +146,11 @@ def oracle_bounds(nats, d_m, d_n, h_n_sq) -> tuple[np.ndarray, np.ndarray]:
 
     with np.errstate(all="ignore"):   # saturated lanes overflow
         # With no budget, pure NOMA: alpha = 1 leaves phase 2 no nats, so its length is immaterial.
-        pure_noma = d_m * _split_powers(_NUMPY, 1.0, nats, d_m, h_n_sq, d_m)[0]
+        # In math's exp/expm1 (_EXACT): bit-equal to the same split on floats (_SCALAR).
+        upper[flat] = d_m[flat] * _split_powers(_EXACT, 1.0, nats[flat], d_m[flat], h_n_sq[flat],
+                                                1.0)[0]
         span = 2.0 * (nats / d_m)
         # The dual overflows past u = 709.78 (at every u once nats/d_m is past it), where -g reads
         # +inf: a right tail, which f_lo < f_hi alone keeps out of the bracket.
         candidates = np.stack(_golden(negated_dual, nats.size))
-        return np.where(budget > 0.0, upper, pure_noma), -negated_dual(candidates).min(axis=0)
+        return upper, -negated_dual(candidates).min(axis=0)

@@ -110,8 +110,8 @@ def test_hostile_numbers_refused_by_name_or_read_as_floats(name):
 
 
 def test_short_deadline_lane_refused_by_name():
-    # Every field of this lane is a positive finite number, but d_n < d_m: the refusal names
-    # d_n and the lane, as OffloadScenario names the deadlines.
+    # Every field of these lanes is a positive finite number, but d_n < d_m from lane 1 on: the
+    # refusal names d_n and the first such lane, as OffloadScenario names the deadlines.
     with pytest.raises(NomaMecError,
-                       match=r"^d_n must be at least d_m, got 19\.0 < 20\.0 in lane 0$"):
-        noma_mec.oracle_bounds(**{**ROWS["oracle_bounds"][0], "d_n": 19.0})
+                       match=r"^d_n must be at least d_m, got 19\.0 < 20\.0 in lane 1$"):
+        noma_mec.oracle_bounds(**{**ROWS["oracle_bounds"][0], "d_n": [25.0, 19.0, 18.0]})

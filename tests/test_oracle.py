@@ -479,15 +479,17 @@ class TestOracleBounds:
         assert lower == pytest.approx(upper, rel=CERTIFIED_REL, abs=0.0)
 
     def test_degenerate_deadline_returns_pure_noma(self):
-        # With no budget the upper bound is the split at alpha = 1, in numpy's exp/expm1: a few
-        # ulp from the scalar split, which equals hybrid_energy(s, 0.0) bit for bit (above).
+        # With no budget the upper bound is the split at alpha = 1, taken in math's exp/expm1.
         s = validate_scenario(15.0, 20.0, 20.0)
         upper, lower = _bounds(s)
-        with np.errstate(all="raise"):
-            p_n1, p_n2 = _split_powers(_NUMPY, 1.0, *_lane_arrays([s]), np.array([1.0]))
-        assert p_n2.tolist() == [0.0] and upper == s.d_m * p_n1[0]
-        assert upper == pytest.approx(hybrid_energy(s, 0.0), rel=1e-15, abs=0.0)
+        assert upper == hybrid_energy(s, 0.0)
         assert lower == pytest.approx(upper, rel=CERTIFIED_REL, abs=0.0)
+        # Mixed with budgeted lanes, each lane with none reads its own pure NOMA, bit for bit.
+        flat = [validate_scenario(n, d_m, d_m, 1.0, h) for n, d_m, h in
+                ((3.0, 0.5, 2.0), (40.0, 1.0, 0.3), (0.1, 3.0, 7.0), (300.0, 0.5, 1.0))]
+        upper = oracle_bounds(*_scenario_lanes([ANCHOR, *flat]))[0]
+        assert upper[1:].tolist() == [hybrid_energy(s, 0.0) for s in flat]
+        assert upper[0] == _bounds(ANCHOR)[0]
 
     def test_search_resolution_is_fixed(self, monkeypatch):
         # _STEPS is the first step count whose bracket on [0, 1] is at most 1e-10 wide, and both
@@ -616,11 +618,6 @@ class TestOracleBounds:
         # the bracket would move right, past it, and the lower bound read -1.2e307.
         s = validate_scenario(600.0, 1.0, 3.0)
         assert _certified(oma_energy_n(s, 2.0), *_bounds(s))
-
-    def test_short_deadline_lane_refused_by_name(self):
-        with pytest.raises(NomaMecError, match=r"^d_n must be at least d_m, got 19\.0 < 20\.0"
-                                               r" in lane 1$"):
-            oracle_bounds(15.0, 20.0, [25.0, 19.0, 18.0], 1.0)
 
     def test_unequal_lane_lengths_fail_closed(self):
         with pytest.raises(NomaMecError, match=r"^lane fields must have one length or length 1,"
