@@ -21,15 +21,8 @@ import sys
 
 from ._version import __version__
 from .closed_form import oma_power_m
-from .experiments import (
-    _fmt,
-    deadline_sweep,
-    energy_surface,
-    render_campaign_summary,
-    render_surface_csv,
-    render_sweep_csv,
-    verification_campaign,
-)
+from .experiments import (_fmt, _surface_pieces, _sweep_pieces, deadline_sweep, energy_surface,
+                          render_campaign_summary, verification_campaign)
 from .model import EnergyReport, NomaMecError, StrategyKind, _real, validate_scenario
 from .strategy import select_strategy
 
@@ -113,12 +106,18 @@ def _scenario(options: dict):
     return validate_scenario(n, dm, dn, options["hm2"], options["hn2"])
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the text ``pieces`` in order, each as it comes. The first is taken before
+    ``out_path`` is opened, so a refusal while rendering it leaves no file, nor truncates one."""
+    pieces = iter(pieces)
+    first = next(pieces)
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(first)
+            fh.writelines(pieces)
 
 
 def _cmd_solve(options: dict) -> int:
@@ -139,7 +138,7 @@ def _cmd_solve(options: dict) -> int:
         ",".join(EnergyReport._fields),
     ]
     lines += [",".join(map(_fmt, report)) for report in (table.hybrid, table.pure_noma, table.oma)]
-    _emit("\n".join(lines) + "\n", options.get("out"))
+    _emit(["\n".join(lines) + "\n"], options.get("out"))
     return 0
 
 
@@ -148,7 +147,7 @@ def _cmd_sweep(options: dict) -> int:
     d_n_from, d_n_to = options.get("from", dm), options.get("to", 2.0 * dm)
     hm2, hn2 = options["hm2"], options["hn2"]
     rows = deadline_sweep(n, dm, d_n_from, d_n_to, options["steps"], hm2, hn2)
-    _emit(render_sweep_csv(rows), options.get("out"))
+    _emit(_sweep_pieces(rows), options.get("out"))
     return 0
 
 
@@ -168,13 +167,13 @@ def _cmd_surface(options: dict) -> int:
         p2_max=options.get("p2max"),
         resolution=options["resolution"],
     )
-    _emit(render_surface_csv(grid), options.get("out"))
+    _emit(_surface_pieces(grid), options.get("out"))
     return 0
 
 
 def _cmd_verify(options: dict) -> int:
     summary = verification_campaign(options["seed"], options["count"])
-    _emit(render_campaign_summary(summary), options.get("out"))
+    _emit([render_campaign_summary(summary)], options.get("out"))
     return 0 if summary.passed else 2
 
 
@@ -244,9 +243,10 @@ def _read_plain(argv: list[str]) -> dict | None:
 
 # glibc maps a block above its mmap threshold on its own and, once such a block is freed,
 # raises that threshold to its size (32 MiB at most) and the trim threshold to twice that.
-# Whether a later multi-megabyte output reuses heap or takes fresh pages then depends on
-# the order of earlier output sizes (the same surface commands peaked 2.5 MB apart in one
-# process); thresholds fixed at that ceiling do not drift.
+# Whether a caller's in-memory copy of a later multi-megabyte output (the CLI streams its
+# CSV, a caller's io.StringIO still grows to the whole text) reuses heap or takes fresh
+# pages then depends on the order of earlier output sizes (the same surface commands
+# peaked 2.5 MB apart in one process); thresholds fixed at that ceiling do not drift.
 @functools.cache
 def _pin_malloc_thresholds() -> None:
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None

@@ -194,23 +194,28 @@ def _meta_lines(pairs: list[tuple[str, object]]) -> list[str]:
     return lines
 
 
-def _csv_header(scenario: OffloadScenario, columns: str, **more) -> list[str]:
+def _csv_header(scenario: OffloadScenario, columns: str, **more) -> str:
     """A CSV's first lines: the scenario but its ``d_n`` (no CSV prints one), ``more``, columns."""
     pairs = [(key, value) for key, value in vars(scenario).items() if key != "d_n"]
-    return _meta_lines(pairs + list(more.items())) + [columns]
+    return "\n".join(_meta_lines(pairs + list(more.items())) + [columns, ""])
+
+
+def _sweep_pieces(sweep: DeadlineSweep):
+    """``render_sweep_csv``'s text: the metadata lines and header, then each 4,096-row chunk."""
+    yield _csv_header(sweep.scenario, SWEEP_COLUMNS)
+    for start in range(0, len(sweep), _CHUNK_ROWS):
+        *floats, kinds = _columns(sweep[start:start + _CHUNK_ROWS])
+        cells = [*map(_run_cells, floats), _run_cells(kinds, _fmt)]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def render_sweep_csv(sweep: DeadlineSweep) -> str:
     """A deadline sweep as CSV text: its scenario's metadata lines, header, one line per deadline.
 
     Each run of equal values in a column is formatted once, but every zero
-    (``0.0 == -0.0`` prints two ways) and every NaN (it equals nothing) on its own."""
-    lines = _csv_header(sweep.scenario, SWEEP_COLUMNS)
-    for start in range(0, len(sweep), _CHUNK_ROWS):
-        *floats, kinds = _columns(sweep[start:start + _CHUNK_ROWS])
-        cells = [*map(_run_cells, floats), _run_cells(kinds, _fmt)]
-        lines.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(lines) + "\n"
+    (``0.0 == -0.0`` prints two ways) and every NaN (it equals nothing) on its own.
+    The CLI writes the same text a 4,096-row chunk at a time, each as it is rendered."""
+    return "".join(_sweep_pieces(sweep))
 
 
 def energy_surface(
@@ -258,11 +263,11 @@ def energy_surface(
     return SurfaceGrid(p1_axis, p2_axis, energy, feasible, scenario, t_n)
 
 
-def render_surface_csv(grid: SurfaceGrid) -> str:
-    """An ``energy_surface`` grid as CSV text: the sweep's metadata lines for the grid's
-    scenario and ``t_n``, one ``grid`` line per sample, row by row in ``p1``, then one ``optimum``
-    line, the closed-form powers and energy at that ``t_n`` (past ``d_m``, OMA over ``t_n``)."""
-    header = _csv_header(grid.scenario, SURFACE_COLUMNS, t_n=grid.t_n)
+def _surface_pieces(grid: SurfaceGrid):
+    """``render_surface_csv``'s text: the metadata lines and header, each ``p1`` row, then
+    the ``optimum`` line, computed first so that its refusal comes before any text."""
+    optimum = (*_optimum_at(grid.scenario, grid.t_n), True, "optimum")
+    yield _csv_header(grid.scenario, SURFACE_COLUMNS, t_n=grid.t_n)
     # Each sample is four parts: "p1,", "p2,", the energy and ",flag,grid\n". Cells are floats
     # and bools from ``tolist``, so ``repr`` and a table of the two tails give ``_fmt``'s text.
     # Slice assignment fills a row's parts into one reused list: no bytecode runs per sample.
@@ -270,15 +275,20 @@ def render_surface_csv(grid: SurfaceGrid) -> str:
     parts = [""] * (4 * n)
     parts[1::4] = [f"{p2!r}," for p2 in grid.p2_axis.tolist()]
     tails = tuple(f",{_fmt(flag)},grid\n" for flag in (False, True))
-    rows = []
     for p1, energies, feasible in zip(grid.p1_axis.tolist(), grid.energy, grid.feasible):
         parts[0::4] = [f"{p1!r},"] * n
         parts[2::4] = map(repr, energies.tolist())
         parts[3::4] = map(tails.__getitem__, feasible.tolist())
-        rows.append("".join(parts))
-    optimum = (*_optimum_at(grid.scenario, grid.t_n), True, "optimum")
-    # One join builds the whole text: no second copy of it is made.
-    return "".join(["\n".join(header) + "\n", *rows, ",".join(_fmt(v) for v in optimum) + "\n"])
+        yield "".join(parts)
+    yield ",".join(_fmt(v) for v in optimum) + "\n"
+
+
+def render_surface_csv(grid: SurfaceGrid) -> str:
+    """An ``energy_surface`` grid as CSV text: the sweep's metadata lines for the grid's
+    scenario and ``t_n``, one ``grid`` line per sample, row by row in ``p1``, then one ``optimum``
+    line, the closed-form powers and energy at that ``t_n`` (past ``d_m``, OMA over ``t_n``).
+    The CLI writes the same text one ``p1`` row at a time, each as it is rendered."""
+    return "".join(_surface_pieces(grid))
 
 
 def render_campaign_summary(summary: CampaignSummary) -> str:

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noma_mec
-from noma_mec import NomaMecError
+import noma_mec.cli as cli_module
+from noma_mec import (NomaMecError, deadline_sweep, energy_surface, render_surface_csv,
+                      render_sweep_csv, validate_scenario)
 from noma_mec.cli import (_COMMANDS, _DEFAULTS, _PLAIN, _parser, _read_plain, build_parser,
                           load_scenario_file, run)
-from noma_mec.experiments import CampaignSummary
+from noma_mec.experiments import _CHUNK_ROWS, CampaignSummary
 from test_cli_golden import CASES, GOLDEN, _case_id, _pinned_run, _with_config
 
 
@@ -339,6 +341,38 @@ class TestSweepAndSurface:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    @pytest.mark.parametrize("argv, most_rows, expected", [
+        (["sweep", "--n", "15", "--dm", "20", "--steps", "5000"], _CHUNK_ROWS,
+         lambda: render_sweep_csv(deadline_sweep(15.0, 20.0, 20.0, 40.0, 5000))),
+        (["surface", "--n", "15", "--dm", "20", "--resolution", "50"], 50,
+         lambda: render_surface_csv(energy_surface(validate_scenario(15.0, 20.0, 20.0), 5.0,
+                                                   resolution=50))),
+    ], ids=["sweep", "surface"])
+    def test_output_is_written_as_it_renders(self, monkeypatch, tmp_path, to_file, argv,
+                                             most_rows, expected):
+        # The CLI never holds the whole text: it writes the header, then each 4,096-row sweep
+        # chunk or surface p1 row (then the optimum line) on its own, in whole lines.
+        class Recorder(io.StringIO):
+            writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        if to_file:
+            monkeypatch.setattr(cli_module, "open", lambda *args, **kwargs: Recorder(),
+                                raising=False)
+            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        else:
+            monkeypatch.setattr(sys, "stdout", Recorder())
+        assert run(argv) == 0
+        writes = Recorder.writes
+        assert len(writes) > 2
+        assert max(piece.count("\n") for piece in writes) <= most_rows
+        assert all(piece.endswith("\n") for piece in writes)
+        assert "".join(writes) == expected()
+
 
 # The edge corpus: the smallest subnormals, the smallest normal, a tiny, a unit and the largest
 # values, as task size, d_m and the third argument (--dn, --to or --tn) of each subcommand.
@@ -377,6 +411,19 @@ class TestEdgeCorpus:
                 bad_exits.append(f"{' '.join(argv)}: exit {code}, {len(out)} bytes out, {err!r}")
         assert escaped == []
         assert bad_exits == []
+
+    def test_refusal_while_rendering_leaves_out_path_alone(self, tmp_path):
+        # With both ranges given, only the surface's optimum line refuses this scenario. It is
+        # rendered before the file is opened: no file is made, and an existing one keeps its bytes.
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"kept,\r\n")
+        for path in (new, old):
+            argv = ["surface", "--n", "1", "--dm", "5e-324", "--tn", "5e-324", "--resolution", "2",
+                    "--p1max", "1", "--p2max", "1", "--out", str(path)]
+            assert run_quietly(argv) == (
+                1, "", "error: log-domain rates must be nonnegative, got (nan, inf)\n")
+        assert not new.exists()
+        assert old.read_bytes() == b"kept,\r\n"
 
     def test_subnormal_shared_slot(self):
         # Half of d_m = 5e-324 rounds to 0; y2 is then taken whole, as 2 nats / (d_m + t_n).
@@ -430,8 +477,6 @@ class TestVerify:
         assert "--config" in err
 
     def test_failure_exits_two(self, capsys, monkeypatch):
-        import noma_mec.cli as cli_module
-
         def fake_campaign(seed, count):
             return CampaignSummary(
                 seed=seed, count=count, max_rel_err=1.0,
