@@ -17,6 +17,7 @@ import argparse
 import ctypes
 import functools
 import json
+import re
 import sys
 
 from ._version import __version__
@@ -120,25 +121,25 @@ def _emit(pieces, out_path: str | None) -> None:
             fh.writelines(pieces)
 
 
+_SOLVE_COLUMNS = ",".join(EnergyReport._fields) + "\n"   # solve's column-header line
+
+
 def _cmd_solve(options: dict) -> int:
     scenario = _scenario(options)
     table = select_strategy(scenario)
-    chosen = table.oma if table.selected is StrategyKind.OMA else table.hybrid
-    lines = [
-        f"# noma-mec {__version__} solve",
-        *(f"{key}={_fmt(value)}" for key, value in vars(scenario).items()),
-        f"regime={table.regime.value}",
-        f"selected={table.selected.value}",
-        f"t_n_star={_fmt(table.t_star)}",
-        f"p_n1_star={_fmt(table.p_n1_star)}",
-        f"p_n2_star={_fmt(table.p_n2_star)}",
-        f"energy={_fmt(chosen.energy)}",
-        f"normalized_energy={_fmt(chosen.normalized_energy)}",
-        f"oma_power_m={_fmt(oma_power_m(scenario))}",
-        ",".join(EnergyReport._fields),
-    ]
-    lines += [",".join(map(_fmt, report)) for report in (table.hybrid, table.pure_noma, table.oma)]
-    _emit(["\n".join(lines) + "\n"], options.get("out"))
+    # Every number printed is a Python float, whose repr is _fmt's text; _fmt reads the enum and
+    # bool cells. A row's cells are formatted once, and the energy lines reuse the chosen row's.
+    reports = table.hybrid, table.pure_noma, table.oma
+    rows = [(_fmt(kind), repr(energy), repr(normalized), f"{phase1!r},{phase2!r},{_fmt(feasible)}")
+            for kind, energy, normalized, phase1, phase2, feasible in reports]
+    _, energy, normalized, _ = rows[2 if table.selected is StrategyKind.OMA else 0]
+    _emit(["".join([
+        f"# noma-mec {__version__} solve\n",
+        *[f"{key}={value!r}\n" for key, value in vars(scenario).items()],
+        f"regime={table.regime.value}\nselected={table.selected.value}\nt_n_star={table.t_star!r}\n"
+        f"p_n1_star={table.p_n1_star!r}\np_n2_star={table.p_n2_star!r}\nenergy={energy}\n"
+        f"normalized_energy={normalized}\noma_power_m={oma_power_m(scenario)!r}\n{_SOLVE_COLUMNS}",
+        *[",".join(row) + "\n" for row in rows]])], options.get("out"))
     return 0
 
 
@@ -160,13 +161,8 @@ def _cmd_surface(options: dict) -> int:
     if "dn" in options and scenario.d_m + tn > scenario.d_n:
         raise NomaMecError(
             f"dm + tn must be at most dn, got {scenario.d_m!r} + {tn!r} > {scenario.d_n!r}")
-    grid = energy_surface(
-        scenario,
-        tn,
-        p1_max=options.get("p1max"),
-        p2_max=options.get("p2max"),
-        resolution=options["resolution"],
-    )
+    grid = energy_surface(scenario, tn, p1_max=options.get("p1max"), p2_max=options.get("p2max"),
+                          resolution=options["resolution"])
     _emit(_surface_pieces(grid), options.get("out"))
     return 0
 
@@ -201,6 +197,9 @@ def _flags(blocks: tuple) -> list[tuple[str, type, str]]:
 # Each subcommand's handler and its flags' types, by option string: all the plain route reads.
 _PLAIN = {name: (handler, {flag: kind for flag, kind, _ in _flags(blocks)})
           for name, _, blocks, handler in _COMMANDS}
+# argparse's own negative-number test (its _negative_number_matcher on Python 3.10 and 3.11;
+# later versions match more): argparse reads a match as a value, so the plain route may too.
+_negative = re.compile(r"-\d+|-\d*\.\d+").fullmatch
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,15 +223,15 @@ _parser = functools.cache(build_parser)
 
 def _read_plain(argv: list[str]) -> dict | None:
     """``vars(parse_args(argv))`` for an argv that is a subcommand and exact ``--flag value``
-    pairs of its flags, read from ``_PLAIN``; None for any other argv, and for a value that
-    starts with ``-`` or that the flag's type refuses, which argparse then reads."""
+    pairs of its flags, read from ``_PLAIN``. None, for argparse to read, for any other argv, a
+    value its type refuses, and a value that starts with ``-`` but is no ``_negative`` number."""
     plain = _PLAIN.get(argv[0]) if len(argv) % 2 else None
     if plain is None:
         return None
     given = {"command": argv[0]}
     for flag, value in zip(argv[1::2], argv[2::2]):
         kind = plain[1].get(flag)
-        if kind is None or value.startswith("-"):
+        if kind is None or value.startswith("-") and not _negative(value):
             return None
         try:
             given[flag[2:]] = kind(value)
@@ -257,10 +256,11 @@ def _pin_malloc_thresholds() -> None:
 
 def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code instead of exiting. An argv of one
-    subcommand and exact ``--flag value`` pairs is read from the option table alone; any other
-    argv, and a value that starts with ``-`` or fails its type, goes through argparse, with the
-    process's one parser built on first need (``build_parser()`` builds a fresh one to extend).
-    The first call also fixes glibc's malloc thresholds."""
+    subcommand and exact ``--flag value`` pairs (a value may be a negative number, ``-15``) is
+    read from the option table alone; any other argv, and a value that fails its type or starts
+    with ``-`` and is no such number, goes through argparse, with the process's one parser built
+    on first need (``build_parser()`` builds a fresh one to extend). The first call also fixes
+    glibc's malloc thresholds."""
     _pin_malloc_thresholds()
     given = _read_plain(argv)
     if given is None:

@@ -660,12 +660,20 @@ EDGE = [
     ["sweep", "--n", "15", "--dm", "20", "--steps", "3.5"],
     ["surface", "--n", "15", "--dm", "20", "--p", "3"],
     ["surface", "--n", "15", "--dm", "20", "--resolution", "2", "--p1m", "3"],
-    # Pairs the plain reader leaves to argparse: a flag, an empty string, a negative number or
-    # a lone "-" where a value goes.
+    # Pairs the plain reader leaves to argparse: a flag, an empty string or a lone "-" where a
+    # value goes.
     ["solve", "--config", "--n"],
     ["solve", "--n", ""],
-    ["verify", "--count", "-3"],
     ["sweep", "--n", "15", "--dm", "20", "--out", "-"],
+    # Values that start with "-": the negative numbers argparse reads as values ("-3", "-.5",
+    # "-\u0663") are read plainly too, the rest ("-5.", "-1e5", "-inf", "-5 ") go to argparse.
+    ["verify", "--count", "-3"],
+    ["solve", "--n", "-.5", "--dm", "20", "--dn", "25"],
+    ["solve", "--n", "-5.", "--dm", "20", "--dn", "25"],
+    ["solve", "--n", "-1e5", "--dm", "20", "--dn", "25"],
+    ["solve", "--n", "-inf", "--dm", "20", "--dn", "25"],
+    ["solve", "--n", "-5 ", "--dm", "20", "--dn", "25"],
+    ["solve", "--n", "-\u0663", "--dm", "20", "--dn", "25"],
 ]
 
 
@@ -682,7 +690,8 @@ class TestSubcommandRouting:
         assert run_capture(capsys, argv) == expected
 
     def test_valid_commands_make_no_argparse_parse(self, capsys, monkeypatch):
-        # From an empty parser cache, the four plain argv neither build a parser nor parse.
+        # From an empty parser cache, the four plain argv and a negative task size, which is
+        # refused with exit 1, neither build a parser nor parse.
         calls = []
         init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_known_args
 
@@ -699,6 +708,7 @@ class TestSubcommandRouting:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
         for argv in VALID:
             assert run(argv) == 0
+        assert run(["solve", "--n", "-15", "--dm", "20", "--dn", "25"]) == 1
         assert calls == []
         assert run([*SOLVE_ARGS, "--bogus", "1"]) == 1
         assert calls[0] == ("build", "noma-mec")
@@ -736,8 +746,8 @@ DIGITS = st.integers(0, 10**6).map(str)
 VALUES = st.one_of(
     DIGITS,
     st.floats().map(repr),
-    st.sampled_from(["-3", "-", "--", "", " 15 ", "1_5", "inf", "nan", "1e5", "-1e5", "0x10",
-                     "\u0661\u0665", "\uff11\uff15", "--n", "solve", "x y"]),
+    st.sampled_from(["-3", "-.5", "-5.", "-", "--", "", " 15 ", "1_5", "inf", "nan", "1e5", "-1e5",
+                     "0x10", "\u0661\u0665", "\uff11\uff15", "--n", "solve", "x y"]),
     st.text(max_size=4),
 )
 
