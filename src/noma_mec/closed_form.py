@@ -38,7 +38,7 @@ def _log_rates(ops, nats, d_m, t_n):
     # rate_dm lies in [y2/2, y2], so y1 is exact (Sterbenz): y2 - y1 == rate_dm, 0.0 at t_n == d_m.
     y1 = y2 - rate_dm
     ok = (y1 >= 0.0) & (y2 >= 0.0)
-    if not ops.all(ok):
+    if ops.any(ok ^ True):   # ^ True, not ~, which turns a plain True into -2
         y1, y2 = (float(np.broadcast_to(y, np.shape(ok)).flat[np.argmin(ok)]) for y in (y1, y2))
         raise NomaMecError(f"log-domain rates must be nonnegative, got ({y1!r}, {y2!r})")
     return y1, y2

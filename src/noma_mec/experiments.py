@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -34,35 +32,13 @@ _CHUNK_ROWS = 4096   # sweep rows rendered or campaign scenarios certified at a 
 # round a few ulp short; the feasibility mask keeps them.
 FEASIBILITY_SLACK = 1e-12
 
-# One deadline sample: the three strategy energies and the hybrid optimum behind them.
-SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS)
-_columns = attrgetter(*SweepRow._fields)
-
-
-@dataclass(frozen=True)
-class DeadlineSweep:
-    """A deadline sweep as one list per CSV column, in ascending ``d_n``, and the validated
-    ``scenario`` its CSV header prints (its ``d_n`` is ``d_m``; the header prints no ``d_n``).
-    ``len``, indexing and iteration give rows, namedtuples with the column names as fields."""
-
-    d_n: list[float]
-    e_hybrid: list[float]
-    e_pure: list[float]
-    e_oma: list[float]
-    p1_star: list[float]
-    p2_star: list[float]
-    t_n_star: list[float]
-    selected: list[StrategyKind]
-    scenario: OffloadScenario
-
-    def __len__(self) -> int:
-        return len(self.d_n)
-
-    def __getitem__(self, i: int | slice) -> SweepRow | DeadlineSweep:
-        # A slice gives the sub-sweep of the same scenario. Also serves iteration, which
-        # stops at the IndexError past the last row.
-        cut = [column[i] for column in _columns(self)]
-        return DeadlineSweep(*cut, self.scenario) if isinstance(i, slice) else SweepRow._make(cut)
+DeadlineSweep = namedtuple("DeadlineSweep", [*SWEEP_COLUMNS.split(","), "scenario"])
+DeadlineSweep.__doc__ = """A deadline sweep: one array per CSV column, in ascending ``d_n``, and
+the validated ``scenario`` its CSV header prints (its ``d_n`` is ``d_m``; the header prints no
+``d_n``). Each float column is a float64 array of length ``steps``; ``e_pure`` is the one
+pure-NOMA value as a read-only view of that length, ``selected`` an object array of
+``StrategyKind``. ``zip(*sweep[:8])`` gives the rows.
+"""
 
 
 CampaignSummary = namedtuple("CampaignSummary", "seed count max_rel_err max_dominance_violation"
@@ -125,8 +101,8 @@ def deadline_sweep(
     d_n = np.linspace(low, high, steps)
     with np.errstate(all="ignore"):
         c = _strategy_columns(_EXACT, scenario.nats, scenario.d_m, d_n, scenario.h_n_sq)
-    cols = [col.tolist() for col in (d_n, c.e_hybrid, c.e_oma, c.p_n1, c.p_n2, c.t_star, c.selected)]
-    return DeadlineSweep(*cols[:2], [float(c.e_pure)] * steps, *cols[2:], scenario)
+    return DeadlineSweep(d_n, c.e_hybrid, np.broadcast_to(c.e_pure, steps), c.e_oma, c.p_n1,
+                         c.p_n2, c.t_star, c.selected, scenario)
 
 
 def verification_campaign(seed: int, count: int) -> CampaignSummary:
@@ -203,8 +179,8 @@ def _csv_header(scenario: OffloadScenario, columns: str, **more) -> str:
 def _sweep_pieces(sweep: DeadlineSweep):
     """``render_sweep_csv``'s text: the metadata lines and header, then each 4,096-row chunk."""
     yield _csv_header(sweep.scenario, SWEEP_COLUMNS)
-    for start in range(0, len(sweep), _CHUNK_ROWS):
-        *floats, kinds = _columns(sweep[start:start + _CHUNK_ROWS])
+    for start in range(0, len(sweep.d_n), _CHUNK_ROWS):
+        *floats, kinds = (column[start:start + _CHUNK_ROWS].tolist() for column in sweep[:8])
         cells = [*map(_run_cells, floats), _run_cells(kinds, _fmt)]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 

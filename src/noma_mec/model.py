@@ -96,14 +96,14 @@ def _per_element(fn, cap=EXP_CUTOFF):
 # The operations of the private elementwise rules (``_*`` here and in ``closed_form``,
 # ``strategy`` and ``oracle``); each entry point names its table. _SCALAR: floats, no numpy.
 # _EXACT: arrays bit-equal to _SCALAR. _NUMPY: the oracle's own path. Array callers hold
-# ``np.errstate``: masked elements may overflow. Callers read only the truth of ``any``/``all``:
-# count_nonzero and a mask's own ``all`` give it at a fraction of np.any's and np.all's cost.
-_Ops = namedtuple("_Ops", "where exp expm1 log1p any all")
+# ``np.errstate``: masked elements may overflow. Callers read only the truth of ``any``:
+# count_nonzero gives it at a fraction of np.any's cost.
+_Ops = namedtuple("_Ops", "where exp expm1 log1p any")
 _SCALAR = _Ops(lambda cond, yes, no: yes if cond else no, lambda x: math.exp(min(x, EXP_CUTOFF)),
-               lambda x: math.expm1(min(x, EXP_CUTOFF)), math.log1p, bool, bool)
+               lambda x: math.expm1(min(x, EXP_CUTOFF)), math.log1p, bool)
 _EXACT = _Ops(np.where, _per_element(math.exp), _per_element(math.expm1),
-              _per_element(math.log1p, math.inf), np.count_nonzero, lambda mask: mask.all())
-_NUMPY = _Ops(np.where, np.exp, np.expm1, np.log1p, np.count_nonzero, np.all)
+              _per_element(math.log1p, math.inf), np.count_nonzero)
+_NUMPY = _Ops(np.where, np.exp, np.expm1, np.log1p, np.count_nonzero)
 
 
 def _offloaded(ops, nats, d_m, h_n_sq, t_n, p_n1, p_n2):

@@ -142,30 +142,24 @@ def test_criterion_6_boundary_continuity():
             assert abs(dedicated - bound) <= 1e-9 * bound
 
 
-TREND_ROWS = deadline_sweep(15.0, 20.0, 20.1, 40.0, 200)
+TREND = deadline_sweep(15.0, 20.0, 20.1, 40.0, 200)
 
 
 def test_criterion_7_deadline_trend():
     with criterion(7, "OMA blows up near equal deadlines, curves meet at 2 d_m"):
-        tight = [r for r in TREND_ROWS if r.d_n <= 20.5]
-        assert tight, "sweep must sample the near-degenerate region"
-        for row in tight:
-            assert row.e_oma > 10.0 * row.e_hybrid
-        for row in TREND_ROWS:
-            assert row.e_hybrid <= row.e_oma + 1e-9
-        last = TREND_ROWS[-1]
-        assert last.d_n == 40.0
-        assert abs(last.e_hybrid - last.e_oma) <= 1e-6 * last.e_oma
+        tight = TREND.d_n <= 20.5
+        assert tight.any(), "sweep must sample the near-degenerate region"
+        assert (TREND.e_oma[tight] > 10.0 * TREND.e_hybrid[tight]).all()
+        assert (TREND.e_hybrid <= TREND.e_oma + 1e-9).all()
+        assert TREND.d_n[-1] == 40.0
+        assert abs(TREND.e_hybrid[-1] - TREND.e_oma[-1]) <= 1e-6 * TREND.e_oma[-1]
 
 
 def test_criterion_8_shared_power_trend():
     with criterion(8, "shared-slot power decays to exactly zero at d_n = 2 d_m"):
-        p1_column = [r.p1_star for r in TREND_ROWS]
-        for earlier, later in zip(p1_column, p1_column[1:]):
-            assert later <= earlier
-        assert TREND_ROWS[-1].p1_star == 0.0
-        for row in TREND_ROWS:
-            assert row.p2_star > 0.0
+        assert (TREND.p1_star[1:] <= TREND.p1_star[:-1]).all()
+        assert TREND.p1_star[-1] == 0.0
+        assert (TREND.p2_star > 0.0).all()
 
 
 def test_criterion_9_kkt_residuals():
@@ -180,10 +174,10 @@ def test_criterion_9_kkt_residuals():
                 assert abs(residual - s.nats) <= 1e-9 * s.nats
                 assert point.y2 - point.y1 == s.nats / s.d_m
                 checked += 1
-        for row in TREND_ROWS:
-            s = validate_scenario(15.0, 20.0, row.d_n)
-            point = kkt_log_vars(s, row.t_n_star)
-            residual = s.d_m * point.y1 + row.t_n_star * point.y2
+        for d_n, t_n in zip(TREND.d_n.tolist(), TREND.t_n_star.tolist()):
+            s = validate_scenario(15.0, 20.0, d_n)
+            point = kkt_log_vars(s, t_n)
+            residual = s.d_m * point.y1 + t_n * point.y2
             assert abs(residual - s.nats) <= 1e-9 * s.nats
             assert point.y2 - point.y1 == s.nats / s.d_m
             checked += 1

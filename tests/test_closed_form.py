@@ -234,7 +234,7 @@ class TestHybridEnergy:
             e_pure = hybrid_energy(s, 0.0)
             assert select_strategy(s).pure_noma.energy == e_pure
             sweep = deadline_sweep(s.nats, s.d_m, s.d_m, 3.0 * s.d_m, 2, s.h_m_sq, s.h_n_sq)
-            assert sweep.e_pure == [e_pure, e_pure]
+            assert sweep.e_pure.tolist() == [e_pure, e_pure]
 
     def test_full_extension_value(self):
         assert hybrid_energy(ANCHOR, 20.0) == pytest.approx(20.0 * math.expm1(0.75), rel=1e-15)

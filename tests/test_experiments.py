@@ -1,9 +1,9 @@
-import dataclasses
 import inspect
 import itertools
 import math
 import pickle
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -41,7 +41,6 @@ from noma_mec.experiments import (
     SWEEP_COLUMNS,
     SURFACE_COLUMNS,
     DeadlineSweep,
-    SweepRow,
     _run_cells,
 )
 from noma_mec.model import _MAX_ROWS, _SCALAR
@@ -54,16 +53,24 @@ def reference_sweep():
     return deadline_sweep(15.0, 20.0, 20.0, 40.0, 21)
 
 
+SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS)
+
+
+def rows_of(sweep):
+    """The sweep's rows, ``zip(*sweep[:8])``, as namedtuples of the cells' Python values."""
+    return [SweepRow._make(row) for row in zip(*(column.tolist() for column in sweep[:8]))]
+
+
 class TestDeadlineSweep:
     def test_shape_and_order(self):
         rows = reference_sweep()
-        assert len(rows) == 21
-        deadlines = [r.d_n for r in rows]
+        assert len(rows.d_n) == 21
+        deadlines = rows.d_n.tolist()
         assert deadlines == sorted(deadlines)
         assert deadlines[0] == 20.0 and deadlines[-1] == 40.0
 
     def test_reference_row(self):
-        row = reference_sweep()[5]
+        row = rows_of(reference_sweep())[5]
         assert row.d_n == 25.0
         assert row.e_hybrid == pytest.approx(35.66291, abs=1e-4)
         assert row.e_oma == pytest.approx(95.42768, abs=1e-4)
@@ -71,7 +78,7 @@ class TestDeadlineSweep:
         assert row.selected == StrategyKind.HYBRID_NOMA
 
     def test_boundary_row_curves_meet(self):
-        row = reference_sweep()[-1]
+        row = rows_of(reference_sweep())[-1]
         assert row.d_n == 40.0
         assert row.e_hybrid == pytest.approx(row.e_oma, rel=1e-6)
         assert row.e_hybrid == pytest.approx(22.34000, abs=1e-4)
@@ -79,18 +86,17 @@ class TestDeadlineSweep:
         assert row.p1_star == 0.0
 
     def test_degenerate_row_has_infinite_oma(self):
-        row = reference_sweep()[0]
+        row = rows_of(reference_sweep())[0]
         assert row.d_n == 20.0
         assert row.e_oma == math.inf
         assert row.e_hybrid == pytest.approx(row.e_pure, rel=1e-12)
 
     def test_shared_power_monotone(self):
-        rows = reference_sweep()
-        p1 = [r.p1_star for r in rows]
+        p1 = reference_sweep().p1_star.tolist()
         assert all(a >= b for a, b in zip(p1, p1[1:]))
 
     def test_hybrid_energy_monotone_and_dominant(self):
-        rows = reference_sweep()
+        rows = rows_of(reference_sweep())
         e = [r.e_hybrid for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(e, e[1:]))
         for r in rows:
@@ -98,15 +104,14 @@ class TestDeadlineSweep:
             assert r.e_hybrid <= r.e_oma + 1e-9
 
     def test_row_consistent_with_closed_forms(self):
-        for row in reference_sweep():
+        for row in rows_of(reference_sweep()):
             s = validate_scenario(15.0, 20.0, row.d_n)
             assert row.e_hybrid == hybrid_energy(s, row.t_n_star)
             p1, p2 = hybrid_powers(s, row.t_n_star)
             assert row.p1_star == p1 and row.p2_star == p2
 
     def test_relaxed_rows_select_oma(self):
-        rows = deadline_sweep(15.0, 20.0, 20.0, 60.0, 21)
-        for row in rows:
+        for row in rows_of(deadline_sweep(15.0, 20.0, 20.0, 60.0, 21)):
             if row.d_n >= 40.0:
                 assert row.selected == StrategyKind.OMA
                 assert row.e_oma <= row.e_pure + 1e-9
@@ -167,7 +172,7 @@ def assert_renders_as_reference(rows, nats=15.0, d_m=20.0, h_m_sq=1.0, h_n_sq=1.
     own, below a header of the given scenario values."""
     lines = [f"# nats={nats!r}", f"# d_m={d_m!r}", f"# h_m_sq={h_m_sq!r}",
              f"# h_n_sq={h_n_sq!r}", f"# tool=noma-mec {__version__}", SWEEP_COLUMNS]
-    lines += [",".join(map(repr, row[:7])) + "," + row.selected.value for row in rows]
+    lines += [",".join(map(repr, row[:7])) + "," + row.selected.value for row in rows_of(rows)]
     text = render_sweep_csv(rows)
     rendered = text.split("\n")
     assert len(rendered) == len(lines) + 1 and rendered[-1] == ""
@@ -178,35 +183,39 @@ def assert_renders_as_reference(rows, nats=15.0, d_m=20.0, h_m_sq=1.0, h_n_sq=1.
 
 
 def hand_built_sweep(*float_columns, selected=None):
-    """A ``DeadlineSweep`` of the scenario ``(15, 20, 20)`` whose last float columns are given;
-    the leading ones count rows."""
+    """A ``DeadlineSweep`` of the scenario ``(15, 20, 20)`` whose last float columns are given,
+    as arrays; the leading ones count rows."""
     steps = len(float_columns[-1])
-    counter = [float(i) for i in range(steps)]
-    kinds = selected or [StrategyKind.HYBRID_NOMA] * steps
+    counter = np.arange(steps, dtype=float)
+    kinds = np.array(selected or [StrategyKind.HYBRID_NOMA] * steps, dtype=object)
     scenario = validate_scenario(15.0, 20.0, 20.0)
-    return DeadlineSweep(*[counter] * (7 - len(float_columns)), *float_columns, kinds, scenario)
+    floats = [np.array(column, dtype=float) for column in float_columns]
+    return DeadlineSweep(*[counter] * (7 - len(float_columns)), *floats, kinds, scenario)
 
 
 class TestSweepColumns:
-    """``deadline_sweep`` returns columns; ``len``, indexing and iteration give namedtuple rows."""
+    """``deadline_sweep`` returns the kernel's arrays, one per CSV column, then the scenario."""
 
-    def test_row_access(self):
-        rows = reference_sweep()
-        assert len(rows) == 21 == len(rows.e_hybrid)
-        listed = list(rows)
-        assert rows[0] == listed[0] and rows[-1] == listed[-1] == rows[20]
-        for row in [rows[0], rows[-1], *rows]:
-            assert row._fields == tuple(SWEEP_COLUMNS.split(","))
-            assert all(type(v) is float for v in row[:7])
-            assert type(row.selected) is StrategyKind
-        assert [row.e_oma for row in rows] == rows.e_oma
-        assert list(rows[1:3]) == listed[1:3] and list(rows[::-1]) == listed[::-1]
-        assert pickle.loads(pickle.dumps(rows)) == rows
-        assert pickle.loads(pickle.dumps(rows[5])) == rows[5]
+    def test_record_is_the_csv_columns_as_arrays(self):
+        sweep = reference_sweep()
+        assert sweep._fields == (*SWEEP_COLUMNS.split(","), "scenario") and len(sweep) == 9
+        for column in sweep[:7]:
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (21,)
+        # One pure-NOMA value, stretched to full length by a read-only view of no memory.
+        assert sweep.e_pure.strides == (0,) and not sweep.e_pure.flags.writeable
+        assert (sweep.e_pure == sweep.e_pure[0]).all()
+        assert sweep.selected.shape == (21,)
+        assert all(type(kind) is StrategyKind for kind in sweep.selected)
+        copy = pickle.loads(pickle.dumps(sweep))
+        assert type(copy) is DeadlineSweep and copy.scenario == sweep.scenario
+        assert all(np.array_equal(a, b) for a, b in zip(copy[:8], sweep[:8]))
+        with pytest.raises(AttributeError):
+            sweep.scenario = None
 
     def test_columns_are_frozen(self):
         rows = reference_sweep()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rows.e_hybrid = []
 
     @settings(max_examples=60, deadline=None)
@@ -226,7 +235,9 @@ class TestViewsAgree:
            steps=st.integers(2, 40), h_m_sq=st.floats(0.1, 10.0), h_n_sq=st.floats(0.1, 10.0))
     def test_sweep_rows_equal_scalar_views(self, rate, d_m, end, steps, h_m_sq, h_n_sq):
         nats = rate * d_m
-        rows = deadline_sweep(nats, d_m, d_m, end * d_m, steps, h_m_sq, h_n_sq)
+        sweep = deadline_sweep(nats, d_m, d_m, end * d_m, steps, h_m_sq, h_n_sq)
+        assert all(column.dtype == np.float64 for column in sweep[:7])
+        rows = rows_of(sweep)
         assert rows[0].d_n == d_m                          # d_n == d_m
         if end == 2.0:
             assert rows[-1].d_n == 2.0 * d_m               # d_n == 2 d_m
@@ -237,7 +248,6 @@ class TestViewsAgree:
             assert values == (table.hybrid.energy, table.pure_noma.energy, table.oma.energy,
                               table.p_n1_star, table.p_n2_star, table.t_star)
             assert row.selected == table.selected
-            assert all(type(v) is float for v in (row.d_n,) + values)
             t_n = row.t_n_star
             assert hybrid_powers(s, t_n) == reference_powers(s, t_n) == (row.p1_star, row.p2_star)
             assert hybrid_energy(s, t_n) == row.e_hybrid
@@ -303,7 +313,7 @@ class TestSweepCsv:
         first = data_lines[0].split(",")
         assert first[3] == "inf"
         # Every numeric field round-trips to the exact float that produced it.
-        for line, row in zip(data_lines, rows):
+        for line, row in zip(data_lines, rows_of(rows)):
             fields = line.split(",")
             assert float(fields[0]) == row.d_n
             assert float(fields[1]) == row.e_hybrid
@@ -496,11 +506,10 @@ class TestRenderersReadTheRecord:
         assert render_sweep_csv(sweep).splitlines()[:6] == [
             "# nats=15.0", "# d_m=20.0", "# h_m_sq=0.5", "# h_n_sq=2.0", self.TOOL, SWEEP_COLUMNS]
 
-    def test_a_slice_keeps_the_scenario_and_an_index_gives_a_row(self):
+    def test_a_cut_of_the_columns_renders_the_cut_of_the_lines(self):
         sweep = deadline_sweep(15.0, 20.0, 20.0, 40.0, 5, h_m_sq=0.5, h_n_sq=2.0)
-        part = sweep[1:4]
-        assert type(part) is DeadlineSweep and part.scenario is sweep.scenario
-        assert type(sweep[1]) is SweepRow and part[0] == sweep[1]
+        part = DeadlineSweep(*(column[1:4] for column in sweep[:8]), sweep.scenario)
+        assert rows_of(part) == rows_of(sweep)[1:4]
         whole, cut = render_sweep_csv(sweep).splitlines(), render_sweep_csv(part).splitlines()
         assert cut == whole[:6] + whole[7:10]
 

@@ -230,7 +230,7 @@ class TestTypedParameters:
         assert hybrid_powers(ANCHOR, np.float32(5.0)) == hybrid_powers(ANCHOR, 5)
         assert hybrid_energy(ANCHOR, np.float32(5.0)) == hybrid_energy(ANCHOR, 5.0)
         assert oma_energy_n(ANCHOR, Fraction(5)) == oma_energy_n(ANCHOR, np.int64(5))
-        assert deadline_sweep(1.0, 0.5, 1, 2, 3).d_n == [1.0, 1.5, 2.0]
+        assert deadline_sweep(1.0, 0.5, 1, 2, 3).d_n.tolist() == [1.0, 1.5, 2.0]
 
 
 class TestScheduleEnergy:
@@ -319,9 +319,7 @@ class TestOperationTables:
         cond = x > 1.0
         want = [_SCALAR.where(c, v, -v) for c, v in zip(cond.tolist(), x.tolist())]
         assert _EXACT.where(cond, x, -x).tobytes() == np.array(want).tobytes()
-        for name in ("any", "all"):
-            got, scalar = getattr(_EXACT, name), getattr(_SCALAR, name)
-            assert [got(c) for c in cond] == [scalar(c) for c in cond.tolist()], name
+        assert [_EXACT.any(c) for c in cond] == [_SCALAR.any(c) for c in cond.tolist()]
 
 
 class TestPowerRule:

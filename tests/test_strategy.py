@@ -214,11 +214,12 @@ class TestHybridLowerBound:
     def test_attained_by_sweep_row_just_below_shared_slot_length(self):
         # A 161-point sweep over [d_m, 3 d_m] puts its midpoint a few ulp below 2 d_m.
         d_m = 49.824226555571094
-        row = deadline_sweep(30.983336987743208, d_m, d_m, 3.0 * d_m, 161,
-                             1.2491148082183643, 5.095538934289587)[80]
-        s = validate_scenario(30.983336987743208, d_m, row.d_n, h_n_sq=5.095538934289587)
-        assert 0.0 < d_m - row.t_n_star <= 4 * math.ulp(d_m)
-        assert row.e_hybrid == hybrid_energy(s, row.t_n_star) == oma_energy_n(s, d_m)
+        sweep = deadline_sweep(30.983336987743208, d_m, d_m, 3.0 * d_m, 161,
+                               1.2491148082183643, 5.095538934289587)
+        d_n, t_n = sweep.d_n[80], sweep.t_n_star[80]
+        s = validate_scenario(30.983336987743208, d_m, d_n, h_n_sq=5.095538934289587)
+        assert 0.0 < d_m - t_n <= 4 * math.ulp(d_m)
+        assert sweep.e_hybrid[80] == hybrid_energy(s, t_n) == oma_energy_n(s, d_m)
         assert select_strategy(s).hybrid.energy == oma_energy_n(s, d_m)
 
 
